@@ -167,12 +167,12 @@ def cmd_mask(args) -> int:
         for k in range(mask.n):
             print(f"{k},{int(a[k])}")
         if args.out:
+            r = spectra.cross_term_matrix(mask)
             os.makedirs(args.out, exist_ok=True)
             slug = _slug(mask.label)
             a_path = os.path.join(args.out, f"{slug}_autocorr.csv")
             write_csv(a_path, ("k", "a"),
                       [(k, int(a[k])) for k in range(mask.n)], config, 0)
-            r = spectra.cross_term_matrix(mask)
             r_path = os.path.join(args.out, f"{slug}_crossterms.csv")
             write_csv(r_path, ("k", "l", "R"),
                       [(k, l, int(r[k, l]))
@@ -338,21 +338,14 @@ def _selftest_items(trials: int, seed: int):
 
     def autocorr_sums():
         suite = random_suite(40) + [masks.singer_mask(4), masks.comb_mask(12, 3)]
-        for mask in suite:
-            a = spectra.autocorr(mask)
-            w = mask.weight
-            assert int(a[0]) == w
-            assert int(a.sum()) == w * w
-            assert int(a[1:].sum()) == w * (w - 1)
+        for mask in suite:  # autocorr checks a[0] = w and sum a = w^2 itself
+            spectra.autocorr(mask)
 
     def range_sidelobe_sum():
         suite = [masks.singer_mask(m) for m in range(3, 7)]
         suite += [masks.comb_mask(63, 3)] + random_suite(20)
-        for mask in suite:
-            r = spectra.cross_term_matrix(mask)
-            n, w = mask.n, mask.weight
-            off = int(r[1:, 1:].sum() - np.trace(r[1:, 1:]))
-            assert off == w * (n - w) * (w - 1), mask.label
+        for mask in suite:  # checks sum_(k != l) R = w (N - w)(w - 1) itself
+            spectra.cross_term_matrix(mask)
 
     def parseval():
         suite = [masks.singer_mask(3), masks.singer_mask(6),
@@ -443,7 +436,7 @@ def cmd_selftest(args) -> int:
         t0 = time.perf_counter()
         try:
             fn()
-        except AssertionError as exc:
+        except (AssertionError, ArithmeticError) as exc:
             failures += 1
             print(f"FAIL {name}: {exc}")
             continue
@@ -535,6 +528,13 @@ def main(argv=None) -> int:
     except (ValueError, montecarlo.McBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -7,6 +7,10 @@ int bit mask that includes the leading x^m term (0b1011 is x^3 + x + 1).
 
 The residue class of x (the int 2) generates the full multiplicative group;
 this is re-checked at construction instead of trusting the polynomial table.
+
+Singer masks need only m trace values per field, to seed the m-sequence
+recurrence (masks.singer_mask); the field arithmetic and the trace map of
+every element serve as the independent oracle for that construction.
 """
 
 from __future__ import annotations

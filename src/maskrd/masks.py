@@ -125,22 +125,21 @@ class CdsCheck(NamedTuple):
 def singer_mask(m: int) -> Mask:
     """Mask whose support is the trace-zero Singer difference set in Z_(2^m - 1).
 
-    Bit i is set iff the trace of alpha^i vanishes, with alpha the canonical
-    primitive element of GF(2^m). The period is N = 2^m - 1, the weight
-    2^(m-1) - 1, and every nonzero cyclic difference is hit exactly
-    2^(m-2) - 1 times.
+    Bit i is set iff s_i = Tr(alpha^i) vanishes, with alpha the canonical
+    primitive element of GF(2^m). Since alpha is a root of the primitive
+    polynomial x^m + sum_j c_j x^j, the s_i obey s_(i+m) = sum_j c_j s_(i+j)
+    mod 2: m trace values seed that recurrence and it yields the rest. The
+    period is N = 2^m - 1, the weight 2^(m-1) - 1, and every nonzero cyclic
+    difference is hit exactly 2^(m-2) - 1 times.
     """
     if not 3 <= m <= 20:
         raise ValueError(f"singer mask degree must be in 3..20, got {m}")
     f = gf2.default_field(m)
-    n = f.order - 1
-    bits = [0] * n
-    x = 1
-    for i in range(n):
-        if gf2.trace(x, f) == 0:
-            bits[i] = 1
-        x = gf2.field_mul(x, 0b10, f)
-    return Mask(tuple(bits), family="singer", label=f"singer:m={m}")
+    taps = [j for j in range(m) if f.primitive_poly >> j & 1]
+    s = [gf2.trace(1 << i, f) for i in range(m)]
+    for i in range(f.order - 1 - m):
+        s.append(sum(s[i + j] for j in taps) & 1)
+    return Mask(tuple(1 - v for v in s), family="singer", label=f"singer:m={m}")
 
 
 def comb_mask(n: int, d: int) -> Mask:

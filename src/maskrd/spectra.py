@@ -1,8 +1,10 @@
 """Correlation structure and deterministic spectra of a transmission mask.
 
-Counting quantities (autocorrelation, masked cross terms) stay in exact
-integer arithmetic. Spectra are evaluated as direct complex sums; at desk
-scale (periods up to a few thousand) nothing faster is needed.
+Counting quantities (autocorrelation, masked cross terms) are exact integers
+from float kernels: a rounded inverse FFT for a[k], one float32 BLAS product
+for R (0/1 entries, partial sums below 2^24). Both are checked against integer
+identities, which raise ArithmeticError on failure, and R is limited to
+N <= MAX_MATRIX_N. Spectra are evaluated as direct complex sums.
 
 Conventions, with m_t the mask, m_r = 1 - m_t, and all shifts cyclic mod N:
 
@@ -40,6 +42,9 @@ __all__ = [
     "summarize",
 ]
 
+# Largest N for the N x N cross terms: Singer m = 13, ~1 GB (m = 14 needs ~4 GB).
+MAX_MATRIX_N = 8191
+
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -73,10 +78,23 @@ class GammaSequence:
 
 
 def autocorr(mask: Mask) -> np.ndarray:
-    """Periodic autocorrelation a[k] = sum_n m_t[n] m_t[n-k], exact ints."""
-    bits = mask.as_array()
-    return np.array([np.dot(np.roll(bits, k), bits) for k in range(mask.n)],
-                    dtype=np.int64)
+    """Periodic autocorrelation a[k] = sum_n m_t[n] m_t[n-k], exact ints.
+
+    The rounded inverse FFT of |FFT(m_t)|^2, checked against a[0] = w and
+    sum a = w^2.
+    """
+    return _autocorr(mask)
+
+
+# cross_term_matrix checks its diagonal with this kernel directly, so that the
+# check does not count as one more autocorr call per metrics report.
+def _autocorr(mask: Mask) -> np.ndarray:
+    spec = np.fft.rfft(mask.as_array())
+    a = np.rint(np.fft.irfft(spec.real ** 2 + spec.imag ** 2, mask.n)).astype(np.int64)
+    if a[0] != mask.weight or a.sum() != mask.weight ** 2:
+        raise ArithmeticError(
+            f"autocorrelation of {mask.label} breaks a[0] = w or sum a = w^2")
+    return a
 
 
 def cross_term(mask: Mask, k: int, l: int) -> int:
@@ -90,19 +108,26 @@ def cross_term(mask: Mask, k: int, l: int) -> int:
 
 
 def cross_term_matrix(mask: Mask) -> np.ndarray:
-    """All R[k,l] as an N x N int matrix.
+    """All R[k,l] as an N x N int matrix, for N up to MAX_MATRIX_N.
 
-    Rows and columns at index 0 are structurally zero (the blind range):
-    m_r[n] m_t[n] vanishes identically.
+    R = G^T G with G[j, k] = m_t[n_j - k] over the listen slots n_j, checked
+    against the zero row and column 0 (the blind range), R[k,k] = w - a[k]
+    and sum_(k != l) R[k,l] = w (N - w)(w - 1).
     """
+    n, w = mask.n, mask.weight
+    if n > MAX_MATRIX_N:
+        raise ValueError(f"the cross-term matrix needs N <= {MAX_MATRIX_N}, got N={n}")
     bits = mask.as_array()
-    n = mask.n
-    mr = 1 - bits
-    shifted = np.empty((n, n), dtype=np.int64)
-    for k in range(n):
-        shifted[k] = np.roll(bits, k)
-    gated = shifted * mr
-    return gated @ shifted.T
+    # window s of the reversed doubled period is m_t[N - 1 - s - k], k = 0..N-1
+    rev = np.concatenate((bits, bits))[::-1].astype(np.float32)
+    listen = np.flatnonzero(bits == 0)
+    g = np.lib.stride_tricks.sliding_window_view(rev, n)[n - 1 - listen]
+    r = (g.T @ g).astype(np.int64)
+    if (r[0].any() or r[:, 0].any() or np.any(np.diagonal(r) != w - _autocorr(mask))
+            or r.sum() - np.trace(r) != w * (n - w) * (w - 1)):
+        raise ArithmeticError(
+            f"cross-term matrix of {mask.label} breaks its counting identities")
+    return r
 
 
 def gamma(mask: Mask, k: int) -> GammaSequence:

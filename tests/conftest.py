@@ -5,8 +5,15 @@ results are checked against an independent route.
 """
 
 import numpy as np
+from hypothesis import settings
 
 from maskrd import masks
+
+# Property tests replay the same examples on every run, with no per-example
+# time limit, so the suite is reproducible and immune to a slow machine.
+settings.register_profile("maskrd", derandomize=True, deadline=None,
+                          max_examples=100)
+settings.load_profile("maskrd")
 
 
 def brute_autocorr(bits):

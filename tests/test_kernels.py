@@ -1,0 +1,130 @@
+"""The counting kernels against their definitions, and their guards.
+
+autocorr and cross_term_matrix compute exact integers with FFT and BLAS
+kernels; here they are compared with the shift-and-multiply definitions over
+random masks, and singer_mask's recurrence with the trace map of every
+field element. The guard tests check that a kernel that breaks a counting
+identity, an oversized period and an exhausted allocator each end a CLI run
+with its documented exit code and a one-line message.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from maskrd import cli, gf2, masks, spectra
+
+
+def roll_autocorr(bits):
+    return np.array([np.dot(np.roll(bits, k), bits) for k in range(len(bits))])
+
+
+def triple_product_r(bits):
+    shifted = np.array([np.roll(bits, k) for k in range(len(bits))])  # m_t[n - k]
+    return np.einsum("n,kn,ln->kl", 1 - bits, shifted, shifted)
+
+
+def trace_map_bits(m):
+    f = gf2.default_field(m)
+    bits, x = [], 1
+    for _ in range(f.order - 1):
+        bits.append(1 - gf2.trace(x, f))
+        x = gf2.field_mul(x, 0b10, f)
+    return tuple(bits)
+
+
+@st.composite
+def any_mask(draw):
+    """Shifted combs, or any weight 1..N-1 placed anywhere, for N in 3..200."""
+    n = draw(st.integers(3, 200))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+        return masks.cyclic_shift(masks.comb_mask(n, d), draw(st.integers(0, n - 1)))
+    w = draw(st.integers(1, n - 1))
+    support = draw(st.permutations(range(n)))[:w]
+    return masks.custom_mask([int(i in support) for i in range(n)])
+
+
+@given(any_mask())
+def test_autocorr_equals_roll_definition(mask):
+    a = spectra.autocorr(mask)
+    assert a.dtype == np.int64
+    assert np.array_equal(a, roll_autocorr(mask.as_array()))
+
+
+@given(any_mask())
+def test_cross_term_matrix_equals_triple_product(mask):
+    r = spectra.cross_term_matrix(mask)
+    assert r.dtype == np.int64
+    assert np.array_equal(r, triple_product_r(mask.as_array()))
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_singer_recurrence_matches_trace_map(m):
+    assert masks.singer_mask(m).bits == trace_map_bits(m)
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+def test_broken_autocorr_kernel_exits_numeric(monkeypatch, capsys):
+    real = np.fft.irfft
+
+    def off_by_one(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[1] += 1
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_one)
+    assert cli.main(["mask", "verify", "singer:m=5"]) == cli.EXIT_NUMERIC
+    assert "singer:m=5" in _one_error_line(capsys)
+
+
+def test_broken_cross_term_kernel_exits_numeric(monkeypatch, tmp_path, capsys):
+    real = np.lib.stride_tricks.sliding_window_view
+
+    def one_slot_late(x, n):  # G[j, k] = m_t[n_j - k - 1]
+        return real(np.roll(x, -1), n)
+
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", one_slot_late)
+    argv = ["metrics", "--mask", "random:N=40,w=13,seed=3", "--M", "4",
+            "--mu4", "1.0", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    assert "cross-term matrix" in _one_error_line(capsys)
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_large_period_refused_before_allocation(tmp_path, capsys):
+    n = spectra.MAX_MATRIX_N * 2 + 1  # 16383, the period of Singer m = 14
+    path = tmp_path / "big.mask"
+    path.write_text("1" * 5000 + "0" * (n - 5000) + "\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["mask", "verify", str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CONFIG
+    assert f"N <= {spectra.MAX_MATRIX_N}" in _one_error_line(capsys)
+    assert peak < 32 * 2 ** 20  # G alone would take (N - w) N 4 B = 0.75 GB
+    assert not out.exists()
+    # the mask family itself still builds at that size
+    with pytest.raises(ValueError):
+        spectra.cross_term_matrix(masks.singer_mask(14))
+
+
+def test_memory_error_exits_config(monkeypatch, tmp_path, capsys):
+    def exhausted(mask):
+        raise MemoryError("Unable to allocate 2.00 GiB")
+
+    monkeypatch.setattr(spectra, "cross_term_matrix", exhausted)
+    argv = ["metrics", "--mask", "singer:m=5", "--M", "4", "--mu4", "1.0",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _one_error_line(capsys) == "error: out of memory: Unable to allocate 2.00 GiB"
