@@ -10,14 +10,12 @@ optimality properties of the mask families.
 
 from .masks import (
     Mask,
-    ReceptionMask,
     CdsCheck,
     singer_mask,
     comb_mask,
     random_mask,
     custom_mask,
     cyclic_shift,
-    reception_mask,
     verify_cds,
     comb_spacing,
     parse_mask,
@@ -27,24 +25,23 @@ from .masks import (
     from_spec,
 )
 from .spectra import (
-    SpectralSummary,
     GammaSequence,
     autocorr,
     cross_term,
+    cross_term_row,
     cross_term_matrix,
     gamma,
     s_kn,
     s_kn_all,
     s_kmn,
+    doppler_energy,
     doppler_energy_f,
     doppler_energy_all,
-    summarize,
 )
 from .response import (
     ScenarioParams,
     ResponseGrid,
-    DopplerRegime,
-    classify_regime,
+    mainlobe,
     expected_response,
     moderate_slice,
     grating_lobes,

@@ -209,41 +209,39 @@ def cmd_response(args) -> int:
     l_set = parse_index_set(args.l) if args.l else k_set
     nu_set = parse_index_set(args.nu)
     config = canonical_config(f"response {args.mode}", _response_options(args))
-    os.makedirs(args.out, exist_ok=True)
 
     if args.mode == "closed":
         mu4 = _resolve_mu4(args)
         grid = response.build_grid(
             response.ScenarioParams(mask=mask, M=args.M, mu4=mu4),
             k_set, l_set, nu_set)
-        path = os.path.join(args.out, "response_closed.csv")
-        write_csv(path, response.GRID_HEADER_CLOSED, response.grid_rows(grid),
-                  config, 0)
-        print(f"wrote {path}")
-        return EXIT_OK
-
-    if not args.constellation:
-        raise ValueError("Monte Carlo runs need --constellation")
-    if args.mu4 is not None:
-        raise ValueError(
-            "Monte Carlo runs take mu4 from the constellation; drop --mu4")
-    constellation = montecarlo.make_constellation(args.constellation)
-    budget = _resolve_budget(args)
-    if args.mode == "mc":
-        grid = montecarlo.mc_response_grid(
-            mask, args.M, constellation, k_set, l_set, nu_set,
-            trials=args.trials, seed=args.seed, budget=budget)
-        path = os.path.join(args.out, "response_mc.csv")
-        write_csv(path, response.GRID_HEADER_MC, response.grid_rows(grid),
-                  config, args.seed)
+        name, header, rows, seed = ("response_closed.csv", response.GRID_HEADER_CLOSED,
+                                    response.grid_rows(grid), 0)
     else:
-        report = montecarlo.validate_grid(
-            mask, args.M, constellation, k_set, l_set, nu_set,
-            trials=args.trials, seed=args.seed, budget=budget)
-        path = os.path.join(args.out, "response_both.csv")
-        rows = [(p.k, p.l, p.nu, p.mc_mean, p.mc_se, p.trials,
-                 p.closed_form, p.z) for p in report.points]
-        write_csv(path, montecarlo.VALIDATION_HEADER, rows, config, args.seed)
+        if not args.constellation:
+            raise ValueError("Monte Carlo runs need --constellation")
+        if args.mu4 is not None:
+            raise ValueError(
+                "Monte Carlo runs take mu4 from the constellation; drop --mu4")
+        constellation = montecarlo.make_constellation(args.constellation)
+        budget = _resolve_budget(args)
+        seed = args.seed
+        if args.mode == "mc":
+            grid = montecarlo.mc_response_grid(
+                mask, args.M, constellation, k_set, l_set, nu_set,
+                trials=args.trials, seed=args.seed, budget=budget)
+            name, header, rows = ("response_mc.csv", response.GRID_HEADER_MC,
+                                  response.grid_rows(grid))
+        else:
+            report = montecarlo.validate_grid(
+                mask, args.M, constellation, k_set, l_set, nu_set,
+                trials=args.trials, seed=args.seed, budget=budget)
+            name, header = "response_both.csv", montecarlo.VALIDATION_HEADER
+            rows = [(p.k, p.l, p.nu, p.mc_mean, p.mc_se, p.trials,
+                     p.closed_form, p.z) for p in report.points]
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    write_csv(path, header, rows, config, seed)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -1,6 +1,7 @@
-"""Periodic 0/1 transmission masks and their reception complements.
+"""Periodic 0/1 transmission masks: families, CDS checks and text form.
 
-A mask is one period of the transmit gate: bit 1 transmits, bit 0 listens.
+A mask is one period of the transmit gate: bit 1 transmits, bit 0 listens;
+the listen slots are 1 - bits wherever a reception gate is needed.
 All-zero and all-one masks are rejected everywhere (the former transmits
 nothing, the latter never receives), so the duty cycle is always in (0, 1).
 """
@@ -18,14 +19,12 @@ from . import gf2
 
 __all__ = [
     "Mask",
-    "ReceptionMask",
     "CdsCheck",
     "singer_mask",
     "comb_mask",
     "random_mask",
     "custom_mask",
     "cyclic_shift",
-    "reception_mask",
     "verify_cds",
     "comb_spacing",
     "parse_mask",
@@ -97,24 +96,6 @@ class Mask:
         return serialize_mask(self)
 
 
-@dataclass(frozen=True)
-class ReceptionMask:
-    """Bitwise complement of a transmission mask (listen slots)."""
-
-    bits: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @cached_property
-    def weight(self) -> int:
-        return sum(self.bits)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.int64)
-
-
 class CdsCheck(NamedTuple):
     """Outcome of the constant-autocorrelation test."""
 
@@ -178,11 +159,6 @@ def cyclic_shift(mask: Mask, s: int) -> Mask:
     n = mask.n
     bits = tuple(mask.bits[(i - s) % n] for i in range(n))
     return Mask(bits, family=mask.family, label=f"{mask.label}<<{s % n}" if s % n else mask.label)
-
-
-def reception_mask(mask: Mask) -> ReceptionMask:
-    """Complementary listen-slot mask, 1 - bits."""
-    return ReceptionMask(tuple(1 - b for b in mask.bits))
 
 
 def comb_spacing(mask: Mask) -> int | None:

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .masks import Mask, verify_cds
-from .response import ScenarioParams
+from .response import ScenarioParams, mainlobe
 from . import spectra
 
 __all__ = [
@@ -97,9 +97,8 @@ class MeanDopplerSidelobe:
 
 def mainlobe_levels(p: ScenarioParams) -> np.ndarray:
     """E{|r(k,k,0)|^2} for k = 1..N-1."""
-    a = spectra.autocorr(p.mask)[1:]
-    deficit = p.mask.weight - a
-    return (p.M * deficit).astype(np.float64) ** 2 + (p.mu4 - 1) * p.M * deficit
+    deficit = p.mask.weight - spectra.autocorr(p.mask)[1:]
+    return mainlobe(p, deficit, deficit)  # S_kN(0) = w - a[k]
 
 
 def mainlobe_fluctuation(p: ScenarioParams) -> FluctuationStats:
@@ -132,13 +131,12 @@ def avg_range_sidelobe(n: int, rho) -> float:
     return float(val)
 
 
-def _sums(mask: Mask):
-    a = spectra.autocorr(mask)
-    n, w = mask.n, mask.weight
-    f = (w - a[1:]) * (n - w + a[1:])
-    sum_f = int(f.sum())
-    sum_deficit = int((w - a[1:]).sum())
-    return a, f, sum_f, sum_deficit
+def _per_delay(mask: Mask, mu4: float):
+    """a[k], w - a[k], f(a[k]) and g(a[k]) for k = 1..N-1, from one autocorr."""
+    a = spectra.autocorr(mask)[1:]
+    deficit = mask.weight - a
+    f = spectra.doppler_energy(a, mask.n, mask.weight)
+    return a, deficit, f, f + (mask.n - 1) * (mu4 - 1) * deficit
 
 
 def doppler_sidelobe_sum(mask: Mask, mu4: float) -> DopplerSumBounds:
@@ -150,9 +148,8 @@ def doppler_sidelobe_sum(mask: Mask, mu4: float) -> DopplerSumBounds:
     if mu4 < 1:
         raise ValueError(f"mu4 must be at least 1, got {mu4}")
     n, w = mask.n, mask.weight
-    _, _, sum_f, sum_deficit = _sums(mask)
-    mu4_part = (n - 1) * (mu4 - 1) * float(sum_deficit)
-    value = float(sum_f) + mu4_part
+    _, deficit, f, _ = _per_delay(mask, mu4)
+    value = float(f.sum()) + (n - 1) * (mu4 - 1) * float(deficit.sum())
     wnw = w * (n - w)
     upper = wnw * (n - wnw / (n - 1)) + (n - 1) * (mu4 - 1) * float(wnw)
     lower = float(w * (n - w) ** 2) + (n - 1) * (mu4 - 1) * float(wnw)
@@ -163,10 +160,7 @@ def worst_case_doppler_sum(mask: Mask, mu4: float) -> float:
     """Max over k of g(a[k])."""
     if mu4 < 1:
         raise ValueError(f"mu4 must be at least 1, got {mu4}")
-    n, w = mask.n, mask.weight
-    a, f, _, _ = _sums(mask)
-    g = f + (n - 1) * (mu4 - 1) * (w - a[1:])
-    return float(g.max())
+    return float(_per_delay(mask, mu4)[3].max())
 
 
 def cpi_doppler_sum(p: ScenarioParams) -> float:
@@ -175,9 +169,9 @@ def cpi_doppler_sum(p: ScenarioParams) -> float:
     M^2 sum_k f(a[k]) + M (N-1)(mu4-1) sum_k (w - a[k]); this is what a
     Monte Carlo sweep over the bins nu = M, 2M, ... accumulates.
     """
-    n = p.mask.n
-    _, _, sum_f, sum_deficit = _sums(p.mask)
-    return (p.M ** 2) * float(sum_f) + p.M * (n - 1) * (p.mu4 - 1) * float(sum_deficit)
+    _, deficit, f, _ = _per_delay(p.mask, p.mu4)
+    return ((p.M ** 2) * float(f.sum())
+            + p.M * (p.mask.n - 1) * (p.mu4 - 1) * float(deficit.sum()))
 
 
 def monotonicity_check(mask: Mask) -> bool:
@@ -197,11 +191,9 @@ def mean_doppler_sidelobe(p: ScenarioParams,
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    n, w = p.mask.n, p.mask.weight
-    a, f, _, _ = _sums(p.mask)
+    _, deficit, f, _ = _per_delay(p.mask, p.mu4)
     total = p.total_bins
-    floor = (p.mu4 - 1) * p.M * (w - a[1:])
-    per_k = ((p.M ** 2) * f + (total - 1) * floor) / (total - 1)
+    per_k = (float(p.M) ** 2 * f + (total - 1) * mainlobe(p, deficit, 0)) / (total - 1)
     if normalization == "by_rho":
         per_k = per_k / float(p.mask.rho)
     elif normalization == "by_mainlobe":
@@ -219,11 +211,9 @@ def mean_doppler_sidelobe(p: ScenarioParams,
 
 def per_delay_table(mask: Mask, mu4: float) -> list:
     """Rows (k, a[k], f(a[k]), g(a[k])) for k = 1..N-1."""
-    n, w = mask.n, mask.weight
-    a, f, _, _ = _sums(mask)
-    g = f + (n - 1) * (mu4 - 1) * (w - a[1:])
-    return [(k, int(a[k]), int(f[k - 1]), float(g[k - 1]))
-            for k in range(1, n)]
+    a, _, f, g = _per_delay(mask, mu4)
+    return [(k, int(a[k - 1]), int(f[k - 1]), float(g[k - 1]))
+            for k in range(1, mask.n)]
 
 
 @dataclass(frozen=True)

@@ -162,19 +162,12 @@ class EchoScenario:
         return self.trial_doppler - self.true_doppler
 
 
-def _trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based per-trial generator; disjoint by (trial, stream)."""
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    counter = (int(stream) << 192) | (int(trial) << 128)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
-
-
 class _TrialRngPool:
-    """Reusable generator that rewinds to (trial, stream) counters.
+    """Philox generator keyed by the seed that rewinds to (trial, stream).
 
-    Produces streams bit-identical to _trial_rng without paying the
-    bit-generator construction cost on every trial.
+    Trial t of stream s starts at the 256-bit counter (s << 192) | (t << 128),
+    so streams are disjoint by (trial, stream); rewinding one bit generator
+    saves its construction cost on every trial.
     """
 
     def __init__(self, seed: int):
@@ -206,8 +199,8 @@ def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
     Transmit slots hold i.i.d. uniform constellation points, listen slots
     hold exact zeros. Deterministic in (seed, trial, stream).
     """
-    rng = _trial_rng(seed, trial, stream)
-    return _draw(mask, m_pri, constellation, rng)
+    rng = _TrialRngPool(seed).rewind(trial, stream)
+    return _draw(constellation, rng, _gate_for_stream(mask, m_pri))
 
 
 def _gate_for_stream(mask: Mask, m_pri: int) -> np.ndarray:
@@ -217,10 +210,8 @@ def _gate_for_stream(mask: Mask, m_pri: int) -> np.ndarray:
     return mask.as_array()[idx % n].astype(np.complex128)
 
 
-def _draw(mask: Mask, m_pri: int, constellation: Constellation,
-          rng: np.random.Generator, gate: np.ndarray | None = None) -> np.ndarray:
-    if gate is None:
-        gate = _gate_for_stream(mask, m_pri)
+def _draw(constellation: Constellation, rng: np.random.Generator,
+          gate: np.ndarray) -> np.ndarray:
     picks = rng.integers(0, len(constellation.points), size=len(gate))
     return constellation.points[picks] * gate
 
@@ -291,7 +282,7 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     vals = np.empty(trials, dtype=np.float64)
     for t in range(trials):
         rng = pool.rewind(t, stream)
-        data = _draw(scenario.mask, scenario.M, scenario.constellation, rng, gate)
+        data = _draw(scenario.constellation, rng, gate)
         vals[t] = abs(_correlate_kernel(kern, data)) ** 2
     mean = float(np.mean(vals))
     se = float(math.sqrt(np.var(vals, ddof=1) / trials))

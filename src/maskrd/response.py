@@ -13,7 +13,6 @@ and is rejected rather than reported as zero.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,7 @@ from . import spectra
 __all__ = [
     "ScenarioParams",
     "ResponseGrid",
-    "DopplerRegime",
-    "classify_regime",
+    "mainlobe",
     "expected_response",
     "moderate_slice",
     "grating_lobes",
@@ -60,18 +58,6 @@ class ScenarioParams:
         return self.M * self.mask.n
 
 
-class DopplerRegime(enum.Enum):
-    MODERATE = "moderate"
-    HIGH = "high"
-
-
-def classify_regime(nu_values, m_pri: int) -> DopplerRegime:
-    """MODERATE iff every Doppler mismatch of interest is below M."""
-    if all(abs(int(v)) < m_pri for v in nu_values):
-        return DopplerRegime.MODERATE
-    return DopplerRegime.HIGH
-
-
 def _check_delay(name: str, value: int, n: int) -> None:
     if value == 0:
         raise ValueError(f"{name}=0 is the blind range")
@@ -84,6 +70,16 @@ def _check_nu(nu: int, total: int) -> None:
         raise ValueError(f"nu must be in 0..{total - 1}, got {nu}")
 
 
+def mainlobe(p: ScenarioParams, deficit, s):
+    """Range-mainlobe branch M^2 |s|^2 + (mu4 - 1) M deficit.
+
+    deficit = w - a[k]; s is the length-N gate spectrum S_kN(nu / M) on the
+    grating lobes nu = nM and 0 between them. Either may be an array. M
+    enters as a float, so no product with it can overflow int64.
+    """
+    return float(p.M) ** 2 * np.abs(s) ** 2 + (p.mu4 - 1) * p.M * deficit
+
+
 def expected_response(p: ScenarioParams, k: int, l: int, nu: int) -> float:
     """E{|r(k,l,nu)|^2} for one index triple."""
     n = p.mask.n
@@ -92,10 +88,9 @@ def expected_response(p: ScenarioParams, k: int, l: int, nu: int) -> float:
     _check_nu(nu, p.total_bins)
     if k != l:
         return float(p.M * spectra.cross_term(p.mask, k, l))
-    a_k = int(spectra.autocorr(p.mask)[k])
-    deficit = p.mask.weight - a_k
-    s = spectra.s_kmn(p.mask, k, p.M, nu)
-    return abs(s) ** 2 + (p.mu4 - 1) * p.M * deficit
+    deficit = p.mask.weight - int(spectra.autocorr(p.mask)[k])
+    s = 0j if nu % p.M else spectra.s_kn(p.mask, k, nu // p.M)
+    return float(mainlobe(p, deficit, s))
 
 
 def moderate_slice(p: ScenarioParams, k: int) -> np.ndarray:
@@ -104,14 +99,11 @@ def moderate_slice(p: ScenarioParams, k: int) -> np.ndarray:
     The floor is (mu4 - 1) M (w - a[k]); constant-modulus symbols (mu4 = 1)
     have exactly zero local Doppler sidelobes.
     """
-    n = p.mask.n
-    _check_delay("k", k, n)
-    a_k = int(spectra.autocorr(p.mask)[k])
-    deficit = p.mask.weight - a_k
-    floor = (p.mu4 - 1) * p.M * deficit
-    out = np.full(p.M, floor, dtype=np.float64)
-    out[0] = float(p.M * deficit) ** 2 + floor
-    return out
+    _check_delay("k", k, p.mask.n)
+    deficit = p.mask.weight - int(spectra.autocorr(p.mask)[k])
+    s = np.zeros(p.M)
+    s[0] = deficit  # S_kN(0) counts the gated slots
+    return mainlobe(p, deficit, s)
 
 
 def grating_lobes(p: ScenarioParams, k: int) -> np.ndarray:
@@ -120,13 +112,9 @@ def grating_lobes(p: ScenarioParams, k: int) -> np.ndarray:
     These are the only bins where the deterministic part survives; value
     M^2 |S_kN(n)|^2 plus the constant mu4 floor.
     """
-    n = p.mask.n
-    _check_delay("k", k, n)
-    a_k = int(spectra.autocorr(p.mask)[k])
-    deficit = p.mask.weight - a_k
-    floor = (p.mu4 - 1) * p.M * deficit
-    s_all = spectra.s_kn_all(p.mask, k)
-    return (p.M ** 2) * np.abs(s_all) ** 2 + floor
+    _check_delay("k", k, p.mask.n)
+    deficit = p.mask.weight - int(spectra.autocorr(p.mask)[k])
+    return mainlobe(p, deficit, spectra.s_kn_all(p.mask, k))
 
 
 @dataclass(frozen=True)
@@ -172,25 +160,15 @@ def build_grid(p: ScenarioParams, k_set, l_set, nu_set) -> ResponseGrid:
     for nu in nu_set:
         _check_nu(nu, p.total_bins)
 
-    a = spectra.autocorr(p.mask)
-    r_mat = spectra.cross_term_matrix(p.mask)
-    w = p.mask.weight
+    ls, nu = np.array(l_set), np.array(nu_set)
+    lobe = nu % p.M == 0
     values = np.empty((len(k_set), len(l_set), len(nu_set)), dtype=np.float64)
     for i, k in enumerate(k_set):
-        s_all = None
-        for j, l in enumerate(l_set):
-            if k != l:
-                values[i, j, :] = float(p.M * r_mat[k, l])
-                continue
-            if s_all is None:
-                s_all = spectra.s_kn_all(p.mask, k)
-            deficit = w - int(a[k])
-            floor = (p.mu4 - 1) * p.M * deficit
-            for t, nu in enumerate(nu_set):
-                if nu % p.M:
-                    values[i, j, t] = floor
-                else:
-                    values[i, j, t] = (p.M ** 2) * abs(s_all[nu // p.M]) ** 2 + floor
+        row = spectra.cross_term_row(p.mask, k)
+        values[i] = p.M * row[ls].astype(np.float64)[:, None]
+        if k in l_set:
+            s = np.where(lobe, spectra.s_kn_all(p.mask, k)[nu // p.M], 0)
+            values[i, ls == k] = mainlobe(p, row[k], s)
     return ResponseGrid(k_set, l_set, nu_set, values, source="closed_form")
 
 

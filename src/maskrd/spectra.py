@@ -1,10 +1,12 @@
 """Correlation structure and deterministic spectra of a transmission mask.
 
 Counting quantities (autocorrelation, masked cross terms) are exact integers
-from float kernels: a rounded inverse FFT for a[k], one float32 BLAS product
-for R (0/1 entries, partial sums below 2^24). Both are checked against integer
-identities, which raise ArithmeticError on failure, and R is limited to
-N <= MAX_MATRIX_N. Spectra are evaluated as direct complex sums.
+from float kernels: a rounded inverse FFT for a[k], a rounded FFT correlation
+of gamma_k with m_t for one row R[k, :], and one float32 BLAS product for the
+whole of R (0/1 entries, partial sums below 2^24). Each is checked against
+integer identities, which raise ArithmeticError on failure, and the whole
+matrix is limited to N <= MAX_MATRIX_N. Spectra are evaluated as direct
+complex sums.
 
 Conventions, with m_t the mask, m_r = 1 - m_t, and all shifts cyclic mod N:
 
@@ -21,44 +23,28 @@ evaluates that reduction instead of materializing MN-point sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .masks import Mask
 
 __all__ = [
-    "SpectralSummary",
     "GammaSequence",
     "autocorr",
     "cross_term",
+    "cross_term_row",
     "cross_term_matrix",
     "gamma",
     "s_kn",
     "s_kn_all",
     "s_kmn",
+    "doppler_energy",
     "doppler_energy_f",
     "doppler_energy_all",
-    "summarize",
 ]
 
 # Largest N for the N x N cross terms: Singer m = 13, ~1 GB (m = 14 needs ~4 GB).
 MAX_MATRIX_N = 8191
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Autocorrelation and masked cross terms of one mask."""
-
-    n: int
-    weight: int
-    rho: Fraction
-    a: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        self.a.setflags(write=False)
-        self.r.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -99,12 +85,28 @@ def _autocorr(mask: Mask) -> np.ndarray:
 
 def cross_term(mask: Mask, k: int, l: int) -> int:
     """Masked cross term R[k,l]; the delays 0 are rejected as blind range."""
-    n = mask.n
-    if k % n == 0 or l % n == 0:
+    if l % mask.n == 0:
         raise ValueError("delay 0 is the blind range; R is undefined there")
-    bits = mask.as_array()
-    mr = 1 - bits
-    return int(np.sum(mr * np.roll(bits, k % n) * np.roll(bits, l % n)))
+    return int(cross_term_row(mask, k)[l % mask.n])
+
+
+def cross_term_row(mask: Mask, k: int) -> np.ndarray:
+    """Row R[k, :] as an int vector; k is reduced mod N and must not be 0.
+
+    The rounded inverse FFT of rfft(gamma_k) conj(rfft(m_t)), checked against
+    R[k,0] = 0, R[k,k] = w - a[k] and sum_l R[k,l] = w (w - a[k]).
+    """
+    n, w = mask.n, mask.weight
+    if k % n == 0:
+        raise ValueError("delay 0 is the blind range; R is undefined there")
+    g = gamma(mask, k).values
+    spec = np.fft.rfft(g) * np.conj(np.fft.rfft(mask.as_array()))
+    row = np.rint(np.fft.irfft(spec, n)).astype(np.int64)
+    deficit = int(g.sum())
+    if row[0] != 0 or row[k % n] != deficit or row.sum() != w * deficit:
+        raise ArithmeticError(
+            f"cross-term row {k} of {mask.label} breaks its counting identities")
+    return row
 
 
 def cross_term_matrix(mask: Mask) -> np.ndarray:
@@ -173,31 +175,19 @@ def s_kmn(mask: Mask, k: int, m_pri: int, nu: int) -> complex:
     return m_pri * s_kn(mask, k, nu // m_pri)
 
 
-def doppler_energy_f(mask: Mask, k: int) -> int:
-    """Total off-zero spectral energy of the receive gate, (w-a[k])(N-w+a[k]).
+def doppler_energy(a, n: int, w: int):
+    """f(a) = (w - a)(N - w + a), the off-zero gate energy at autocorrelation a.
 
-    Equals sum_(nu=1..N-1) |S_kN(nu)|^2 by Parseval; kept in integers.
+    Equals sum_(nu=1..N-1) |S_kN(nu)|^2 by Parseval; a may be an int array.
     """
-    a_k = int(autocorr(mask)[k % mask.n])
-    return _f_from_autocorr(a_k, mask.n, mask.weight)
+    return (w - a) * (n - w + a)
+
+
+def doppler_energy_f(mask: Mask, k: int) -> int:
+    """Total off-zero spectral energy of the receive gate for delay k."""
+    return doppler_energy(int(autocorr(mask)[k % mask.n]), mask.n, mask.weight)
 
 
 def doppler_energy_all(mask: Mask) -> np.ndarray:
     """doppler_energy_f for every k as an int vector (entry 0 is zero)."""
-    a = autocorr(mask)
-    return _f_from_autocorr(a, mask.n, mask.weight)
-
-
-def _f_from_autocorr(a, n, w):
-    return (w - a) * (n - w + a)
-
-
-def summarize(mask: Mask) -> SpectralSummary:
-    """Bundle a[k] and R[k,l] with the mask's basic parameters."""
-    return SpectralSummary(
-        n=mask.n,
-        weight=mask.weight,
-        rho=mask.rho,
-        a=autocorr(mask),
-        r=cross_term_matrix(mask),
-    )
+    return doppler_energy(autocorr(mask), mask.n, mask.weight)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import shlex
 import subprocess
@@ -106,9 +107,11 @@ def test_response_closed_csv_and_rerun_bytes(tmp_path, capsys):
 
 
 def test_response_closed_blind_range(tmp_path):
+    out = tmp_path / "out"
     assert run_cli(["response", "closed", "--mask", "singer:m=3", "--M", "2",
                     "--mu4", "1.0", "--k", "0..2", "--nu", "0",
-                    "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+                    "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_response_mc_deterministic_and_schema(tmp_path):
@@ -129,8 +132,9 @@ def test_response_mc_deterministic_and_schema(tmp_path):
 def test_response_mc_needs_constellation(tmp_path):
     argv = ["response", "mc", "--mask", "singer:m=3", "--M", "2",
             "--mu4", "1.32", "--k", "1", "--nu", "0", "--trials", "50",
-            "--out", str(tmp_path)]
+            "--out", str(tmp_path / "out")]
     assert run_cli(argv) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_response_both_z_column(tmp_path):
@@ -229,3 +233,39 @@ def test_console_entry_point(tmp_path):
 def test_help_exits_zero():
     assert run_cli(["--help"]) == 0
     assert run_cli(["response", "--help"]) == 0
+
+
+def payload_sha256(path):
+    """SHA-256 of a CSV's data lines (column header and rows), '#' lines skipped."""
+    lines = read(path).splitlines(keepends=True)
+    return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
+
+
+# Payloads whose values are exact integer arithmetic (counts, M R[k,l] and the
+# nu = 0 mainlobe at mu4 = 1), so their bytes do not depend on FFT or BLAS
+# rounding. Changing any of these hashes changes the tool's output.
+GOLDEN = [
+    (["mask", "verify", "singer:m=6"], {
+        "singer_m_6_autocorr.csv": "6a9b4f7a7f8e034cdcba13058d37b4a207cdc5662c2c9ca0ebfde00cb9eebe07",
+        "singer_m_6_crossterms.csv": "2aba5fe4adb69b888a9e7b383ec695ed0b3c33c8dbb36f43b094af253a5277d9"}),
+    (["mask", "verify", "comb:N=63,d=3"], {
+        "comb_N_63_d_3_autocorr.csv": "baf0aa8d6c27ea3f4be13e9ea182dc4ff9e58ca6966ba28cfad56ffed62903a9",
+        "comb_N_63_d_3_crossterms.csv": "2abc660c90c74e57352f0224ea0eaabe10d80106f5d8cf94874ef973a70fca49"}),
+    (["mask", "verify", "random:N=63,w=31,seed=7"], {
+        "random_N_63_w_31_seed_7_autocorr.csv":
+            "c89d727dab1893623805ac554ab027d12632f0651659e5ff4ca50689eec398e6",
+        "random_N_63_w_31_seed_7_crossterms.csv":
+            "bd7b2133c9fefc72eb54d3c783dc79cae09d2bdb7ebb828c4097b115e8462db1"}),
+    (["response", "closed", "--mask", "singer:m=5", "--M", "4", "--mu4", "1.0",
+      "--k", "1..30", "--nu", "0..3"], {
+        "response_closed.csv": "98f4178a2363b53e69b0dd6ebd065f6a94a85094bc78e6e87ef93e609a5686f5"}),
+]
+
+
+@pytest.mark.parametrize("argv, hashes", GOLDEN,
+                         ids=["singer6", "comb63", "random63", "closed_singer5"])
+def test_golden_payloads(tmp_path, argv, hashes):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(hashes)
+    for name, sha in hashes.items():
+        assert payload_sha256(tmp_path / name) == sha, name

@@ -1,11 +1,11 @@
 """The counting kernels against their definitions, and their guards.
 
-autocorr and cross_term_matrix compute exact integers with FFT and BLAS
-kernels; here they are compared with the shift-and-multiply definitions over
-random masks, and singer_mask's recurrence with the trace map of every
-field element. The guard tests check that a kernel that breaks a counting
-identity, an oversized period and an exhausted allocator each end a CLI run
-with its documented exit code and a one-line message.
+autocorr, cross_term_row and cross_term_matrix compute exact integers with FFT
+and BLAS kernels; here they are compared with the shift-and-multiply
+definitions over random masks, and singer_mask's recurrence with the trace
+map of every field element. The guard tests check that a kernel that breaks
+a counting identity, an oversized period and an exhausted allocator each end
+a CLI run with its documented exit code and a one-line message.
 """
 
 import tracemalloc
@@ -56,9 +56,12 @@ def test_autocorr_equals_roll_definition(mask):
 
 @given(any_mask())
 def test_cross_term_matrix_equals_triple_product(mask):
+    want = triple_product_r(mask.as_array())
     r = spectra.cross_term_matrix(mask)
-    assert r.dtype == np.int64
-    assert np.array_equal(r, triple_product_r(mask.as_array()))
+    rows = np.array([spectra.cross_term_row(mask, k) for k in range(1, mask.n)])
+    assert r.dtype == rows.dtype == np.int64
+    assert np.array_equal(r, want)
+    assert np.array_equal(rows, want[1:])
 
 
 @pytest.mark.parametrize("m", range(3, 15))
@@ -72,7 +75,7 @@ def _one_error_line(capsys):
     return err[0]
 
 
-def test_broken_autocorr_kernel_exits_numeric(monkeypatch, capsys):
+def _break_irfft(monkeypatch):
     real = np.fft.irfft
 
     def off_by_one(*args, **kwargs):
@@ -81,6 +84,10 @@ def test_broken_autocorr_kernel_exits_numeric(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(np.fft, "irfft", off_by_one)
+
+
+def test_broken_autocorr_kernel_exits_numeric(monkeypatch, capsys):
+    _break_irfft(monkeypatch)
     assert cli.main(["mask", "verify", "singer:m=5"]) == cli.EXIT_NUMERIC
     assert "singer:m=5" in _one_error_line(capsys)
 
@@ -117,6 +124,32 @@ def test_large_period_refused_before_allocation(tmp_path, capsys):
     # the mask family itself still builds at that size
     with pytest.raises(ValueError):
         spectra.cross_term_matrix(masks.singer_mask(14))
+
+
+def test_single_entry_beyond_matrix_limit(tmp_path):
+    # one R entry of Singer m = 14 (N = 16383) needs one row, not the N x N matrix
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["response", "closed", "--mask", "singer:m=14", "--M", "4",
+                         "--mu4", "1.0", "--k", "1", "--l", "2", "--nu", "0",
+                         "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert (out / "response_closed.csv").read_text().splitlines()[-1] == "1,2,0,8.19200000000e+03"
+    assert peak < 32 * 2 ** 20  # the float32 product alone would take 1 GB
+
+
+def test_broken_cross_term_row_exits_numeric(monkeypatch, tmp_path, capsys):
+    _break_irfft(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["response", "closed", "--mask", "random:N=40,w=13,seed=3", "--M", "4",
+            "--mu4", "1.0", "--k", "2", "--nu", "0", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    assert "cross-term row 2" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_memory_error_exits_config(monkeypatch, tmp_path, capsys):

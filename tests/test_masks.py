@@ -90,16 +90,6 @@ def test_cyclic_shift():
     assert masks.cyclic_shift(s, 5).weight == s.weight
 
 
-def test_reception_mask_complement():
-    m = masks.comb_mask(6, 3)
-    r = masks.reception_mask(m)
-    assert masks.serialize_mask(masks.custom_mask(r.bits)) == "011011"
-    assert r.weight + m.weight == m.n
-    s3 = masks.singer_mask(3)
-    r3 = masks.reception_mask(s3)
-    assert tuple(i for i, b in enumerate(r3.bits) if b) == (0, 3, 5, 6)
-
-
 def test_comb_spacing_detection():
     assert masks.comb_spacing(masks.comb_mask(63, 3)) == 3
     assert masks.comb_spacing(masks.cyclic_shift(masks.comb_mask(63, 3), 17)) == 3
@@ -174,8 +164,3 @@ def test_weight_bounds_enforced_everywhere():
         masks.custom_mask([1, 1, 1])
     with pytest.raises(ValueError):
         masks.custom_mask([1, 2, 0])
-
-
-def test_reception_weight_identity_on_random_suite():
-    for m in random_mask_suite(25, seed=11):
-        assert masks.reception_mask(m).weight + m.weight == m.n

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +210,22 @@ def test_mean_doppler_sidelobe_closed_form():
     # brute check against pointwise closed form at one k
     vals = [response.expected_response(p, 2, 2, nu) for nu in range(1, 28)]
     assert out.per_k[1] == pytest.approx(np.mean(vals), rel=1e-12)
+
+
+def test_mean_doppler_sidelobe_huge_m_is_exact():
+    # M^2 f(a) ~ 7.5e20 overflows int64; compare with an exact rational value
+    m_pri, mu4 = 10 ** 9, 1.32
+    for mask in (masks.singer_mask(6), masks.random_mask(40, 13, seed=9)):
+        n, w = mask.n, mask.weight
+        total = m_pri * n
+        a = spectra.autocorr(mask)
+        want = [(m_pri ** 2 * (w - int(a[k])) * (n - w + int(a[k]))
+                 + (total - 1) * (Fraction(mu4) - 1) * m_pri * (w - int(a[k])))
+                / (total - 1) for k in range(1, n)]
+        got = metrics.mean_doppler_sidelobe(scenario(mask, m_pri, mu4)).per_k
+        assert got == pytest.approx([float(v) for v in want], rel=1e-12)
+    worst = metrics.metrics_report(masks.singer_mask(6), m_pri, mu4).worst_mean_doppler
+    assert f"{worst:.11e}" == "1.70565079367e+10"
 
 
 def test_mean_doppler_sidelobe_normalizations():

@@ -55,6 +55,19 @@ def test_draw_stream_layout_and_determinism():
     assert not np.array_equal(st, mc.draw_stream(m, 4, QAM16, seed=5, trial=1))
 
 
+@pytest.mark.parametrize("trial, stream", [(0, 0), (1, 0), (7, 3), (0, 5), (2 ** 40, 2 ** 33)])
+def test_draw_stream_counter_layout(trial, stream):
+    # trial t of stream s starts Philox at the counter (s << 192) | (t << 128)
+    m, seed = masks.random_mask(11, 4, seed=2), 1234
+    rng = np.random.Generator(np.random.Philox(
+        key=seed, counter=(stream << 192) | (trial << 128)))
+    n = m.n
+    gate = m.as_array()[(np.arange(3 * n + n - 1) - (n - 1)) % n]
+    want = QAM16.points[rng.integers(0, len(QAM16.points), size=len(gate))] * gate
+    got = mc.draw_stream(m, 3, QAM16, seed=seed, trial=trial, stream=stream)
+    assert np.array_equal(got, want)
+
+
 def test_draw_stream_energy_law_of_large_numbers():
     m = masks.singer_mask(5)
     vals = []

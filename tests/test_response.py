@@ -132,12 +132,6 @@ def test_peak_sidelobe_collapse_to_zero_doppler():
     assert all_nu == zero_nu
 
 
-def test_regime_classification():
-    assert response.classify_regime([0, 3, 7], 8) is response.DopplerRegime.MODERATE
-    assert response.classify_regime([0, 8], 8) is response.DopplerRegime.HIGH
-    assert response.classify_regime(range(50), 50) is response.DopplerRegime.MODERATE
-
-
 def test_grid_rows_order_and_schema():
     p = scenario(masks.singer_mask(3), 2, 1.0)
     grid = response.build_grid(p, (1,), (1, 2), (0, 1))

@@ -158,13 +158,3 @@ def test_s_kmn_matches_tiled_fft_oracle():
                     assert abs(big[nu]) <= 1e-9 * total
                 else:
                     assert abs(big[nu] - want) <= 1e-9 * max(1.0, abs(want))
-
-
-def test_summary_invariants():
-    m = masks.singer_mask(4)
-    s = spectra.summarize(m)
-    assert s.n == 15 and s.weight == 7
-    assert int(s.a[0]) == s.weight
-    assert int(s.a.sum()) == s.weight ** 2
-    assert np.array_equal(s.r, s.r.T)
-    assert s.rho == m.rho
