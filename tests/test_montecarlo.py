@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maskrd import masks, montecarlo as mc, response
 
@@ -10,6 +11,7 @@ from maskrd import masks, montecarlo as mc, response
 QPSK = mc.make_constellation("qpsk")
 QAM16 = mc.make_constellation("qam16")
 QAM64 = mc.make_constellation("qam64")
+PSK3 = mc.custom_constellation(np.exp(2j * np.pi * np.arange(3) / 3), name="psk3")
 
 
 def test_builtin_moment_table():
@@ -57,15 +59,119 @@ def test_draw_stream_layout_and_determinism():
 
 @pytest.mark.parametrize("trial, stream", [(0, 0), (1, 0), (7, 3), (0, 5), (2 ** 40, 2 ** 33)])
 def test_draw_stream_counter_layout(trial, stream):
-    # trial t of stream s starts Philox at the counter (s << 192) | (t << 128)
+    # trial t of stream s starts Philox at the counter (s << 192) | (t << 128),
+    # and symbols are the indices Generator.integers draws from that state
     m, seed = masks.random_mask(11, 4, seed=2), 1234
-    rng = np.random.Generator(np.random.Philox(
-        key=seed, counter=(stream << 192) | (trial << 128)))
     n = m.n
     gate = m.as_array()[(np.arange(3 * n + n - 1) - (n - 1)) % n]
-    want = QAM16.points[rng.integers(0, len(QAM16.points), size=len(gate))] * gate
-    got = mc.draw_stream(m, 3, QAM16, seed=seed, trial=trial, stream=stream)
-    assert np.array_equal(got, want)
+    for const in (QPSK, QAM16, QAM64, PSK3):
+        rng = np.random.Generator(np.random.Philox(
+            key=seed, counter=(stream << 192) | (trial << 128)))
+        picks = rng.integers(0, len(const.points), size=len(gate))
+        got = mc.draw_stream(m, 3, const, seed=seed, trial=trial, stream=stream)
+        assert np.array_equal(got, const.points[picks] * gate)
+
+
+def _lemire_reference(words, k):
+    # numpy's bounded draw: scale by k, redraw while the low half is below
+    # the threshold, keep the high half
+    threshold = (2 ** 32 - k) % k
+    out, it = [], iter(words)
+    for x in it:
+        m = x * k
+        while m % 2 ** 32 < threshold:
+            x = next(it, None)
+            if x is None:
+                return out
+            m = x * k
+        out.append(m >> 32)
+    return out
+
+
+@st.composite
+def _words_with_rejections(draw):
+    k = draw(st.integers(2, 200))
+    # ceil(j 2**32 / k) leaves j 2**32 + (x k mod 2**32) with a low half
+    # below k, which is rejected whenever it is below the threshold
+    near = st.integers(0, k - 1).map(lambda j: -(-(j << 32) // k))
+    word = st.one_of(st.integers(0, 2 ** 32 - 1), near, st.just(0))
+    return k, draw(st.lists(word, max_size=40))
+
+
+@given(_words_with_rejections())
+def test_lemire_map_matches_reference(case):
+    k, words = case
+    arr = np.array(words, dtype=np.uint32)
+    got = mc._symbol_index(mc._accepted(arr, k), k)
+    assert got.tolist() == _lemire_reference(words, k)
+
+
+def test_lemire_rejection_examples():
+    # k = 3 rejects only x = 0; k = 6 also rejects ceil(2**32 / 6)
+    words = [0, 5, 0, 2 ** 32 - 1, 0]
+    assert mc._symbol_index(mc._accepted(np.array(words, dtype=np.uint32), 3),
+                            3).tolist() == [0, 2] == _lemire_reference(words, 3)
+    x = -(-(1 << 32) // 6)
+    assert (x * 6) % 2 ** 32 < (2 ** 32 - 6) % 6
+    assert mc._accepted(np.array([x, 7], dtype=np.uint32), 6).tolist() == [7]
+    assert mc._accepted(np.array([0, x], dtype=np.uint32), 16).tolist() == [0, x]
+
+
+class _ScriptedPool:
+    """Stands in for _TrialRngPool: hands out fixed chunks of words."""
+
+    def __init__(self, *chunks):
+        self.chunks = [np.array(c, dtype=np.uint32) for c in chunks]
+
+    def words(self, trial, stream, count):
+        return self.more(count)
+
+    def more(self, count):
+        return self.chunks.pop(0)
+
+
+def test_symbol_words_draws_past_rejections():
+    # rejected words (x = 0 for k = 3) are replaced by further draws
+    pool = _ScriptedPool([0, 11, 0, 12], [0, 0], [13, 14])
+    got = mc._symbol_words(pool, 0, 0, 3, 3)
+    assert got.tolist() == [11, 12, 13, 14]
+    assert pool.chunks == []
+
+
+def _definition_estimate(scen, l, trials, seed, stream):
+    vals = np.array([abs(mc.correlate(scen, mc.draw_stream(
+        scen.mask, scen.M, scen.constellation, seed, trial=t, stream=stream), l)) ** 2
+        for t in range(trials)])
+    return float(np.mean(vals)), float(math.sqrt(np.var(vals, ddof=1) / trials))
+
+
+@pytest.mark.parametrize("const", [QPSK, QAM16, QAM64, PSK3], ids=lambda c: c.name)
+@pytest.mark.parametrize("block_bytes, pair_max", [
+    (mc._BLOCK_BYTES, mc._PAIR_TABLE_MAX),   # as shipped
+    (1, mc._PAIR_TABLE_MAX),                 # one trial per block
+    (16 * 7 * 8, 0),                         # uneven blocks, no pair table
+])
+def test_estimate_equals_definition_bitwise(const, block_bytes, pair_max, monkeypatch):
+    monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(mc, "_PAIR_TABLE_MAX", pair_max)
+    cases = [
+        (masks.singer_mask(3), 4, 2, 2, 1, 0, 23),
+        (masks.singer_mask(4), 2, 3, 7, 5, 1, 31),
+        (masks.comb_mask(12, 4), 3, 1, 5, 0, 2, 19),
+        (masks.comb_mask(6, 3), 4, 3, 3, 2, 0, 9),           # empty kernel
+        (masks.random_mask(20, 8, seed=3), 5, 5, 5, 7, 3, 41),
+        (masks.random_mask(20, 8, seed=3), 1, 6, 11, 13, 4, 17),
+    ]
+    for mask, m_pri, k, l, nu, stream, trials in cases:
+        scen = mc.EchoScenario(mask=mask, M=m_pri, constellation=const,
+                               true_delay=k, true_doppler=0, trial_doppler=nu)
+        est = mc.estimate(scen, l, trials, seed=29, stream=stream)
+        assert (est.mean_sq, est.se) == _definition_estimate(scen, l, trials, 29, stream)
+    assert est.se > 0
+    assert mc.estimate(mc.EchoScenario(mask=masks.comb_mask(6, 3), M=4,
+                                       constellation=const, true_delay=3,
+                                       true_doppler=0, trial_doppler=2),
+                       3, 9, seed=29) == mc.McEstimate(0.0, 0.0, 9, 29)
 
 
 def test_draw_stream_energy_law_of_large_numbers():
@@ -219,6 +325,20 @@ def test_deterministic_points_require_exact_match():
     assert mc._z_score(5.0, 0.0, 5.0) == 0.0
     assert mc._z_score(5.0, 0.0, 5.0 + 1e-12) == 0.0
     assert math.isinf(mc._z_score(5.0, 0.0, 6.0))
+
+
+def test_roundoff_se_counts_as_deterministic():
+    # qpsk on a grating lobe of a non-CDS mask: |r|^2 is the same every
+    # trial, so se is float roundoff and the point must score z = 0
+    mask = masks.random_mask(20, 8, seed=3)
+    point, = mc.mc_points(mask, 4, QPSK, [(5, 5, 8)], trials=40, seed=0)
+    assert 0.0 < point.mc_se <= 1e-14
+    assert abs(point.mc_mean - point.closed_form) <= 1e-12 * point.closed_form
+    assert point.z == 0.0
+    # a genuinely random point keeps its ordinary z-score
+    point, = mc.mc_points(mask, 4, QPSK, [(5, 4, 8)], trials=40, seed=0)
+    assert point.mc_se > 0.1
+    assert point.z == (point.mc_mean - point.closed_form) / point.mc_se
 
 
 def test_double_sum_oracle_matches_closed_forms():
