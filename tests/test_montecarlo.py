@@ -146,14 +146,13 @@ def _definition_estimate(scen, l, trials, seed, stream):
 
 
 @pytest.mark.parametrize("const", [QPSK, QAM16, QAM64, PSK3], ids=lambda c: c.name)
-@pytest.mark.parametrize("block_bytes, pair_max", [
-    (mc._BLOCK_BYTES, mc._PAIR_TABLE_MAX),   # as shipped
-    (1, mc._PAIR_TABLE_MAX),                 # one trial per block
-    (16 * 7 * 8, 0),                         # uneven blocks, no pair table
+@pytest.mark.parametrize("block_bytes", [
+    mc._BLOCK_BYTES,   # as shipped
+    1,                 # one trial per block
+    16 * 7 * 8,        # uneven blocks
 ])
-def test_estimate_equals_definition_bitwise(const, block_bytes, pair_max, monkeypatch):
+def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
     monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(mc, "_PAIR_TABLE_MAX", pair_max)
     cases = [
         (masks.singer_mask(3), 4, 2, 2, 1, 0, 23),
         (masks.singer_mask(4), 2, 3, 7, 5, 1, 31),
