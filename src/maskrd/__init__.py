@@ -27,16 +27,13 @@ from .masks import (
 from .spectra import (
     GammaSequence,
     autocorr,
-    cross_term,
     cross_term_row,
     cross_term_matrix,
     gamma,
     s_kn,
-    s_kn_all,
     s_kmn,
     doppler_energy,
     doppler_energy_f,
-    doppler_energy_all,
 )
 from .response import (
     ScenarioParams,
@@ -58,7 +55,6 @@ from .montecarlo import (
     correlate,
     estimate,
     validate_grid,
-    mc_response_grid,
     expectation_by_double_sum,
 )
 from .metrics import (
@@ -75,7 +71,6 @@ from .metrics import (
     monotonicity_check,
     mean_doppler_sidelobe,
     metrics_report,
-    compare,
 )
 
 __version__ = "0.1.0"

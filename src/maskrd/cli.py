@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric contract failure,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import re
 import shlex
@@ -95,7 +96,7 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path, columns, rows, config_str: str, seed) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# tool: maskrd {__version__}\n")
         fh.write(f"# config: {config_str}\n")
         fh.write(f"# seed: {seed}\n")
@@ -172,11 +173,12 @@ def cmd_mask(args) -> int:
             slug = _slug(mask.label)
             a_path = os.path.join(args.out, f"{slug}_autocorr.csv")
             write_csv(a_path, ("k", "a"),
-                      [(k, int(a[k])) for k in range(mask.n)], config, 0)
+                      ((k, int(a[k])) for k in range(mask.n)), config, 0)
             r_path = os.path.join(args.out, f"{slug}_crossterms.csv")
+            # a generator: N^2 row tuples would cost ~100 B each at once
             write_csv(r_path, ("k", "l", "R"),
-                      [(k, l, int(r[k, l]))
-                       for k in range(1, mask.n) for l in range(1, mask.n)],
+                      ((k, l, int(r[k, l]))
+                       for k in range(1, mask.n) for l in range(1, mask.n)),
                       config, 0)
             print(f"wrote {a_path}")
             print(f"wrote {r_path}")
@@ -223,22 +225,14 @@ def cmd_response(args) -> int:
         if args.mu4 is not None:
             raise ValueError(
                 "Monte Carlo runs take mu4 from the constellation; drop --mu4")
-        constellation = montecarlo.make_constellation(args.constellation)
-        budget = _resolve_budget(args)
+        report = montecarlo.validate_grid(
+            mask, args.M, montecarlo.make_constellation(args.constellation),
+            k_set, l_set, nu_set, trials=args.trials, seed=args.seed,
+            budget=_resolve_budget(args))
+        name, header = (("response_mc.csv", montecarlo.MC_HEADER) if args.mode == "mc"
+                        else ("response_both.csv", montecarlo.VALIDATION_HEADER))
+        rows = [dataclasses.astuple(p)[:len(header)] for p in report.points]
         seed = args.seed
-        if args.mode == "mc":
-            grid = montecarlo.mc_response_grid(
-                mask, args.M, constellation, k_set, l_set, nu_set,
-                trials=args.trials, seed=args.seed, budget=budget)
-            name, header, rows = ("response_mc.csv", response.GRID_HEADER_MC,
-                                  response.grid_rows(grid))
-        else:
-            report = montecarlo.validate_grid(
-                mask, args.M, constellation, k_set, l_set, nu_set,
-                trials=args.trials, seed=args.seed, budget=budget)
-            name, header = "response_both.csv", montecarlo.VALIDATION_HEADER
-            rows = [(p.k, p.l, p.nu, p.mc_mean, p.mc_se, p.trials,
-                     p.closed_form, p.z) for p in report.points]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
     write_csv(path, header, rows, config, seed)

@@ -216,12 +216,12 @@ def serialize_mask(mask: Mask) -> str:
 
 
 def load_mask(path) -> Mask:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return parse_mask(fh.read(), label=str(path))
 
 
 def save_mask(mask: Mask, path, header_lines=()) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(serialize_mask(mask) + "\n")

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .masks import Mask, verify_cds
-from .response import ScenarioParams, mainlobe
+from .response import ScenarioParams, check_mu4, mainlobe
 from . import spectra
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "mean_doppler_sidelobe",
     "per_delay_table",
     "metrics_report",
-    "compare",
     "report_row",
 ]
 
@@ -145,8 +144,7 @@ def doppler_sidelobe_sum(mask: Mask, mu4: float) -> DopplerSumBounds:
     The integer parts are summed exactly; the mu4 part collapses to the
     mask-independent constant (N-1)(mu4-1) w (N-w).
     """
-    if mu4 < 1:
-        raise ValueError(f"mu4 must be at least 1, got {mu4}")
+    check_mu4(mu4)
     n, w = mask.n, mask.weight
     _, deficit, f, _ = _per_delay(mask, mu4)
     value = float(f.sum()) + (n - 1) * (mu4 - 1) * float(deficit.sum())
@@ -158,8 +156,7 @@ def doppler_sidelobe_sum(mask: Mask, mu4: float) -> DopplerSumBounds:
 
 def worst_case_doppler_sum(mask: Mask, mu4: float) -> float:
     """Max over k of g(a[k])."""
-    if mu4 < 1:
-        raise ValueError(f"mu4 must be at least 1, got {mu4}")
+    check_mu4(mu4)
     return float(_per_delay(mask, mu4)[3].max())
 
 
@@ -198,13 +195,8 @@ def mean_doppler_sidelobe(p: ScenarioParams,
         per_k = per_k / float(p.mask.rho)
     elif normalization == "by_mainlobe":
         main = mainlobe_levels(p)
-        out = np.empty_like(per_k)
-        for i in range(len(per_k)):
-            if main[i] > 0:
-                out[i] = per_k[i] / main[i]
-            else:
-                out[i] = 0.0 if per_k[i] == 0 else math.inf
-        per_k = out
+        per_k = np.divide(per_k, main, out=np.where(per_k == 0, 0.0, np.inf),
+                          where=main > 0)
     return MeanDopplerSidelobe(per_k=per_k, worst=float(per_k.max()),
                                normalization=normalization)
 
@@ -255,15 +247,6 @@ def metrics_report(mask: Mask, m_pri: int, mu4: float,
         worst_mean_doppler=mean_doppler_sidelobe(p, normalization).worst,
         per_k=tuple(per_delay_table(mask, mu4)),
     )
-
-
-def compare(masks, m_pri: int, mu4: float,
-            normalization: str = "none") -> list:
-    """Metric rows for several masks, in input order."""
-    masks = list(masks)
-    if len(masks) < 2:
-        raise ValueError("compare needs at least two masks")
-    return [metrics_report(m, m_pri, mu4, normalization) for m in masks]
 
 
 def report_row(m: MaskMetrics) -> tuple:

@@ -21,6 +21,12 @@ x becomes symbol index (x K) >> 32 for K points, and is skipped when
 numpy's Generator.integers(0, K) draws from the same state. For a
 power-of-two K nothing is skipped, so estimate() maps only the words that
 the correlation reads.
+
+Scoring. mc_points estimates each (k, l, nu) point on its own stream and
+scores it against response.expected_response as an McPoint; validate_grid
+does so over an index box. Those rows are the one Monte Carlo output:
+`response mc` writes their first six fields (MC_HEADER), `response both`
+all eight (VALIDATION_HEADER).
 """
 
 from __future__ import annotations
@@ -50,14 +56,16 @@ __all__ = [
     "correlate",
     "estimate",
     "validate_grid",
-    "mc_response_grid",
     "expectation_by_double_sum",
+    "MC_HEADER",
     "VALIDATION_HEADER",
 ]
 
 MOMENT_TOL = 1e-12
 DEFAULT_BUDGET = 2_000_000_000
 CONSTELLATION_NAMES = ("qpsk", "qam16", "qam64")
+# CSV columns of response mc (the first six McPoint fields) and response both.
+MC_HEADER = ("k", "l", "nu", "value", "se", "trials")
 VALIDATION_HEADER = ("k", "l", "nu", "mc_mean", "mc_se", "trials", "closed_form", "z")
 # estimate() works on blocks of trials whose largest buffers, 16 bytes per
 # trial and correlation term, stay within _BLOCK_BYTES: small enough to
@@ -99,17 +107,18 @@ def _validated(name: str, points: np.ndarray, mu4_exact: Fraction | None) -> Con
     mean = _moment(points, 1, 0)
     pseudo = _moment(points, 2, 0)
     energy = _moment(points, 1, 1).real
-    if abs(mean) > MOMENT_TOL:
+    # Written as "not within", so that NaN moments fail every check.
+    if not abs(mean) <= MOMENT_TOL:
         raise ValueError(f"constellation {name!r} has nonzero mean {mean}")
-    if abs(pseudo) > MOMENT_TOL:
+    if not abs(pseudo) <= MOMENT_TOL:
         raise ValueError(
             f"constellation {name!r} has nonzero pseudo-variance {pseudo}")
-    if abs(energy - 1.0) > MOMENT_TOL:
+    if not abs(energy - 1.0) <= MOMENT_TOL:
         raise ValueError(
             f"constellation {name!r} failed unit-energy normalization")
     mu4 = float(mu4_exact) if mu4_exact is not None else float(
         _moment(points, 2, 2).real)
-    if mu4 < 1.0:
+    if not mu4 >= 1.0:
         raise ValueError(f"constellation {name!r} has mu4 = {mu4} < 1")
     return Constellation(name=name, points=points, mu4=mu4, mu4_exact=mu4_exact)
 
@@ -362,7 +371,10 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
 
 @dataclass(frozen=True)
 class McPoint:
-    """One validated grid point: estimate, closed form and z-score."""
+    """One validated grid point: estimate, closed form and z-score.
+
+    The fields are in the column order of VALIDATION_HEADER.
+    """
 
     k: int
     l: int
@@ -376,18 +388,9 @@ class McPoint:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-point z-scores of Monte Carlo against the closed form."""
+    """Scored McPoints of a grid, in (k, l, nu) row-major order."""
 
     points: tuple
-    z_threshold: float
-
-    @property
-    def n_flagged(self) -> int:
-        return sum(1 for p in self.points if abs(p.z) > self.z_threshold)
-
-    @property
-    def passed(self) -> bool:
-        return self.n_flagged == 0
 
 
 def _z_score(mc_mean: float, se: float, closed: float) -> float:
@@ -432,30 +435,13 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
 
 def validate_grid(mask: Mask, m_pri: int, constellation: Constellation,
                   k_set, l_set, nu_set, trials: int, seed: int,
-                  z_threshold: float = 3.0,
                   budget: int | None = DEFAULT_BUDGET) -> ValidationReport:
     """Monte Carlo vs closed form over the cross product of the index sets."""
     triples = [(k, l, nu) for k in k_set for l in l_set for nu in nu_set]
     if not triples:
         raise ValueError("index sets must be non-empty")
     pts = mc_points(mask, m_pri, constellation, triples, trials, seed, budget)
-    return ValidationReport(points=tuple(pts), z_threshold=z_threshold)
-
-
-def mc_response_grid(mask: Mask, m_pri: int, constellation: Constellation,
-                     k_set, l_set, nu_set, trials: int, seed: int,
-                     budget: int | None = DEFAULT_BUDGET) -> response.ResponseGrid:
-    """Estimated response grid with a standard-error tensor alongside."""
-    k_set = tuple(int(k) for k in k_set)
-    l_set = tuple(int(l) for l in l_set)
-    nu_set = tuple(int(v) for v in nu_set)
-    rep = validate_grid(mask, m_pri, constellation, k_set, l_set, nu_set,
-                        trials, seed, budget=budget)
-    shape = (len(k_set), len(l_set), len(nu_set))
-    values = np.array([p.mc_mean for p in rep.points]).reshape(shape)
-    se = np.array([p.mc_se for p in rep.points]).reshape(shape)
-    return response.ResponseGrid(k_set, l_set, nu_set, values,
-                                 source="monte_carlo", se=se, trials=trials)
+    return ValidationReport(points=tuple(pts))
 
 
 def expectation_by_double_sum(mask: Mask, m_pri: int,

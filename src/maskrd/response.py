@@ -7,12 +7,15 @@ correlator output splits into two branches:
   k != l:  M * R[k,l], independent of nu
   k == l:  |s_kmn(k, nu)|^2 + (mu4 - 1) * M * (w - a[k])
 
-Both use one period's counting quantities only. Delay 0 is the blind range
-and is rejected rather than reported as zero.
+Both use one period's counting quantities only. build_grid is the one
+evaluator and the only code that picks a branch; expected_response,
+moderate_slice and grating_lobes read a grid with one k and l = k. Delay 0
+is the blind range and is rejected rather than reported as zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from . import spectra
 __all__ = [
     "ScenarioParams",
     "ResponseGrid",
+    "check_mu4",
     "mainlobe",
     "expected_response",
     "moderate_slice",
@@ -30,11 +34,16 @@ __all__ = [
     "build_grid",
     "grid_rows",
     "GRID_HEADER_CLOSED",
-    "GRID_HEADER_MC",
 ]
 
 GRID_HEADER_CLOSED = ("k", "l", "nu", "value")
-GRID_HEADER_MC = ("k", "l", "nu", "value", "se", "trials")
+
+
+def check_mu4(mu4: float) -> None:
+    """Reject a symbol kurtosis that is not a finite number of at least 1."""
+    if not (math.isfinite(mu4) and mu4 >= 1):
+        raise ValueError(
+            f"mu4 must be a finite number >= 1 for unit-energy symbols, got {mu4}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,7 @@ class ScenarioParams:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M}")
-        if self.mu4 < 1:
-            raise ValueError(
-                f"mu4 must be at least 1 for unit-energy symbols, got {self.mu4}")
+        check_mu4(self.mu4)
 
     @property
     def total_bins(self) -> int:
@@ -82,15 +89,7 @@ def mainlobe(p: ScenarioParams, deficit, s):
 
 def expected_response(p: ScenarioParams, k: int, l: int, nu: int) -> float:
     """E{|r(k,l,nu)|^2} for one index triple."""
-    n = p.mask.n
-    _check_delay("k", k, n)
-    _check_delay("l", l, n)
-    _check_nu(nu, p.total_bins)
-    if k != l:
-        return float(p.M * spectra.cross_term(p.mask, k, l))
-    deficit = p.mask.weight - int(spectra.autocorr(p.mask)[k])
-    s = 0j if nu % p.M else spectra.s_kn(p.mask, k, nu // p.M)
-    return float(mainlobe(p, deficit, s))
+    return float(build_grid(p, (k,), (l,), (nu,)).values[0, 0, 0])
 
 
 def moderate_slice(p: ScenarioParams, k: int) -> np.ndarray:
@@ -99,11 +98,7 @@ def moderate_slice(p: ScenarioParams, k: int) -> np.ndarray:
     The floor is (mu4 - 1) M (w - a[k]); constant-modulus symbols (mu4 = 1)
     have exactly zero local Doppler sidelobes.
     """
-    _check_delay("k", k, p.mask.n)
-    deficit = p.mask.weight - int(spectra.autocorr(p.mask)[k])
-    s = np.zeros(p.M)
-    s[0] = deficit  # S_kN(0) counts the gated slots
-    return mainlobe(p, deficit, s)
+    return build_grid(p, (k,), (k,), range(p.M)).values[0, 0]
 
 
 def grating_lobes(p: ScenarioParams, k: int) -> np.ndarray:
@@ -112,32 +107,23 @@ def grating_lobes(p: ScenarioParams, k: int) -> np.ndarray:
     These are the only bins where the deterministic part survives; value
     M^2 |S_kN(n)|^2 plus the constant mu4 floor.
     """
-    _check_delay("k", k, p.mask.n)
-    deficit = p.mask.weight - int(spectra.autocorr(p.mask)[k])
-    return mainlobe(p, deficit, spectra.s_kn_all(p.mask, k))
+    return build_grid(p, (k,), (k,), range(0, p.total_bins, p.M)).values[0, 0]
 
 
 @dataclass(frozen=True)
 class ResponseGrid:
-    """Dense response values over a (k, l, nu) index box."""
+    """Dense closed-form response values over a (k, l, nu) index box."""
 
     k_set: tuple
     l_set: tuple
     nu_set: tuple
     values: np.ndarray
-    source: str
-    se: np.ndarray | None = None
-    trials: int | None = None
 
     def __post_init__(self):
-        if self.source not in ("closed_form", "monte_carlo"):
-            raise ValueError(f"unknown grid source {self.source!r}")
         expected_shape = (len(self.k_set), len(self.l_set), len(self.nu_set))
         if self.values.shape != expected_shape:
             raise ValueError(
                 f"grid shape {self.values.shape} does not match index sets {expected_shape}")
-        if self.se is not None and self.se.shape != expected_shape:
-            raise ValueError("standard-error tensor shape mismatch")
         self.values.setflags(write=False)
 
 
@@ -145,7 +131,8 @@ def build_grid(p: ScenarioParams, k_set, l_set, nu_set) -> ResponseGrid:
     """Closed-form values over the cross product of the given index sets.
 
     Off-diagonal (k != l) entries are written once and broadcast along nu,
-    so their Doppler invariance is exact by construction.
+    so their Doppler invariance is exact by construction. Diagonal entries
+    evaluate S_kN only at the grating-lobe bins nu = nM of the nu set.
     """
     k_set = tuple(int(k) for k in k_set)
     l_set = tuple(int(l) for l in l_set)
@@ -160,25 +147,21 @@ def build_grid(p: ScenarioParams, k_set, l_set, nu_set) -> ResponseGrid:
     for nu in nu_set:
         _check_nu(nu, p.total_bins)
 
-    ls, nu = np.array(l_set), np.array(nu_set)
-    lobe = nu % p.M == 0
+    ls = np.array(l_set)
     values = np.empty((len(k_set), len(l_set), len(nu_set)), dtype=np.float64)
     for i, k in enumerate(k_set):
         row = spectra.cross_term_row(p.mask, k)
         values[i] = p.M * row[ls].astype(np.float64)[:, None]
         if k in l_set:
-            s = np.where(lobe, spectra.s_kn_all(p.mask, k)[nu // p.M], 0)
+            s = np.array([0j if nu % p.M else spectra.s_kn(p.mask, k, nu // p.M)
+                          for nu in nu_set])
             values[i, ls == k] = mainlobe(p, row[k], s)
-    return ResponseGrid(k_set, l_set, nu_set, values, source="closed_form")
+    return ResponseGrid(k_set, l_set, nu_set, values)
 
 
 def grid_rows(grid: ResponseGrid):
-    """Yield CSV-ready rows, one per grid point, in row-major order."""
+    """Yield CSV-ready rows (k, l, nu, value), one per point, row-major."""
     for i, k in enumerate(grid.k_set):
         for j, l in enumerate(grid.l_set):
             for t, nu in enumerate(grid.nu_set):
-                if grid.source == "closed_form":
-                    yield (k, l, nu, grid.values[i, j, t])
-                else:
-                    yield (k, l, nu, grid.values[i, j, t],
-                           grid.se[i, j, t], grid.trials)
+                yield (k, l, nu, grid.values[i, j, t])

@@ -31,16 +31,13 @@ from .masks import Mask
 __all__ = [
     "GammaSequence",
     "autocorr",
-    "cross_term",
     "cross_term_row",
     "cross_term_matrix",
     "gamma",
     "s_kn",
-    "s_kn_all",
     "s_kmn",
     "doppler_energy",
     "doppler_energy_f",
-    "doppler_energy_all",
 ]
 
 # Largest N for the N x N cross terms: Singer m = 13, ~1 GB (m = 14 needs ~4 GB).
@@ -81,13 +78,6 @@ def _autocorr(mask: Mask) -> np.ndarray:
         raise ArithmeticError(
             f"autocorrelation of {mask.label} breaks a[0] = w or sum a = w^2")
     return a
-
-
-def cross_term(mask: Mask, k: int, l: int) -> int:
-    """Masked cross term R[k,l]; the delays 0 are rejected as blind range."""
-    if l % mask.n == 0:
-        raise ValueError("delay 0 is the blind range; R is undefined there")
-    return int(cross_term_row(mask, k)[l % mask.n])
 
 
 def cross_term_row(mask: Mask, k: int) -> np.ndarray:
@@ -139,25 +129,11 @@ def gamma(mask: Mask, k: int) -> GammaSequence:
     return GammaSequence(k=k, values=values)
 
 
-def _dft_bin(g: np.ndarray, nu: int) -> complex:
-    n = len(g)
-    phase = np.exp(-2j * np.pi * nu * np.arange(n) / n)
-    return complex(np.dot(g, phase))
-
-
 def s_kn(mask: Mask, k: int, nu: int) -> complex:
     """Length-N spectrum of the receive gate at bin nu (reduced mod N)."""
-    g = gamma(mask, k).values
-    return _dft_bin(g, nu % mask.n)
-
-
-def s_kn_all(mask: Mask, k: int) -> np.ndarray:
-    """Length-N spectrum of the receive gate at every bin.
-
-    Direct O(N^2) evaluation, bin by bin, bit-identical to s_kn per bin.
-    """
-    g = gamma(mask, k).values
-    return np.array([_dft_bin(g, nu) for nu in range(mask.n)])
+    n = mask.n
+    phase = np.exp(-2j * np.pi * (nu % n) * np.arange(n) / n)
+    return complex(np.dot(gamma(mask, k).values, phase))
 
 
 def s_kmn(mask: Mask, k: int, m_pri: int, nu: int) -> complex:
@@ -186,8 +162,3 @@ def doppler_energy(a, n: int, w: int):
 def doppler_energy_f(mask: Mask, k: int) -> int:
     """Total off-zero spectral energy of the receive gate for delay k."""
     return doppler_energy(int(autocorr(mask)[k % mask.n]), mask.n, mask.weight)
-
-
-def doppler_energy_all(mask: Mask) -> np.ndarray:
-    """doppler_energy_f for every k as an int vector (entry 0 is zero)."""
-    return doppler_energy(autocorr(mask), mask.n, mask.weight)

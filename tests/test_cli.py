@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -78,6 +79,21 @@ def test_mask_verify_table_export(tmp_path):
     assert "1,2,1" in r_lines
 
 
+def test_mask_verify_streams_crossterm_rows(tmp_path):
+    # singer:m=8 has 254^2 = 64516 R rows; as a list of tuples they took ~4 MB
+    tracemalloc.start()
+    try:
+        code = run_cli(["mask", "verify", "singer:m=8", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lines = read(tmp_path / "singer_m_8_crossterms.csv").splitlines()
+    assert len(lines) == 4 + 254 ** 2
+    assert lines[4] == b"1,1,64" and lines[5] == b"1,2,32"  # w - a[k], then R[1,2]
+    assert peak < 2 * 2 ** 20  # R itself is 255^2 int64 = 0.5 MB
+
+
 def test_mask_verify_corrupted_file(tmp_path, capsys):
     bad = tmp_path / "bad.mask"
     bad.write_text("10a100\n")
@@ -127,6 +143,22 @@ def test_response_mc_deterministic_and_schema(tmp_path):
     b = read(os.path.join(out2, "response_mc.csv"))
     assert a.splitlines()[3:] == b.splitlines()[3:]
     assert a.decode().splitlines()[3] == "k,l,nu,value,se,trials"
+
+
+def test_response_mc_is_first_six_columns_of_both(tmp_path):
+    args = ["--mask", "singer:m=3", "--M", "4", "--constellation", "qam16",
+            "--k", "1,2", "--l", "1", "--nu", "0,1,3", "--trials", "800",
+            "--seed", "12"]
+    assert run_cli(["response", "mc", *args, "--out", str(tmp_path)]) == 0
+    assert run_cli(["response", "both", *args, "--out", str(tmp_path)]) == 0
+    mc_lines = read(tmp_path / "response_mc.csv").decode().splitlines()
+    both_lines = read(tmp_path / "response_both.csv").decode().splitlines()
+    assert mc_lines[3] == "k,l,nu,value,se,trials"
+    assert len(mc_lines) == len(both_lines) == 4 + 2 * 1 * 3
+    assert mc_lines[4:] == [",".join(r.split(",")[:6]) for r in both_lines[4:]]
+    rows = [r.split(",") for r in mc_lines[4:]]
+    assert [tuple(r[:3]) for r in rows][:2] == [("1", "1", "0"), ("1", "1", "1")]
+    assert all(float(r[3]) >= 0 and float(r[4]) >= 0 and r[5] == "800" for r in rows)
 
 
 def test_response_mc_needs_constellation(tmp_path):
@@ -187,6 +219,44 @@ def test_compare_needs_two_masks(tmp_path):
                     "--mu4", "1.0", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["response", "closed", "--mask", "singer:m=3", "--M", "2", "--mu4", "nan",
+     "--k", "1", "--nu", "0"],
+    ["response", "closed", "--mask", "singer:m=3", "--M", "2", "--mu4", "inf",
+     "--k", "1", "--nu", "0"],
+    ["bounds", "--mask", "singer:m=3", "--mu4", "nan"],
+    ["metrics", "--mask", "singer:m=3", "--M", "2", "--mu4", "inf"],
+], ids=["closed_nan", "closed_inf", "bounds_nan", "metrics_inf"])
+def test_non_finite_mu4_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert "mu4 must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_ascii_paths(tmp_path, capsys):
+    # the paths land in the files' "# config:" lines, which are UTF-8
+    mask_dir = tmp_path / "maskś"
+    assert run_cli(["mask", "gen", "random:N=40,w=13,seed=9", "--out", str(mask_dir)]) == 0
+    mask_path = mask_dir / "random_N_40_w_13_seed_9.mask"
+    assert masks.load_mask(mask_path).bits == masks.random_mask(40, 13, 9).bits
+    os.rename(mask_path, tmp_path / "ü.mask")
+    argv = ["response", "closed", "--M", "3", "--mu4", "1.32", "--k", "1..39:5",
+            "--nu", "0..5"]
+    out = tmp_path / "outü"
+    assert run_cli(argv + ["--mask", str(tmp_path / "ü.mask"), "--out", str(out)]) == 0
+    assert run_cli(argv + ["--mask", "random:N=40,w=13,seed=9",
+                           "--out", str(tmp_path / "ref")]) == 0
+    got = read(out / "response_closed.csv").decode("utf-8").splitlines()
+    assert str(tmp_path / "ü.mask") in got[1]
+    assert got[3:] == read(tmp_path / "ref" / "response_closed.csv").decode().splitlines()[3:]
+    assert len(got) == 4 + 8 * 8 * 6
+    assert run_cli(["mask", "verify", str(tmp_path / "ü.mask"), "--out", str(out)]) == 0
+    slug = cli._slug(str(tmp_path / "ü.mask"))
+    assert len(read(out / f"{slug}_autocorr.csv").splitlines()) == 4 + 40
+    assert len(read(out / f"{slug}_crossterms.csv").splitlines()) == 4 + 39 ** 2
+
+
 def test_bounds_output(tmp_path, capsys):
     assert run_cli(["bounds", "--mask", "singer:m=5", "--mu4", "1.32"]) == 0
     out = capsys.readouterr().out
@@ -242,8 +312,9 @@ def payload_sha256(path):
 
 
 # Payloads whose values are exact integer arithmetic (counts, M R[k,l] and the
-# nu = 0 mainlobe at mu4 = 1), so their bytes do not depend on FFT or BLAS
-# rounding. Changing any of these hashes changes the tool's output.
+# nu = 0 mainlobe) plus the mu4 floor (mu4 - 1) M (w - a[k]), so their bytes do
+# not depend on FFT or BLAS rounding. Changing any of these hashes changes the
+# tool's output.
 GOLDEN = [
     (["mask", "verify", "singer:m=6"], {
         "singer_m_6_autocorr.csv": "6a9b4f7a7f8e034cdcba13058d37b4a207cdc5662c2c9ca0ebfde00cb9eebe07",
@@ -259,11 +330,19 @@ GOLDEN = [
     (["response", "closed", "--mask", "singer:m=5", "--M", "4", "--mu4", "1.0",
       "--k", "1..30", "--nu", "0..3"], {
         "response_closed.csv": "98f4178a2363b53e69b0dd6ebd065f6a94a85094bc78e6e87ef93e609a5686f5"}),
+    # no grating lobe but nu = 0 in the nu set: S_kN(0) = w - a[k] is an exact count
+    (["response", "closed", "--mask", "comb:N=63,d=3", "--M", "5", "--mu4", "1.32",
+      "--k", "1..62:3", "--nu", "0..4"], {
+        "response_closed.csv": "c9d1ba1610b98eabf1f358dee6dbb52c376c3408ef6fb263ab628a5b28e8be43"}),
+    (["response", "closed", "--mask", "random:N=40,w=13,seed=9", "--M", "7", "--mu4", "1.32",
+      "--k", "1..39:2", "--l", "1..39:3", "--nu", "0..6"], {
+        "response_closed.csv": "571c3b54f698312d74f01aec667ace7a5c7c7f1561b2ba0990651b7f1e7be15a"}),
 ]
 
 
 @pytest.mark.parametrize("argv, hashes", GOLDEN,
-                         ids=["singer6", "comb63", "random63", "closed_singer5"])
+                         ids=["singer6", "comb63", "random63", "closed_singer5",
+                              "closed_comb63", "closed_random40"])
 def test_golden_payloads(tmp_path, argv, hashes):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 0
     assert sorted(os.listdir(tmp_path)) == sorted(hashes)

@@ -143,6 +143,17 @@ def test_worst_case_doppler_sum():
     assert metrics.worst_case_doppler_sum(masks.comb_mask(6, 3), 1.0) == 8
 
 
+@pytest.mark.parametrize("mu4", [0.5, math.nan, math.inf, -math.inf])
+def test_mu4_must_be_finite_and_at_least_one(mu4):
+    m = masks.singer_mask(3)
+    with pytest.raises(ValueError):
+        metrics.doppler_sidelobe_sum(m, mu4)
+    with pytest.raises(ValueError):
+        metrics.worst_case_doppler_sum(m, mu4)
+    with pytest.raises(ValueError):
+        metrics.metrics_report(m, 2, mu4)
+
+
 def test_no_equal_duty_mask_beats_cds_worst_case():
     # 1000 random masks at N=31, w=15: none undercuts the difference set
     s5 = masks.singer_mask(5)
@@ -253,6 +264,16 @@ def test_mean_doppler_by_mainlobe_zero_handling():
     for i in (0, 1, 3, 4):
         assert bymain.per_k[i] == plain.per_k[i] / main[i]
         assert np.isfinite(bymain.per_k[i])
+    # the elementwise reference rule, over masks with and without blanked delays
+    for m in [masks.comb_mask(63, 3), masks.comb_mask(20, 4)] + random_mask_suite(8, seed=53):
+        for m_pri, mu4 in ((1, 1.0), (7, 1.32)):
+            p = scenario(m, m_pri, mu4)
+            plain = metrics.mean_doppler_sidelobe(p, "none").per_k
+            main = metrics.mainlobe_levels(p)
+            want = [x / y if y > 0 else (0.0 if x == 0 else math.inf)
+                    for x, y in zip(plain, main)]
+            got = metrics.mean_doppler_sidelobe(p, "by_mainlobe").per_k
+            assert got.tolist() == want
 
 
 def test_flatness_vs_doppler_sum_tradeoff():
@@ -269,12 +290,11 @@ def test_flatness_vs_doppler_sum_tradeoff():
         assert math.isinf(metrics.mainlobe_fluctuation(scenario(m, 4, 1.0)).ptp_ratio)
 
 
-def test_compare_rows_and_report_format():
-    rows = metrics.compare(
-        [masks.singer_mask(6), masks.random_mask(63, 31, 7), masks.comb_mask(63, 3)],
-        50, 1.32)
-    assert len(rows) == 3
-    singer, rand, comb = rows
+def test_report_rows_and_format():
+    singer, rand, comb = (
+        metrics.metrics_report(m, 50, 1.32)
+        for m in (masks.singer_mask(6), masks.random_mask(63, 31, 7),
+                  masks.comb_mask(63, 3)))
     assert singer.is_cds and singer.lam == 15
     assert not rand.is_cds and rand.lam is None
     assert singer.doppler_sum.attains_upper()
@@ -283,8 +303,6 @@ def test_compare_rows_and_report_format():
     flat = metrics.report_row(singer)
     assert len(flat) == len(metrics.REPORT_HEADER)
     assert flat[3] == "31/63"
-    with pytest.raises(ValueError):
-        metrics.compare([masks.singer_mask(3)], 1, 1.0)
 
 
 def test_per_delay_table():

@@ -13,8 +13,9 @@ def test_params_validation():
     s3 = masks.singer_mask(3)
     with pytest.raises(ValueError):
         scenario(s3, 0, 1.0)
-    with pytest.raises(ValueError):
-        scenario(s3, 4, 0.5)
+    for mu4 in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            scenario(s3, 4, mu4)
     assert scenario(s3, 4, 1.0).total_bins == 28
 
 
@@ -148,3 +149,21 @@ def test_mainlobe_branch_uses_tiled_peak():
     for k in (1, 3, 6):
         want = (4 * (m.weight - int(a[k]))) ** 2
         assert response.expected_response(p, k, k, 0) == want
+
+
+def test_lobe_bins_read_s_kn_only_where_hit(monkeypatch):
+    m = masks.random_mask(40, 13, 9)
+    p = scenario(m, 3, 1.32)
+    floor = (1.32 - 1) * 3 * int(spectra.cross_term_row(m, 5)[5])
+    lobes = response.grating_lobes(p, 5)
+    assert len(lobes) == m.n
+    for n in range(m.n):
+        want = 9 * abs(spectra.s_kn(m, 5, n)) ** 2 + floor
+        assert lobes[n] == pytest.approx(want, rel=1e-12)
+    bins = []
+    original = spectra.s_kn
+    monkeypatch.setattr(spectra, "s_kn",
+                        lambda mask, k, nu: bins.append((k, nu)) or original(mask, k, nu))
+    grid = response.build_grid(p, (5, 6), (5, 7), (0, 1, 2, 3, 6, 7, 119))
+    assert bins == [(5, 0), (5, 1), (5, 2)]  # k = 6 has no diagonal point
+    assert np.all(grid.values[0, 0, [1, 2, 5, 6]] == floor)

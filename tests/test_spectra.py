@@ -35,14 +35,18 @@ def test_autocorr_sum_identities_exact():
 
 def test_cross_term_examples():
     s3 = masks.singer_mask(3)
-    assert spectra.cross_term(s3, 1, 2) == 1
+    assert spectra.cross_term_row(s3, 1)[2] == 1
     a = spectra.autocorr(s3)
     for k in range(1, 7):
-        assert spectra.cross_term(s3, k, k) == s3.weight - int(a[k])
+        row = spectra.cross_term_row(s3, k)
+        assert row[k] == s3.weight - int(a[k])
+        assert row[0] == 0  # the blind-range column
+        # k is reduced mod N
+        assert np.array_equal(spectra.cross_term_row(s3, k + 7), row)
     with pytest.raises(ValueError):
-        spectra.cross_term(s3, 0, 2)
+        spectra.cross_term_row(s3, 0)
     with pytest.raises(ValueError):
-        spectra.cross_term(s3, 2, 0)
+        spectra.cross_term_row(s3, 7)
 
 
 def test_cross_term_matrix_matches_brute_force():
@@ -93,10 +97,11 @@ def test_s_kn_matches_fft_oracle():
         for k in (1, 2):
             g = spectra.gamma(m, k).values
             oracle = np.fft.fft(g.astype(float))
-            mine = spectra.s_kn_all(m, k)
+            mine = np.array([spectra.s_kn(m, k, nu) for nu in range(m.n)])
             assert np.allclose(mine, oracle, atol=1e-9 * m.n)
+            # nu is reduced mod N
             for nu in range(m.n):
-                assert spectra.s_kn(m, k, nu) == mine[nu]
+                assert spectra.s_kn(m, k, nu + m.n) == mine[nu]
 
 
 def test_parseval_closed_form():
@@ -121,7 +126,7 @@ def test_doppler_energy_values():
     s6 = masks.singer_mask(6)
     for k in (1, 31, 62):
         assert spectra.doppler_energy_f(s6, k) == 16 * 47  # 752 at every delay
-    energies = spectra.doppler_energy_all(s6)
+    energies = spectra.doppler_energy(spectra.autocorr(s6), s6.n, s6.weight)
     assert int(energies[0]) == 0
     assert all(int(v) == 752 for v in energies[1:])
 
