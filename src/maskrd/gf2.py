@@ -1,33 +1,20 @@
-"""Arithmetic in binary extension fields GF(2^m).
+"""Primitive polynomials over GF(2) and the trace seeds of their m-sequences.
 
-Field elements are plain ints: bit i is the coefficient of x^i in the
-polynomial residue, so a valid element e satisfies 0 <= e < 2^m. A field is
-described by its extension degree m and a primitive polynomial, given as an
-int bit mask that includes the leading x^m term (0b1011 is x^3 + x + 1).
-
-The residue class of x (the int 2) generates the full multiplicative group;
-this is re-checked at construction instead of trusting the polynomial table.
-
-Singer masks need only m trace values per field, to seed the m-sequence
-recurrence (masks.singer_mask); the field arithmetic and the trace map of
-every element serve as the independent oracle for that construction.
+A polynomial is an int bit mask that includes the leading x^m term
+(0b1011 is x^3 + x + 1). Singer masks (masks.singer_mask) need only m trace
+values s_i = Tr(alpha^i) per degree, with alpha a root of the table entry, to
+seed the polynomial's linear recurrence. Since the conjugates of alpha are
+exactly the roots of its polynomial, Tr(alpha^i) is the i-th power sum of
+those roots, which Newton's identities give from the coefficients alone; no
+field arithmetic is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = [
-    "BinaryField",
-    "PRIMITIVE_POLYS",
-    "default_field",
-    "field_mul",
-    "field_pow",
-    "trace",
-]
+__all__ = ["PRIMITIVE_POLYS", "trace_seeds"]
 
 # One canonical primitive polynomial per degree, minimal-weight entries from
-# the classic LFSR tables. Construction re-verifies primitivity.
+# the classic LFSR tables. The test suite re-verifies primitivity.
 PRIMITIVE_POLYS = {
     2: 0b111,                # x^2 + x + 1
     3: 0b1011,               # x^3 + x + 1
@@ -51,117 +38,17 @@ PRIMITIVE_POLYS = {
 }
 
 
-def _raw_mul(a: int, b: int, m: int, poly: int) -> int:
-    """Shift-and-add product of two residues, reduced by poly on overflow."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m:
-            a ^= poly
-    return acc
+def trace_seeds(m: int) -> list[int]:
+    """Tr(alpha^i) for i = 0..m-1, alpha a root of PRIMITIVE_POLYS[m].
 
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-@dataclass(frozen=True)
-class BinaryField:
-    """GF(2^m) described by a primitive polynomial bit mask."""
-
-    m: int
-    primitive_poly: int
-
-    def __post_init__(self):
-        m, poly = self.m, self.primitive_poly
-        if not 2 <= m <= 20:
-            raise ValueError(f"extension degree must be in 2..20, got {m}")
-        if poly.bit_length() != m + 1:
-            raise ValueError(
-                f"polynomial 0x{poly:x} does not have degree {m}")
-        if not poly & 1:
-            raise ValueError("polynomial must have constant term 1")
-        # x must have multiplicative order exactly 2^m - 1. This single check
-        # also rules out reducible polynomials, whose unit group is smaller.
-        order = (1 << m) - 1
-        if self._pow_raw(2, order) != 1:
-            raise ValueError(f"0x{poly:x} is not primitive (x^{order} != 1)")
-        for p in _prime_factors(order):
-            if self._pow_raw(2, order // p) == 1:
-                raise ValueError(
-                    f"0x{poly:x} is not primitive (x has order dividing {order // p})")
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        acc = 1
-        while e:
-            if e & 1:
-                acc = _raw_mul(acc, a, self.m, self.primitive_poly)
-            a = _raw_mul(a, a, self.m, self.primitive_poly)
-            e >>= 1
-        return acc
-
-    @property
-    def order(self) -> int:
-        """Number of field elements, 2^m."""
-        return 1 << self.m
-
-    def elements(self):
-        """Iterate over all 2^m residues."""
-        return range(self.order)
-
-
-def default_field(m: int) -> BinaryField:
-    """GF(2^m) with the canonical primitive polynomial for degree m."""
-    if m not in PRIMITIVE_POLYS:
-        raise ValueError(f"no built-in primitive polynomial for degree {m}")
-    return BinaryField(m, PRIMITIVE_POLYS[m])
-
-
-def _check_element(a: int, f: BinaryField) -> None:
-    if not 0 <= a < f.order:
-        raise ValueError(
-            f"element 0x{a:x} does not fit in GF(2^{f.m})")
-
-
-def field_mul(a: int, b: int, f: BinaryField) -> int:
-    """Product of two residues modulo the field polynomial."""
-    _check_element(a, f)
-    _check_element(b, f)
-    return _raw_mul(a, b, f.m, f.primitive_poly)
-
-
-def field_pow(a: int, e: int, f: BinaryField) -> int:
-    """Square-and-multiply power a^e, with a^0 = 1."""
-    _check_element(a, f)
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return f._pow_raw(a, e)
-
-
-def trace(a: int, f: BinaryField) -> int:
-    """Absolute trace of a, the GF(2)-valued sum of its Frobenius orbit.
-
-    Computed as a + a^2 + a^4 + ... + a^(2^(m-1)); additive in a.
+    With the polynomial written x^m + sum_j c_j x^j, the elementary symmetric
+    functions of its roots are e_j = c_(m-j) over GF(2), and Newton's
+    identities reduce mod 2 to p_0 = m and
+    p_i = i e_i + sum_(j=1)^(i-1) e_j p_(i-j).
     """
-    _check_element(a, f)
-    acc = 0
-    t = a
-    for _ in range(f.m):
-        acc ^= t
-        t = _raw_mul(t, t, f.m, f.primitive_poly)
-    if acc not in (0, 1):
-        raise AssertionError("trace landed outside the prime subfield")
-    return acc
+    poly = PRIMITIVE_POLYS[m]
+    e = [poly >> (m - j) & 1 for j in range(m)]
+    p = [m & 1]
+    for i in range(1, m):
+        p.append((i * e[i] + sum(e[j] * p[i - j] for j in range(1, i))) & 1)
+    return p

@@ -4,6 +4,8 @@ A mask is one period of the transmit gate: bit 1 transmits, bit 0 listens;
 the listen slots are 1 - bits wherever a reception gate is needed.
 All-zero and all-one masks are rejected everywhere (the former transmits
 nothing, the latter never receives), so the duty cycle is always in (0, 1).
+Singer masks run the m-sequence recurrence of a primitive polynomial from
+gf2's table, seeded by gf2.trace_seeds; no GF(2^m) arithmetic is involved.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
 ]
 
 FAMILIES = ("singer", "comb", "random", "custom")
+# Families that from_spec builds, with the keys each spec needs.
+SPEC_KEYS = {"singer": ("m",), "comb": ("n", "d"), "random": ("n", "w", "seed")}
 
 
 @dataclass(frozen=True)
@@ -106,19 +110,21 @@ class CdsCheck(NamedTuple):
 def singer_mask(m: int) -> Mask:
     """Mask whose support is the trace-zero Singer difference set in Z_(2^m - 1).
 
-    Bit i is set iff s_i = Tr(alpha^i) vanishes, with alpha the canonical
-    primitive element of GF(2^m). Since alpha is a root of the primitive
-    polynomial x^m + sum_j c_j x^j, the s_i obey s_(i+m) = sum_j c_j s_(i+j)
-    mod 2: m trace values seed that recurrence and it yields the rest. The
+    Bit i is set iff s_i = Tr(alpha^i) vanishes, with alpha a root of the
+    primitive polynomial x^m + sum_j c_j x^j = gf2.PRIMITIVE_POLYS[m]. The s_i
+    obey s_(i+m) = sum_j c_j s_(i+j) mod 2, so m seeds and that recurrence
+    yield the period. The seeds are the power sums of the polynomial's roots,
+    by Newton's identities over GF(2): with e_j = c_(m-j), s_0 = m mod 2 and
+    s_i = i e_i + sum_(j=1)^(i-1) e_j s_(i-j) mod 2 (gf2.trace_seeds). The
     period is N = 2^m - 1, the weight 2^(m-1) - 1, and every nonzero cyclic
     difference is hit exactly 2^(m-2) - 1 times.
     """
     if not 3 <= m <= 20:
         raise ValueError(f"singer mask degree must be in 3..20, got {m}")
-    f = gf2.default_field(m)
-    taps = [j for j in range(m) if f.primitive_poly >> j & 1]
-    s = [gf2.trace(1 << i, f) for i in range(m)]
-    for i in range(f.order - 1 - m):
+    poly = gf2.PRIMITIVE_POLYS[m]
+    taps = [j for j in range(m) if poly >> j & 1]
+    s = gf2.trace_seeds(m)
+    for i in range((1 << m) - 1 - m):
         s.append(sum(s[i + j] for j in taps) & 1)
     return Mask(tuple(1 - v for v in s), family="singer", label=f"singer:m={m}")
 
@@ -248,11 +254,10 @@ def from_spec(spec: str) -> Mask:
     """
     head, _, body = spec.partition(":")
     head = head.strip().lower()
-    required = {"singer": ("m",), "comb": ("n", "d"), "random": ("n", "w", "seed")}
-    if head not in required:
+    if head not in SPEC_KEYS:
         raise ValueError(f"unknown mask family in spec {spec!r}")
     kv = _parse_kv(body, spec)
-    keys = required[head]
+    keys = SPEC_KEYS[head]
     missing = [k for k in keys if k not in kv]
     extra = [k for k in kv if k not in keys]
     if missing or extra:

@@ -257,6 +257,21 @@ def test_non_ascii_paths(tmp_path, capsys):
     assert len(read(out / f"{slug}_crossterms.csv").splitlines()) == 4 + 39 ** 2
 
 
+def test_mask_verify_long_input_path(tmp_path):
+    # a file mask is labelled with its path, and its slug names the outputs:
+    # four 60-character directories would push a name past NAME_MAX = 255
+    mask_dir = tmp_path.joinpath(*(str(i) * 60 for i in range(4)))
+    assert run_cli(["mask", "gen", "singer:m=3", "--out", str(mask_dir)]) == 0
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert run_cli(["mask", "verify", str(mask_dir / "singer_m_3.mask"), "--out", str(out)]) == 0
+    assert run_cli(["mask", "verify", "singer:m=3", "--out", str(ref)]) == 0
+    names, ref_names = sorted(os.listdir(out)), sorted(os.listdir(ref))
+    assert names[0].endswith("_autocorr.csv") and names[1].endswith("_crossterms.csv")
+    assert all(len(n) <= 255 for n in names)
+    for name, ref_name in zip(names, ref_names):
+        assert payload_sha256(out / name) == payload_sha256(ref / ref_name)
+
+
 def test_bounds_output(tmp_path, capsys):
     assert run_cli(["bounds", "--mask", "singer:m=5", "--mu4", "1.32"]) == 0
     out = capsys.readouterr().out
@@ -273,7 +288,7 @@ def test_bounds_output(tmp_path, capsys):
 def test_selftest_quick(capsys):
     assert run_cli(["selftest", "--trials", "1500"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 8
     assert "FAIL" not in out
 
 

@@ -1,5 +1,9 @@
+"""The GF(2^m) oracle against schoolbook arithmetic, and the table and trace
+seeds of maskrd.gf2 against the oracle."""
+
 import pytest
 
+import gf2_oracle as oracle
 from maskrd import gf2
 
 
@@ -16,105 +20,112 @@ def naive_mul(a, b, m, poly):
 
 
 def test_gf8_table_examples():
-    f = gf2.default_field(3)
+    f = oracle.default_field(3)
     alpha = 0b010
-    assert gf2.field_pow(alpha, 4, f) == 0b110
-    assert gf2.field_mul(alpha, gf2.field_pow(alpha, 3, f), f) == 0b110
-    assert gf2.field_pow(alpha, 7, f) == 1
-    assert gf2.field_pow(alpha, 0, f) == 1
+    assert oracle.field_pow(alpha, 4, f) == 0b110
+    assert oracle.field_mul(alpha, oracle.field_pow(alpha, 3, f), f) == 0b110
+    assert oracle.field_pow(alpha, 7, f) == 1
+    assert oracle.field_pow(alpha, 0, f) == 1
 
 
 def test_identity_and_zero():
-    f = gf2.default_field(5)
+    f = oracle.default_field(5)
     for beta in (1, 7, 19, 30):
-        assert gf2.field_mul(1, beta, f) == beta
-        assert gf2.field_mul(0, beta, f) == 0
+        assert oracle.field_mul(1, beta, f) == beta
+        assert oracle.field_mul(0, beta, f) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_mul_matches_naive_oracle_all_pairs(m):
-    f = gf2.default_field(m)
+    f = oracle.default_field(m)
     poly = f.primitive_poly
     for a in f.elements():
         for b in f.elements():
-            assert gf2.field_mul(a, b, f) == naive_mul(a, b, m, poly)
+            assert oracle.field_mul(a, b, f) == naive_mul(a, b, m, poly)
 
 
 def test_mul_commutes_and_distributes():
-    f = gf2.default_field(6)
+    f = oracle.default_field(6)
     triples = [(3, 41, 17), (60, 5, 29), (1, 63, 2), (44, 44, 44)]
     for a, b, c in triples:
-        assert gf2.field_mul(a, b, f) == gf2.field_mul(b, a, f)
-        left = gf2.field_mul(a, b ^ c, f)
-        right = gf2.field_mul(a, b, f) ^ gf2.field_mul(a, c, f)
+        assert oracle.field_mul(a, b, f) == oracle.field_mul(b, a, f)
+        left = oracle.field_mul(a, b ^ c, f)
+        right = oracle.field_mul(a, b, f) ^ oracle.field_mul(a, c, f)
         assert left == right
 
 
 def test_pow_matches_repeated_mul():
-    f = gf2.default_field(4)
+    f = oracle.default_field(4)
     for a in (2, 7, 11):
         acc = 1
         for e in range(20):
-            assert gf2.field_pow(a, e, f) == acc
-            acc = gf2.field_mul(acc, a, f)
+            assert oracle.field_pow(a, e, f) == acc
+            acc = oracle.field_mul(acc, a, f)
 
 
 def test_trace_examples_gf8():
-    f = gf2.default_field(3)
-    assert gf2.trace(0, f) == 0
-    assert gf2.trace(0b010, f) == 0
-    assert gf2.trace(1, f) == 1  # Tr(1) = m mod 2
+    f = oracle.default_field(3)
+    assert oracle.trace(0, f) == 0
+    assert oracle.trace(0b010, f) == 0
+    assert oracle.trace(1, f) == 1  # Tr(1) = m mod 2
 
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_trace_balance(m):
-    f = gf2.default_field(m)
-    zeros = sum(1 for e in f.elements() if gf2.trace(e, f) == 0)
+    f = oracle.default_field(m)
+    zeros = sum(1 for e in f.elements() if oracle.trace(e, f) == 0)
     assert zeros == 2 ** (m - 1)
 
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_exponent_map_is_bijection(m):
-    f = gf2.default_field(m)
+    f = oracle.default_field(m)
     seen = set()
     x = 1
     for _ in range(f.order - 1):
         seen.add(x)
-        x = gf2.field_mul(x, 0b10, f)
+        x = oracle.field_mul(x, 0b10, f)
     assert len(seen) == f.order - 1
     assert 0 not in seen
 
 
 def test_trace_additivity():
-    f = gf2.default_field(8)
+    f = oracle.default_field(8)
     pairs = [(3, 200), (17, 17), (0, 255), (91, 164)]
     for a, b in pairs:
-        assert gf2.trace(a ^ b, f) == gf2.trace(a, f) ^ gf2.trace(b, f)
+        assert oracle.trace(a ^ b, f) == oracle.trace(a, f) ^ oracle.trace(b, f)
 
 
 def test_element_out_of_range_rejected():
-    f = gf2.default_field(3)
+    f = oracle.default_field(3)
     with pytest.raises(ValueError):
-        gf2.field_mul(8, 1, f)
+        oracle.field_mul(8, 1, f)
     with pytest.raises(ValueError):
-        gf2.field_pow(-1, 2, f)
+        oracle.field_pow(-1, 2, f)
     with pytest.raises(ValueError):
-        gf2.trace(100, f)
+        oracle.trace(100, f)
 
 
 def test_bad_polynomials_rejected():
     with pytest.raises(ValueError):
-        gf2.BinaryField(4, 0b10101)       # x^4+x^2+1 reducible
+        oracle.BinaryField(4, 0b10101)       # x^4+x^2+1 reducible
     with pytest.raises(ValueError):
-        gf2.BinaryField(4, 0b11111)       # irreducible but not primitive
+        oracle.BinaryField(4, 0b11111)       # irreducible but not primitive
     with pytest.raises(ValueError):
-        gf2.BinaryField(4, 0b1011)        # degree mismatch
+        oracle.BinaryField(4, 0b1011)        # degree mismatch
     with pytest.raises(ValueError):
-        gf2.BinaryField(3, 0b1010)        # constant term 0
+        oracle.BinaryField(3, 0b1010)        # constant term 0
     with pytest.raises(ValueError):
-        gf2.BinaryField(1, 0b11)          # degree out of range
+        oracle.BinaryField(1, 0b11)          # degree out of range
 
 
 def test_all_table_entries_are_primitive():
+    assert sorted(gf2.PRIMITIVE_POLYS) == list(range(2, 21))
     for m in gf2.PRIMITIVE_POLYS:
-        gf2.default_field(m)  # construction re-verifies primitivity
+        oracle.default_field(m)  # construction verifies primitivity
+
+
+@pytest.mark.parametrize("m", sorted(gf2.PRIMITIVE_POLYS))
+def test_trace_seeds_match_oracle(m):
+    f = oracle.default_field(m)
+    assert gf2.trace_seeds(m) == [oracle.trace(1 << i, f) for i in range(m)]

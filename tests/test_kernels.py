@@ -3,9 +3,10 @@
 autocorr, cross_term_row and cross_term_matrix compute exact integers with FFT
 and BLAS kernels; here they are compared with the shift-and-multiply
 definitions over random masks, and singer_mask's recurrence with the trace
-map of every field element. The guard tests check that a kernel that breaks
-a counting identity, an oversized period and an exhausted allocator each end
-a CLI run with its documented exit code and a one-line message.
+map of every field element (the GF(2^m) oracle in gf2_oracle.py). The guard
+tests check that a kernel that breaks a counting identity, an oversized
+period and an exhausted allocator each end a CLI run with its documented exit
+code and a one-line message, and that selftest reports such a kernel.
 """
 
 import tracemalloc
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maskrd import cli, gf2, masks, spectra
+import gf2_oracle as oracle
+from maskrd import cli, masks, spectra
 
 
 def roll_autocorr(bits):
@@ -27,11 +29,11 @@ def triple_product_r(bits):
 
 
 def trace_map_bits(m):
-    f = gf2.default_field(m)
+    f = oracle.default_field(m)
     bits, x = [], 1
     for _ in range(f.order - 1):
-        bits.append(1 - gf2.trace(x, f))
-        x = gf2.field_mul(x, 0b10, f)
+        bits.append(1 - oracle.trace(x, f))
+        x = oracle.field_mul(x, 0b10, f)
     return tuple(bits)
 
 
@@ -92,13 +94,17 @@ def test_broken_autocorr_kernel_exits_numeric(monkeypatch, capsys):
     assert "singer:m=5" in _one_error_line(capsys)
 
 
-def test_broken_cross_term_kernel_exits_numeric(monkeypatch, tmp_path, capsys):
+def _break_window(monkeypatch):
     real = np.lib.stride_tricks.sliding_window_view
 
     def one_slot_late(x, n):  # G[j, k] = m_t[n_j - k - 1]
         return real(np.roll(x, -1), n)
 
     monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", one_slot_late)
+
+
+def test_broken_cross_term_kernel_exits_numeric(monkeypatch, tmp_path, capsys):
+    _break_window(monkeypatch)
     argv = ["metrics", "--mask", "random:N=40,w=13,seed=3", "--M", "4",
             "--mu4", "1.0", "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_NUMERIC
@@ -161,3 +167,16 @@ def test_memory_error_exits_config(monkeypatch, tmp_path, capsys):
             "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert _one_error_line(capsys) == "error: out of memory: Unable to allocate 2.00 GiB"
+
+
+@pytest.mark.parametrize("breaker, failing", [
+    (_break_irfft, {"range_sidelobe_sum_identity", "parseval_identity",
+                    "bound_bracketing", "double_sum_oracle", "mc_oracle"}),
+    (_break_window, {"range_sidelobe_sum_identity"}),
+], ids=["fft", "matrix"])
+def test_selftest_reports_broken_kernel(monkeypatch, capsys, breaker, failing):
+    breaker(monkeypatch)
+    assert cli.main(["selftest", "--trials", "300"]) == cli.EXIT_NUMERIC
+    out = capsys.readouterr().out.splitlines()
+    assert {line.split()[1].rstrip(":") for line in out if line.startswith("FAIL")} == failing
+    assert out[-1] == f"selftest: {len(failing)} failure(s)"
