@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric contract failure,
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import os
 import re
@@ -72,7 +71,11 @@ def mask_from_arg(text: str) -> masks.Mask:
 
 
 def canonical_config(command: str, options: dict) -> str:
-    """Canonical one-line form of a run: subcommand plus sorted flags."""
+    """Canonical one-line form of a run: subcommand plus sorted flags.
+
+    A value with a line break is refused: shlex cannot quote it onto the one
+    '# config:' line, and the rest of it would become a line of its own.
+    """
     parts = command.split()
     for key in sorted(options):
         value = options[key]
@@ -82,28 +85,67 @@ def canonical_config(command: str, options: dict) -> str:
         for v in values:
             parts.append(f"--{key}")
             parts.append(shlex.quote(str(v)))
+    for text in (command, *parts):
+        if "\n" in text or "\r" in text:
+            raise ValueError(f"a line break in {text!r} cannot go on the "
+                             "one-line '# config:' header")
     return " ".join(parts)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.11e}"
-    return str(value)
+# Rows per block of a streamed table: one block's formatted text is held at once.
+BLOCK_ROWS = 4096
 
 
-def write_csv(path, columns, rows, config_str: str, seed) -> None:
+def _quote(text: str) -> str:
+    # csv.QUOTE_MINIMAL for delimiter ",", quotechar '"' and lineterminator "\n"
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_cells(column):
+    """The %-spec of a column, from its numpy dtype, and its cells."""
+    cells = np.asarray(column)
+    if cells.dtype.kind in "biu":
+        return "%d", cells.tolist()
+    if cells.dtype.kind == "f":
+        return "%.11e", cells.tolist()
+    return "%s", [_quote(str(v)) for v in column]
+
+
+def _array_blocks(axes, values):
+    """Blocks (index columns..., value column) of an array's cells, row-major.
+
+    axes holds the index labels of each dimension of values; a block's index
+    columns come from its row range alone, so no column spans the table.
+    """
+    axes = [np.asarray(ax) for ax in axes]
+    for start in range(0, values.size, BLOCK_ROWS):
+        pos = np.unravel_index(
+            np.arange(start, min(start + BLOCK_ROWS, values.size)), values.shape)
+        yield (*(ax[p] for ax, p in zip(axes, pos)), values[pos])
+
+
+def write_csv(path, header, blocks, config_str: str, seed) -> None:
+    """Write three '#' lines (tool, config, seed), the header, then the rows.
+
+    blocks is an iterable of blocks, each a tuple of equal-length columns; a
+    streamed table comes in blocks of at most BLOCK_ROWS rows. A column's
+    numpy dtype sets the format of its cells: integers and bools in decimal
+    (%d), floats as %.11e (so -0.0, inf and nan read as Python's float
+    format writes them), anything else as str() with csv minimal quoting.
+    Each block is one %-format per row, written at once; the bytes are those
+    of a csv.writer with lineterminator "\n" over the same cells.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# tool: maskrd {__version__}\n")
         fh.write(f"# config: {config_str}\n")
         fh.write(f"# seed: {seed}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(c) for c in row])
+        fh.write(",".join(map(_quote, header)) + "\n")
+        for block in blocks:
+            specs, cells = zip(*map(_column_cells, block))
+            fmt = ",".join(specs) + "\n"
+            fh.write("".join([fmt % row for row in zip(*cells)]))
 
 
 def _slug(label: str) -> str:
@@ -174,13 +216,11 @@ def cmd_mask(args) -> int:
             slug = _slug(mask.label)
             a_path = os.path.join(args.out, f"{slug}_autocorr.csv")
             write_csv(a_path, ("k", "a"),
-                      ((k, int(a[k])) for k in range(mask.n)), config, 0)
+                      _array_blocks((range(mask.n),), a), config, 0)
             r_path = os.path.join(args.out, f"{slug}_crossterms.csv")
-            # a generator: N^2 row tuples would cost ~100 B each at once
+            lags = range(1, mask.n)
             write_csv(r_path, ("k", "l", "R"),
-                      ((k, l, int(r[k, l]))
-                       for k in range(1, mask.n) for l in range(1, mask.n)),
-                      config, 0)
+                      _array_blocks((lags, lags), r[1:, 1:]), config, 0)
             print(f"wrote {a_path}")
             print(f"wrote {r_path}")
     return EXIT_OK
@@ -218,8 +258,8 @@ def cmd_response(args) -> int:
         grid = response.build_grid(
             response.ScenarioParams(mask=mask, M=args.M, mu4=mu4),
             k_set, l_set, nu_set)
-        name, header, rows, seed = ("response_closed.csv", response.GRID_HEADER_CLOSED,
-                                    response.grid_rows(grid), 0)
+        name, header, seed = "response_closed.csv", response.GRID_HEADER_CLOSED, 0
+        blocks = _array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values)
     else:
         if not args.constellation:
             raise ValueError("Monte Carlo runs need --constellation")
@@ -233,10 +273,10 @@ def cmd_response(args) -> int:
         name, header = (("response_mc.csv", montecarlo.MC_HEADER) if args.mode == "mc"
                         else ("response_both.csv", montecarlo.VALIDATION_HEADER))
         rows = [dataclasses.astuple(p)[:len(header)] for p in report.points]
-        seed = args.seed
+        blocks, seed = [tuple(zip(*rows))], args.seed
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
-    write_csv(path, header, rows, config, seed)
+    write_csv(path, header, blocks, config, seed)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -263,7 +303,7 @@ def cmd_metrics(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.command}.csv")
     write_csv(path, metrics.REPORT_HEADER,
-              [metrics.report_row(r) for r in reports], config, 0)
+              [tuple(zip(*map(metrics.report_row, reports)))], config, 0)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -284,12 +324,12 @@ def cmd_bounds(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "bounds.csv")
+        row = (mask.label, b.value, b.lower, b.upper,
+               int(b.attains_upper()), int(b.attains_lower()))
         write_csv(path,
                   ("mask_id", "I", "I_lower", "I_upper",
                    "attains_upper", "attains_lower"),
-                  [(mask.label, b.value, b.lower, b.upper,
-                    int(b.attains_upper()), int(b.attains_lower()))],
-                  config, 0)
+                  [tuple(zip(row))], config, 0)
         print(f"wrote {path}")
     return EXIT_OK
 

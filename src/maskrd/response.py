@@ -10,7 +10,9 @@ correlator output splits into two branches:
 Both use one period's counting quantities only. build_grid is the one
 evaluator and the only code that picks a branch; expected_response,
 moderate_slice and grating_lobes read a grid with one k and l = k. Delay 0
-is the blind range and is rejected rather than reported as zero.
+is the blind range and is rejected rather than reported as zero. The CLI
+writes a grid's values row-major in (k, l, nu), in blocks whose index
+columns come from each block's row range (cli.write_csv).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "moderate_slice",
     "grating_lobes",
     "build_grid",
-    "grid_rows",
     "GRID_HEADER_CLOSED",
 ]
 
@@ -157,11 +158,3 @@ def build_grid(p: ScenarioParams, k_set, l_set, nu_set) -> ResponseGrid:
                           for nu in nu_set])
             values[i, ls == k] = mainlobe(p, row[k], s)
     return ResponseGrid(k_set, l_set, nu_set, values)
-
-
-def grid_rows(grid: ResponseGrid):
-    """Yield CSV-ready rows (k, l, nu, value), one per point, row-major."""
-    for i, k in enumerate(grid.k_set):
-        for j, l in enumerate(grid.l_set):
-            for t, nu in enumerate(grid.nu_set):
-                yield (k, l, nu, grid.values[i, j, t])

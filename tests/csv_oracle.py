@@ -1,0 +1,33 @@
+"""The per-cell CSV writer that cli.write_csv replaced, kept as its byte oracle.
+
+Every cell goes through format_cell (integers and bools in decimal, floats
+as %.11e, anything else str()) and every row through one csv.writer call,
+so the bytes follow the csv module's own quoting.
+"""
+
+import csv
+
+import numpy as np
+
+from maskrd import __version__
+
+
+def format_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.11e}"
+    return str(value)
+
+
+def write_csv(path, columns, rows, config_str: str, seed) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# tool: maskrd {__version__}\n")
+        fh.write(f"# config: {config_str}\n")
+        fh.write(f"# seed: {seed}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([format_cell(c) for c in row])

@@ -272,6 +272,38 @@ def test_mask_verify_long_input_path(tmp_path):
         assert payload_sha256(out / name) == payload_sha256(ref / ref_name)
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+def test_line_break_in_a_mask_path_is_refused(tmp_path, capsys, brk):
+    # shlex cannot keep a line break on the one "# config:" line
+    mask = tmp_path / f"nl{brk}x.mask"
+    mask.write_text("1101000\n")
+    out = tmp_path / "out"
+    for argv in (["bounds", "--mask", str(mask), "--mu4", "1.0"],
+                 ["metrics", "--mask", str(mask), "--M", "2", "--mu4", "1.0"],
+                 ["response", "closed", "--mask", str(mask), "--M", "2",
+                  "--mu4", "1.0", "--k", "1", "--nu", "0"],
+                 ["mask", "verify", str(mask)]):
+        assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a line break in ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+def test_line_break_in_an_out_directory_is_refused(tmp_path, capsys, brk):
+    out = tmp_path / f"o{brk}ut"
+    for argv in (["bounds", "--mask", "singer:m=3", "--mu4", "1.0"],
+                 ["compare", "--mask", "singer:m=3", "--mask", "comb:N=6,d=3",
+                  "--M", "2", "--mu4", "1.0"],
+                 ["response", "mc", "--mask", "singer:m=3", "--M", "2",
+                  "--constellation", "qpsk", "--k", "1", "--nu", "0", "--trials", "10"],
+                 ["mask", "gen", "singer:m=3"]):
+        assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a line break in ")
+    assert os.listdir(tmp_path) == []
+
+
 def test_bounds_output(tmp_path, capsys):
     assert run_cli(["bounds", "--mask", "singer:m=5", "--mu4", "1.32"]) == 0
     out = capsys.readouterr().out

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import gf2_oracle as oracle
 from maskrd import cli, masks, spectra
@@ -64,6 +64,29 @@ def test_cross_term_matrix_equals_triple_product(mask):
     assert r.dtype == rows.dtype == np.int64
     assert np.array_equal(r, want)
     assert np.array_equal(rows, want[1:])
+
+
+@st.composite
+def small_mask(draw):
+    """Any weight 1..N-1 placed anywhere, for N in 3..40."""
+    n = draw(st.integers(3, 40))
+    support = draw(st.permutations(range(n)))[:draw(st.integers(1, n - 1))]
+    return masks.custom_mask([int(i in support) for i in range(n)])
+
+
+@given(small_mask())
+@example(masks.random_mask(97, 40, 5))
+def test_cross_terms_are_autocorr_minus_triple_correlation(mask):
+    # R[k,l] counts the listen slots both replicas hit: of the a[l-k] slots
+    # where they coincide, drop the T(k,l) that fall on transmit slots
+    bits = mask.as_array()
+    shifted = np.array([np.roll(bits, k) for k in range(mask.n)])  # m[n - k]
+    triple = np.einsum("n,kn,ln->kl", bits, shifted, shifted)
+    a = spectra.autocorr(mask)
+    k, l = np.meshgrid(range(mask.n), range(mask.n), indexing="ij")
+    off = k != l
+    r = spectra.cross_term_matrix(mask)
+    assert np.array_equal(r[off], (a[(l - k) % mask.n] - triple)[off])
 
 
 @pytest.mark.parametrize("m", range(3, 15))

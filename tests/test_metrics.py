@@ -59,6 +59,15 @@ def test_peak_range_sidelobe():
     assert r.max() == 21  # blanked row against an open column collects rho N
 
 
+@pytest.mark.parametrize("m", range(3, 11))
+def test_singer_peak_range_sidelobe_certificate(m):
+    # R[k,l] = a[l-k] - T(k,l) = lambda - T(k,l) off the diagonal, and the
+    # translates of a Singer set are hyperplanes of PG(m-1, 2): three
+    # independent ones share 2^(m-3) - 1 points, so max R = 2^(m-3)
+    p = scenario(masks.singer_mask(m), 5, 1.0)
+    assert metrics.peak_range_sidelobe(p) == 5 * 2 ** (m - 3)
+
+
 def test_avg_range_sidelobe():
     s3 = masks.singer_mask(3)
     r = spectra.cross_term_matrix(s3)[1:, 1:]

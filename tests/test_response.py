@@ -133,14 +133,6 @@ def test_peak_sidelobe_collapse_to_zero_doppler():
     assert all_nu == zero_nu
 
 
-def test_grid_rows_order_and_schema():
-    p = scenario(masks.singer_mask(3), 2, 1.0)
-    grid = response.build_grid(p, (1,), (1, 2), (0, 1))
-    rows = list(response.grid_rows(grid))
-    assert [r[:3] for r in rows] == [(1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1)]
-    assert all(len(r) == 4 for r in rows)
-
-
 def test_mainlobe_branch_uses_tiled_peak():
     # nu = 0 mainlobe carries M^2 (w - a[k])^2, not a[k]^2
     m = masks.singer_mask(3)
