@@ -2,7 +2,8 @@
 
 Every output file starts with a comment header carrying the tool version,
 the canonical form of the run configuration and the master seed; re-running
-that configuration reproduces the numeric payload byte for byte.
+that configuration reproduces the numeric payload byte for byte. Every file
+goes to its --out directory through _write_out.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric contract failure,
 4 I/O error.
@@ -10,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric contract failure,
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import re
@@ -70,26 +72,31 @@ def mask_from_arg(text: str) -> masks.Mask:
         f"mask argument {text!r} is neither a family spec nor an existing file")
 
 
-def canonical_config(command: str, options: dict) -> str:
-    """Canonical one-line form of a run: subcommand plus sorted flags.
+def canonical_config(words, options: dict) -> str:
+    """Canonical one-line form of a run: its words, then the sorted flags.
 
-    A value with a line break is refused: shlex cannot quote it onto the one
+    Each word is shlex-quoted, so shlex.split gives the run back. A word
+    with a line break is refused: shlex cannot quote it onto the one
     '# config:' line, and the rest of it would become a line of its own.
     """
-    parts = command.split()
+    words = list(words)
     for key in sorted(options):
         value = options[key]
         if value is None:
             continue
-        values = value if isinstance(value, (list, tuple)) else [value]
-        for v in values:
-            parts.append(f"--{key}")
-            parts.append(shlex.quote(str(v)))
-    for text in (command, *parts):
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            words += [f"--{key}", str(v)]
+    parts = [shlex.quote(w) for w in words]
+    for text in parts:
         if "\n" in text or "\r" in text:
             raise ValueError(f"a line break in {text!r} cannot go on the "
                              "one-line '# config:' header")
     return " ".join(parts)
+
+
+def _header_lines(config_str: str, seed) -> tuple:
+    """The tool, config and seed lines that open every output file, without '# '."""
+    return (f"tool: maskrd {__version__}", f"config: {config_str}", f"seed: {seed}")
 
 
 # Rows per block of a streamed table: one block's formatted text is held at once.
@@ -138,14 +145,43 @@ def write_csv(path, header, blocks, config_str: str, seed) -> None:
     of a csv.writer with lineterminator "\n" over the same cells.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# tool: maskrd {__version__}\n")
-        fh.write(f"# config: {config_str}\n")
-        fh.write(f"# seed: {seed}\n")
+        fh.write("".join(f"# {line}\n" for line in _header_lines(config_str, seed)))
         fh.write(",".join(map(_quote, header)) + "\n")
         for block in blocks:
             specs, cells = zip(*map(_column_cells, block))
             fmt = ",".join(specs) + "\n"
             fh.write("".join([fmt % row for row in zip(*cells)]))
+
+
+def _write_out(out_dir: str, files) -> None:
+    """Write each (name, write) of files by write(out_dir/name), creating
+    out_dir, then print one 'wrote' line per file.
+
+    An OSError removes the directories this call created, with the files it
+    wrote into them, and never a directory that existed before. The missing
+    ancestors are found on out_dir as given: its absolute form can exceed
+    PATH_MAX where the given path does not.
+    """
+    created = []
+    head = out_dir.rstrip(os.sep)
+    while head and not os.path.lexists(head):
+        created.append(head)
+        head = os.path.dirname(head)
+    paths = [os.path.join(out_dir, name) for name, _ in files]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path, (_, write) in zip(paths, files):
+            write(path)
+    except OSError:
+        for path in paths if created else ():
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+    for path in paths:
+        print(f"wrote {path}")
 
 
 def _slug(label: str) -> str:
@@ -154,12 +190,9 @@ def _slug(label: str) -> str:
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        return int(env)
-    return montecarlo.DEFAULT_BUDGET
+    return int(os.environ.get(BUDGET_ENV) or montecarlo.DEFAULT_BUDGET)
 
 
 def _resolve_mu4(args) -> float:
@@ -173,17 +206,12 @@ def _resolve_mu4(args) -> float:
 # ---------------------------------------------------------------- commands
 
 def cmd_mask(args) -> int:
-    options = {"out": args.out}
-    config = canonical_config(
-        f"mask {args.action} {shlex.quote(args.spec)}", options)
+    config = canonical_config(["mask", args.action, args.spec], {"out": args.out})
     if args.action == "gen":
         mask = masks.from_spec(args.spec)
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, _slug(mask.label) + ".mask")
-            masks.save_mask(mask, path, header_lines=(
-                f"tool: maskrd {__version__}", f"config: {config}", "seed: 0"))
-            print(f"wrote {path}")
+            _write_out(args.out, [(_slug(mask.label) + ".mask", lambda path: masks.save_mask(
+                mask, path, header_lines=_header_lines(config, 0)))])
         else:
             print(masks.serialize_mask(mask))
         return EXIT_OK
@@ -212,37 +240,23 @@ def cmd_mask(args) -> int:
             print(f"{k},{int(a[k])}")
         if args.out:
             r = spectra.cross_term_matrix(mask)
-            os.makedirs(args.out, exist_ok=True)
-            slug = _slug(mask.label)
-            a_path = os.path.join(args.out, f"{slug}_autocorr.csv")
-            write_csv(a_path, ("k", "a"),
-                      _array_blocks((range(mask.n),), a), config, 0)
-            r_path = os.path.join(args.out, f"{slug}_crossterms.csv")
-            lags = range(1, mask.n)
-            write_csv(r_path, ("k", "l", "R"),
-                      _array_blocks((lags, lags), r[1:, 1:]), config, 0)
-            print(f"wrote {a_path}")
-            print(f"wrote {r_path}")
+            slug, lags = _slug(mask.label), range(1, mask.n)
+            _write_out(args.out, [
+                (f"{slug}_autocorr.csv", lambda path: write_csv(
+                    path, ("k", "a"), _array_blocks((range(mask.n),), a), config, 0)),
+                (f"{slug}_crossterms.csv", lambda path: write_csv(
+                    path, ("k", "l", "R"), _array_blocks((lags, lags), r[1:, 1:]), config, 0))])
     return EXIT_OK
 
 
 def _response_options(args) -> dict:
-    opts = {
-        "mask": args.mask,
-        "M": args.M,
-        "k": canonical_index_set(args.k),
-        "l": canonical_index_set(args.l) if args.l else canonical_index_set(args.k),
-        "nu": canonical_index_set(args.nu),
-        "out": args.out,
-    }
-    if args.mode in ("mc", "both"):
-        opts["constellation"] = args.constellation
-        opts["trials"] = args.trials
-        opts["seed"] = args.seed
-        opts["budget"] = args.budget
-    else:
-        opts["constellation"] = args.constellation
+    opts = {"mask": args.mask, "M": args.M, "constellation": args.constellation,
+            "k": canonical_index_set(args.k), "l": canonical_index_set(args.l or args.k),
+            "nu": canonical_index_set(args.nu), "out": args.out}
+    if args.mode == "closed":
         opts["mu4"] = args.mu4
+    else:
+        opts.update(trials=args.trials, seed=args.seed, budget=args.budget)
     return opts
 
 
@@ -251,7 +265,7 @@ def cmd_response(args) -> int:
     k_set = parse_index_set(args.k)
     l_set = parse_index_set(args.l) if args.l else k_set
     nu_set = parse_index_set(args.nu)
-    config = canonical_config(f"response {args.mode}", _response_options(args))
+    config = canonical_config(["response", args.mode], _response_options(args))
 
     if args.mode == "closed":
         mu4 = _resolve_mu4(args)
@@ -274,37 +288,28 @@ def cmd_response(args) -> int:
                         else ("response_both.csv", montecarlo.VALIDATION_HEADER))
         rows = [dataclasses.astuple(p)[:len(header)] for p in report.points]
         blocks, seed = [tuple(zip(*rows))], args.seed
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
-    write_csv(path, header, blocks, config, seed)
-    print(f"wrote {path}")
+    _write_out(args.out, [(name, lambda path: write_csv(path, header, blocks, config, seed))])
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
-    mask_args = args.mask if isinstance(args.mask, list) else [args.mask]
-    if args.command == "compare" and len(mask_args) < 2:
+    if args.command == "compare" and len(args.mask) < 2:
         raise ValueError("compare needs at least two --mask arguments")
     mu4 = _resolve_mu4(args)
     options = {
-        "mask": mask_args,
+        "mask": args.mask,
         "M": args.M,
         "constellation": args.constellation,
         "mu4": args.mu4,
         "normalize": args.normalize,
         "out": args.out,
     }
-    config = canonical_config(args.command, options)
-    reports = []
-    for text in mask_args:
-        mask = mask_from_arg(text)
-        row = metrics.metrics_report(mask, args.M, mu4, args.normalize)
-        reports.append(row)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{args.command}.csv")
-    write_csv(path, metrics.REPORT_HEADER,
-              [tuple(zip(*map(metrics.report_row, reports)))], config, 0)
-    print(f"wrote {path}")
+    config = canonical_config([args.command], options)
+    mask_list = [mask_from_arg(text) for text in args.mask]
+    rows = [metrics.report_row(metrics.metrics_report(mask, args.M, mu4, args.normalize))
+            for mask in mask_list]
+    _write_out(args.out, [(f"{args.command}.csv", lambda path: write_csv(
+        path, metrics.REPORT_HEADER, [tuple(zip(*rows))], config, 0))])
     return EXIT_OK
 
 
@@ -312,7 +317,7 @@ def cmd_bounds(args) -> int:
     mu4 = _resolve_mu4(args)
     options = {"mask": args.mask, "constellation": args.constellation,
                "mu4": args.mu4, "out": args.out}
-    config = canonical_config("bounds", options)
+    config = canonical_config(["bounds"], options)
     mask = mask_from_arg(args.mask)
     b = metrics.doppler_sidelobe_sum(mask, mu4)
     print(f"mask: {mask.label}")
@@ -322,15 +327,11 @@ def cmd_bounds(args) -> int:
     print(f"attains_upper: {int(b.attains_upper())}")
     print(f"attains_lower: {int(b.attains_lower())}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "bounds.csv")
         row = (mask.label, b.value, b.lower, b.upper,
                int(b.attains_upper()), int(b.attains_lower()))
-        write_csv(path,
-                  ("mask_id", "I", "I_lower", "I_upper",
-                   "attains_upper", "attains_lower"),
-                  [tuple(zip(row))], config, 0)
-        print(f"wrote {path}")
+        _write_out(args.out, [("bounds.csv", lambda path: write_csv(
+            path, ("mask_id", "I", "I_lower", "I_upper", "attains_upper", "attains_lower"),
+            [tuple(zip(row))], config, 0))])
     return EXIT_OK
 
 

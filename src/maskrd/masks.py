@@ -36,7 +36,6 @@ __all__ = [
     "from_spec",
 ]
 
-FAMILIES = ("singer", "comb", "random", "custom")
 # Families that from_spec builds, with the keys each spec needs.
 SPEC_KEYS = {"singer": ("m",), "comb": ("n", "d"), "random": ("n", "w", "seed")}
 
@@ -45,12 +44,11 @@ SPEC_KEYS = {"singer": ("m",), "comb": ("n", "d"), "random": ("n", "w", "seed")}
 class Mask:
     """One period of an N-periodic 0/1 transmission mask.
 
-    Two masks compare equal iff their bit patterns agree; family and label
-    are bookkeeping only.
+    Two masks compare equal iff their bit patterns agree; the label, which
+    names the family, is bookkeeping only.
     """
 
     bits: tuple
-    family: str = field(default="custom", compare=False)
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -61,8 +59,6 @@ class Mask:
         if not 0 < w < n:
             raise ValueError(
                 f"mask weight must satisfy 0 < w < N, got w={w}, N={n}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown mask family {self.family!r}")
         if not self.label:
             object.__setattr__(self, "label", f"custom:N={n},w={w}")
 
@@ -126,7 +122,7 @@ def singer_mask(m: int) -> Mask:
     s = gf2.trace_seeds(m)
     for i in range((1 << m) - 1 - m):
         s.append(sum(s[i + j] for j in taps) & 1)
-    return Mask(tuple(1 - v for v in s), family="singer", label=f"singer:m={m}")
+    return Mask(tuple(1 - v for v in s), label=f"singer:m={m}")
 
 
 def comb_mask(n: int, d: int) -> Mask:
@@ -136,7 +132,7 @@ def comb_mask(n: int, d: int) -> Mask:
     if n % d != 0:
         raise ValueError(f"comb spacing {d} does not divide the period {n}")
     bits = tuple(1 if i % d == 0 else 0 for i in range(n))
-    return Mask(bits, family="comb", label=f"comb:N={n},d={d}")
+    return Mask(bits, label=f"comb:N={n},d={d}")
 
 
 def random_mask(n: int, w: int, seed: int) -> Mask:
@@ -152,19 +148,19 @@ def random_mask(n: int, w: int, seed: int) -> Mask:
     bits = [0] * n
     for i in support:
         bits[i] = 1
-    return Mask(tuple(bits), family="random", label=f"random:N={n},w={w},seed={seed}")
+    return Mask(tuple(bits), label=f"random:N={n},w={w},seed={seed}")
 
 
 def custom_mask(bits, label: str = "") -> Mask:
     """Mask from an explicit 0/1 sequence."""
-    return Mask(tuple(int(b) for b in bits), family="custom", label=label)
+    return Mask(tuple(int(b) for b in bits), label=label)
 
 
 def cyclic_shift(mask: Mask, s: int) -> Mask:
     """Mask rotated so slot n holds the old slot (n - s) mod N."""
     n = mask.n
     bits = tuple(mask.bits[(i - s) % n] for i in range(n))
-    return Mask(bits, family=mask.family, label=f"{mask.label}<<{s % n}" if s % n else mask.label)
+    return Mask(bits, label=f"{mask.label}<<{s % n}" if s % n else mask.label)
 
 
 def comb_spacing(mask: Mask) -> int | None:
@@ -212,8 +208,7 @@ def parse_mask(text: str, label: str = "") -> Mask:
     bad = set(line) - {"0", "1"}
     if bad:
         raise ValueError(f"illegal character {bad.pop()!r} in mask text")
-    return Mask(tuple(int(c) for c in line), family="custom",
-                label=label or f"custom:N={len(line)},w={line.count('1')}")
+    return Mask(tuple(int(c) for c in line), label=label)
 
 
 def serialize_mask(mask: Mask) -> str:

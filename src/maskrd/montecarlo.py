@@ -167,17 +167,11 @@ class EchoScenario:
     trial_doppler: int
 
     def __post_init__(self):
-        n = self.mask.n
         if self.M < 1:
             raise ValueError(f"M must be positive, got {self.M}")
-        if not 1 <= self.true_delay <= n - 1:
-            raise ValueError(
-                f"true delay must be in 1..{n - 1}, got {self.true_delay}")
-        total = self.M * n
-        for label, v in (("true", self.true_doppler), ("trial", self.trial_doppler)):
-            if not 0 <= v < total:
-                raise ValueError(
-                    f"{label} Doppler must be in 0..{total - 1}, got {v}")
+        response._check_delay("true_delay", self.true_delay, self.mask.n)
+        for name in ("true_doppler", "trial_doppler"):
+            response._check_nu(name, getattr(self, name), self.M * self.mask.n)
 
     @property
     def doppler_difference(self) -> int:
@@ -280,16 +274,8 @@ def _gate_for_stream(mask: Mask, m_pri: int) -> np.ndarray:
     return mask.as_array()[idx % n].astype(np.complex128)
 
 
-@dataclass(frozen=True)
-class _PointKernel:
-    """Precomputed gather indices and phases for one (k, l, nu) correlation."""
-
-    idx_k: np.ndarray
-    idx_l: np.ndarray
-    phase: np.ndarray
-
-
-def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int) -> _PointKernel:
+def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):
+    """Gather indices of x_(n-k) and x_(n-l), and the phases, of one correlation."""
     n = mask.n
     total = m_pri * n
     bits = mask.as_array()
@@ -297,18 +283,15 @@ def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int) -> _PointKernel:
     active = ((1 - bits[ns % n]) * bits[(ns - k) % n] * bits[(ns - l) % n]).astype(bool)
     ns = ns[active]
     phase = np.exp(-2j * np.pi * nu * ns / total)
-    return _PointKernel(idx_k=ns - k + n - 1, idx_l=ns - l + n - 1, phase=phase)
+    return ns - k + n - 1, ns - l + n - 1, phase
 
 
 def correlate(scenario: EchoScenario, stream: np.ndarray, l: int) -> complex:
     """r(k0, l, nu_t - nu_0) evaluated directly from its defining sum."""
-    n = scenario.mask.n
-    if not 1 <= l <= n - 1:
-        raise ValueError(f"trial delay must be in 1..{n - 1}, got {l}")
-    kern = _kernel(scenario.mask, scenario.M, scenario.true_delay, l,
-                   scenario.doppler_difference)
-    prod = stream[kern.idx_k] * np.conj(stream[kern.idx_l])
-    return complex(np.dot(prod, kern.phase))
+    response._check_delay("l", l, scenario.mask.n)
+    idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
+                                  l, scenario.doppler_difference)
+    return complex(np.dot(stream[idx_k] * np.conj(stream[idx_l]), phase))
 
 
 @dataclass(frozen=True)
@@ -335,10 +318,9 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     n = scenario.mask.n
-    if not 1 <= l <= n - 1:
-        raise ValueError(f"trial delay must be in 1..{n - 1}, got {l}")
-    kern = _kernel(scenario.mask, scenario.M, scenario.true_delay, l,
-                   scenario.doppler_difference)
+    response._check_delay("l", l, n)
+    idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
+                                  l, scenario.doppler_difference)
     length = scenario.M * n + n - 1
     points = scenario.constellation.points
     k = len(points)
@@ -346,8 +328,8 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     gated = points * np.ones(k, dtype=np.complex128)
     # pair[i k + j] = gated[i] conj(gated[j]): k**2 entries, 64 KiB for qam64.
     pair = np.repeat(gated, k) * np.conj(np.tile(gated, k))
-    width = len(kern.phase)
-    gather = np.concatenate([kern.idx_k, kern.idx_l])
+    width = len(phase)
+    gather = np.concatenate([idx_k, idx_l])
     block = min(trials, max(1, _BLOCK_BYTES // (16 * max(width, 1))))
     words = np.empty((block, 2 * width), dtype=np.uint32)
     pool = _TrialRngPool(seed)
@@ -363,7 +345,7 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
         prod = pair[sym_k]
         # One contiguous row per dot: BLAS sums a strided row in another order.
         for i in range(len(rows)):
-            vals[start + i] = abs(complex(np.dot(prod[i], kern.phase))) ** 2
+            vals[start + i] = abs(complex(np.dot(prod[i], phase))) ** 2
     mean = float(np.mean(vals))
     se = float(math.sqrt(np.var(vals, ddof=1) / trials))
     return McEstimate(mean_sq=mean, se=se, trials=trials, seed=seed)
@@ -411,25 +393,24 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
     """Estimate and score an explicit list of (k, l, nu) triples.
 
     Point i uses the disjoint generator stream i, so the set of estimates is
-    independent of the order in which points are processed.
+    independent of the order in which points are processed. The closed
+    forms come first: they check every triple before the first trial.
     """
     triples = [(int(k), int(l), int(nu)) for k, l, nu in triples]
-    total = m_pri * mask.n
+    params = response.ScenarioParams(mask=mask, M=m_pri, mu4=constellation.mu4)
     if budget is not None:
-        cost = len(triples) * trials * total
+        cost = len(triples) * trials * params.total_bins
         if cost > budget:
             raise McBudgetError(
                 f"points x trials x MN = {cost} exceeds the budget {budget}")
-    params = response.ScenarioParams(mask=mask, M=m_pri, mu4=constellation.mu4)
+    closed = [response.expected_response(params, *t) for t in triples]
     out = []
-    for i, (k, l, nu) in enumerate(triples):
+    for i, ((k, l, nu), cf) in enumerate(zip(triples, closed)):
         scen = EchoScenario(mask=mask, M=m_pri, constellation=constellation,
                             true_delay=k, true_doppler=0, trial_doppler=nu)
         est = estimate(scen, l, trials, seed, stream=i)
-        closed = response.expected_response(params, k, l, nu)
-        z = _z_score(est.mean_sq, est.se, closed)
-        out.append(McPoint(k=k, l=l, nu=nu, mc_mean=est.mean_sq, mc_se=est.se,
-                           trials=trials, closed_form=closed, z=z))
+        out.append(McPoint(k=k, l=l, nu=nu, mc_mean=est.mean_sq, mc_se=est.se, trials=trials,
+                           closed_form=cf, z=_z_score(est.mean_sq, est.se, cf)))
     return out
 
 
@@ -455,8 +436,8 @@ def expectation_by_double_sum(mask: Mask, m_pri: int,
     factorization. Intended as a desk-scale oracle for the closed forms.
     """
     n = mask.n
-    if not (1 <= k <= n - 1 and 1 <= l <= n - 1):
-        raise ValueError("delays must be in 1..N-1")
+    response._check_delay("k", k, n)
+    response._check_delay("l", l, n)
     total = m_pri * n
     bits = mask.as_array()
     ns = np.arange(total)

@@ -10,9 +10,11 @@ correlator output splits into two branches:
 Both use one period's counting quantities only. build_grid is the one
 evaluator and the only code that picks a branch; expected_response,
 moderate_slice and grating_lobes read a grid with one k and l = k. Delay 0
-is the blind range and is rejected rather than reported as zero. The CLI
-writes a grid's values row-major in (k, l, nu), in blocks whose index
-columns come from each block's row range (cli.write_csv).
+is the blind range and is rejected rather than reported as zero.
+_check_delay and _check_nu are the one range check of (k, l, nu), here and
+in the Monte Carlo oracle. The CLI writes a grid's values row-major in
+(k, l, nu), in blocks whose index columns come from each block's row range
+(cli.write_csv).
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ def _check_delay(name: str, value: int, n: int) -> None:
         raise ValueError(f"{name} must be in 1..{n - 1}, got {value}")
 
 
-def _check_nu(nu: int, total: int) -> None:
-    if not 0 <= nu < total:
-        raise ValueError(f"nu must be in 0..{total - 1}, got {nu}")
+def _check_nu(name: str, value: int, total: int) -> None:
+    if not 0 <= value < total:
+        raise ValueError(f"{name} must be in 0..{total - 1}, got {value}")
 
 
 def mainlobe(p: ScenarioParams, deficit, s):
@@ -146,7 +148,7 @@ def build_grid(p: ScenarioParams, k_set, l_set, nu_set) -> ResponseGrid:
     for l in l_set:
         _check_delay("l", l, n)
     for nu in nu_set:
-        _check_nu(nu, p.total_bins)
+        _check_nu("nu", nu, p.total_bins)
 
     ls = np.array(l_set)
     values = np.empty((len(k_set), len(l_set), len(nu_set)), dtype=np.float64)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from maskrd import cli, masks
+from maskrd import cli, masks, montecarlo
 
 
 def run_cli(argv):
@@ -302,6 +302,84 @@ def test_line_break_in_an_out_directory_is_refused(tmp_path, capsys, brk):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: a line break in ")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("name", ["a  b.mask", "a\tb.mask"], ids=["two_spaces", "tab"])
+def test_config_header_keeps_whitespace_in_a_mask_path(tmp_path, name):
+    mask = tmp_path / name
+    mask.write_text("1101000\n")
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert run_cli(["mask", "verify", str(mask), "--out", str(out1)]) == 0
+    names = sorted(os.listdir(out1))
+    config_line = read(out1 / names[0]).decode().splitlines()[1]
+    tokens = shlex.split(config_line[len("# config: "):])
+    assert tokens[2] == str(mask)
+    tokens[tokens.index("--out") + 1] = str(out2)
+    assert run_cli(tokens) == 0
+    assert sorted(os.listdir(out2)) == names
+    for n in names:
+        assert read(out2 / n) == read(out1 / n).replace(
+            shlex.quote(str(out1)).encode(), shlex.quote(str(out2)).encode())
+
+
+def _dir_of_length(base, length):
+    """A path under base of exactly length characters, no component over NAME_MAX."""
+    path = str(base)
+    while length - len(path) > 256:
+        path += "/" + "d" * 200
+    return path + "/" + "e" * (length - len(path) - 1)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["bounds", "--mask", "singer:m=3", "--mu4", "1.0"], "bounds.csv"),
+    (["metrics", "--mask", "singer:m=3", "--M", "2", "--mu4", "1.0"], "metrics.csv"),
+    (["response", "closed", "--mask", "singer:m=3", "--M", "2", "--mu4", "1.0",
+      "--k", "1", "--nu", "0"], "response_closed.csv"),
+    (["mask", "gen", "singer:m=3"], "singer_m_3.mask"),
+    # the autocorrelation file fits and is written; the longer name fails after it
+    (["mask", "verify", "singer:m=3"], "singer_m_3_crossterms.csv"),
+], ids=["bounds", "metrics", "closed", "gen", "verify"])
+def test_out_path_past_path_max_leaves_no_directory(tmp_path, capsys, argv, name):
+    path_max = os.pathconf(tmp_path, "PC_PATH_MAX")
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    # the directory fits; the file's path has PATH_MAX characters, one too many
+    out = _dir_of_length(existing, path_max - 1 - len(name))
+    assert len(out + "/" + name) == path_max
+    assert run_cli(argv + ["--out", out]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error:")
+    assert os.listdir(existing) == []
+
+
+def test_a_bad_nu_stops_response_both_before_any_trial(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = montecarlo.estimate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "estimate", counted)
+    assert run_cli(["response", "both", "--mask", "singer:m=3", "--M", "4",
+                    "--constellation", "qam16", "--k", "2", "--nu", "0..3,28",
+                    "--trials", "50", "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: nu must be in 0..27, got 28\n"
+    assert calls == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("k, l, nu", [("0", "2", "0"), ("1", "7", "0"), ("1", "2", "28")],
+                         ids=["k0", "lN", "nuMN"])
+def test_closed_and_both_refuse_an_index_alike(tmp_path, capsys, k, l, nu):
+    args = ["--mask", "singer:m=3", "--M", "4", "--constellation", "qam16",
+            "--k", k, "--l", l, "--nu", nu, "--out", str(tmp_path / "o")]
+    errors = []
+    for mode in (["closed"], ["both", "--trials", "20"]):
+        assert run_cli(["response", *mode, *args]) == cli.EXIT_CONFIG
+        errors.append(capsys.readouterr().err)
+    assert len(errors[0].splitlines()) == 1 and errors[0].startswith("error: ")
+    assert errors[0] == errors[1]
+    assert not (tmp_path / "o").exists()
 
 
 def test_bounds_output(tmp_path, capsys):

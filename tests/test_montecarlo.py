@@ -219,20 +219,28 @@ def test_doppler_difference_only_dependence_bitwise():
 
 
 def test_scenario_validation():
+    # the range checks, and their wording, are those of response.build_grid
     m = masks.singer_mask(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^true_delay=0 is the blind range$"):
         mc.EchoScenario(mask=m, M=4, constellation=QPSK,
                         true_delay=0, true_doppler=0, trial_doppler=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^true_doppler must be in 0\.\.27, got 28$"):
         mc.EchoScenario(mask=m, M=4, constellation=QPSK,
                         true_delay=1, true_doppler=28, trial_doppler=0)
+    with pytest.raises(ValueError, match=r"^trial_doppler must be in 0\.\.27, got -1$"):
+        mc.EchoScenario(mask=m, M=4, constellation=QPSK,
+                        true_delay=1, true_doppler=0, trial_doppler=-1)
     scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK,
                            true_delay=1, true_doppler=0, trial_doppler=1)
     st = mc.draw_stream(m, 4, QPSK, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^l=0 is the blind range$"):
         mc.correlate(scen, st, 0)
+    with pytest.raises(ValueError, match=r"^l must be in 1\.\.6, got 7$"):
+        mc.estimate(scen, 7, 10, seed=1)
     with pytest.raises(ValueError):
         mc.estimate(scen, 1, 1, seed=1)
+    with pytest.raises(ValueError, match=r"^k must be in 1\.\.6, got 7$"):
+        mc.expectation_by_double_sum(m, 4, QPSK, 7, 1, 0)
 
 
 def test_qpsk_local_sidelobe_estimate_is_zero_with_zero_se():
