@@ -64,7 +64,7 @@ def canonical_index_set(text: str) -> str:
 
 def mask_from_arg(text: str) -> masks.Mask:
     head = text.partition(":")[0].strip().lower()
-    if head in masks.SPEC_KEYS:
+    if head in masks.SPECS:
         return masks.from_spec(text)
     if os.path.exists(text):
         return masks.load_mask(text)

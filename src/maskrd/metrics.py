@@ -194,7 +194,7 @@ def mean_doppler_sidelobe(p: ScenarioParams,
     if normalization == "by_rho":
         per_k = per_k / float(p.mask.rho)
     elif normalization == "by_mainlobe":
-        main = mainlobe_levels(p)
+        main = mainlobe(p, deficit, deficit)  # mainlobe_levels(p), no second autocorr
         per_k = np.divide(per_k, main, out=np.where(per_k == 0, 0.0, np.inf),
                           where=main > 0)
     return MeanDopplerSidelobe(per_k=per_k, worst=float(per_k.max()),

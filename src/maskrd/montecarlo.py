@@ -55,6 +55,7 @@ __all__ = [
     "draw_stream",
     "correlate",
     "estimate",
+    "mc_points",
     "validate_grid",
     "expectation_by_double_sum",
     "MC_HEADER",
@@ -261,17 +262,12 @@ def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
     Transmit slots hold i.i.d. uniform constellation points, listen slots
     hold exact zeros. Deterministic in (seed, trial, stream).
     """
-    gate = _gate_for_stream(mask, m_pri)
+    n = mask.n
+    idx = np.arange(m_pri * n + n - 1) - (n - 1)
+    gate = mask.as_array()[idx % n].astype(np.complex128)
     k = len(constellation.points)
     words = _symbol_words(_TrialRngPool(seed), trial, stream, len(gate), k)
     return constellation.points[_symbol_index(words[:len(gate)], k)] * gate
-
-
-def _gate_for_stream(mask: Mask, m_pri: int) -> np.ndarray:
-    n = mask.n
-    length = m_pri * n + n - 1
-    idx = np.arange(length) - (n - 1)
-    return mask.as_array()[idx % n].astype(np.complex128)
 
 
 def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):

@@ -66,6 +66,39 @@ def test_mask_verify_output(capsys):
     assert "structure: cyclic difference set" in capsys.readouterr().out
 
 
+def test_mask_show_output(capsys):
+    assert run_cli(["mask", "show", "random:N=12,w=5,seed=3"]) == 0
+    assert capsys.readouterr().out == (
+        "010110100100\n"
+        "label: random:N=12,w=5,seed=3\n"
+        "N: 12\nweight: 5\nrho: 5/12\nis_cds: 0\nlambda: \n")
+
+
+RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["response", "closed", *RESPONSE], "supply --mu4 or --constellation"),
+    (["response", "mc", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"],
+     "Monte Carlo runs take mu4 from the constellation; drop --mu4"),
+    (["response", "mc", *RESPONSE, "--constellation", "qam16", "--seed", "-3"],
+     "seed must be non-negative"),
+    (["mask", "verify", "nope.mask"],
+     "mask argument 'nope.mask' is neither a family spec nor an existing file"),
+    (["mask", "verify", "singer:m"], "malformed mask spec 'singer:m'"),
+    (["mask", "show", "comb:N=6,d=x"], "non-integer value 'x' in mask spec 'comb:N=6,d=x'"),
+], ids=["closed_no_mu4", "mc_mu4", "mc_negative_seed", "neither_spec_nor_file",
+        "spec_without_value", "spec_non_integer"])
+def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    if argv[0] == "response":
+        argv = [*argv, "--trials", "10", "--out", str(out)]
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_mask_verify_table_export(tmp_path):
     out = str(tmp_path)
     assert run_cli(["mask", "verify", "singer:m=3", "--out", out]) == 0

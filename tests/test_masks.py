@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from maskrd import masks
@@ -155,6 +157,30 @@ def test_from_spec():
         masks.from_spec("singer:m=6,d=3")
     with pytest.raises(ValueError):
         masks.from_spec("comb:N=63")
+
+
+# A spec missing a key and one with an extra key, for every family in masks.SPECS.
+BAD_KEYS = [
+    ("singer:", "malformed mask spec 'singer:'"),
+    ("singer:m=3,x=1", "mask spec 'singer:m=3,x=1' needs keys ('m',), got ('m', 'x')"),
+    ("comb:N=6", "mask spec 'comb:N=6' needs keys ('n', 'd'), got ('n',)"),
+    ("comb:N=6,d=3,x=1",
+     "mask spec 'comb:N=6,d=3,x=1' needs keys ('n', 'd'), got ('n', 'd', 'x')"),
+    ("random:N=9,seed=2",
+     "mask spec 'random:N=9,seed=2' needs keys ('n', 'w', 'seed'), got ('n', 'seed')"),
+    ("random:N=9,w=4,seed=2,x=1", "mask spec 'random:N=9,w=4,seed=2,x=1' needs keys "
+     "('n', 'w', 'seed'), got ('n', 'w', 'seed', 'x')"),
+]
+
+
+def test_bad_key_cases_cover_every_family():
+    assert sorted({spec.partition(":")[0] for spec, _ in BAD_KEYS}) == sorted(masks.SPECS)
+
+
+@pytest.mark.parametrize("spec, error", BAD_KEYS, ids=[spec for spec, _ in BAD_KEYS])
+def test_from_spec_refuses_a_missing_or_extra_key(spec, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        masks.from_spec(spec)
 
 
 def test_weight_bounds_enforced_everywhere():

@@ -285,6 +285,20 @@ def test_mean_doppler_by_mainlobe_zero_handling():
             assert got.tolist() == want
 
 
+@pytest.mark.parametrize("normalization", metrics.NORMALIZATIONS)
+def test_report_autocorr_calls_do_not_depend_on_normalization(monkeypatch, normalization):
+    calls = []
+    original = spectra.autocorr
+
+    def counted(mask):
+        calls.append(mask)
+        return original(mask)
+
+    monkeypatch.setattr(spectra, "autocorr", counted)
+    metrics.metrics_report(masks.singer_mask(5), 4, 1.32, normalization)
+    assert len(calls) == 6
+
+
 def test_flatness_vs_doppler_sum_tradeoff():
     # constant-autocorrelation masks: flat mainlobe but maximal Doppler sum;
     # combs: minimal Doppler sum but unbounded fluctuation ratio

@@ -221,6 +221,9 @@ def test_doppler_difference_only_dependence_bitwise():
 def test_scenario_validation():
     # the range checks, and their wording, are those of response.build_grid
     m = masks.singer_mask(3)
+    with pytest.raises(ValueError, match="^M must be positive, got 0$"):
+        mc.EchoScenario(mask=m, M=0, constellation=QPSK,
+                        true_delay=1, true_doppler=0, trial_doppler=0)
     with pytest.raises(ValueError, match="^true_delay=0 is the blind range$"):
         mc.EchoScenario(mask=m, M=4, constellation=QPSK,
                         true_delay=0, true_doppler=0, trial_doppler=0)
@@ -241,6 +244,8 @@ def test_scenario_validation():
         mc.estimate(scen, 1, 1, seed=1)
     with pytest.raises(ValueError, match=r"^k must be in 1\.\.6, got 7$"):
         mc.expectation_by_double_sum(m, 4, QPSK, 7, 1, 0)
+    with pytest.raises(ValueError, match="^index sets must be non-empty$"):
+        mc.validate_grid(m, 4, QPSK, (), (1,), (0,), trials=10, seed=1)
 
 
 def test_qpsk_local_sidelobe_estimate_is_zero_with_zero_se():
