@@ -29,6 +29,8 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 BUDGET_ENV = "MASKRD_MC_BUDGET"
+# selftest fails if its items together take longer than this many seconds
+SELFTEST_TIME_BUDGET = 120.0
 
 
 # ---------------------------------------------------------------- helpers
@@ -458,9 +460,9 @@ def cmd_selftest(args) -> int:
             continue
         print(f"PASS {name} ({time.perf_counter() - t0:.2f}s)")
     elapsed = time.perf_counter() - started
-    if elapsed > args.time_budget:
+    if elapsed > SELFTEST_TIME_BUDGET:
         failures += 1
-        print(f"FAIL time_budget: {elapsed:.1f}s > {args.time_budget:.1f}s")
+        print(f"FAIL time_budget: {elapsed:.1f}s > {SELFTEST_TIME_BUDGET:.1f}s")
     print(f"selftest: {'ok' if failures == 0 else f'{failures} failure(s)'}")
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
@@ -527,8 +529,6 @@ def build_parser():
     p_self.add_argument("--trials", type=int, default=100000,
                         help="Monte Carlo trials for the oracle item")
     p_self.add_argument("--seed", type=int, default=1234)
-    p_self.add_argument("--time-budget", type=float, default=120.0,
-                        help="overall wall-clock budget in seconds")
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

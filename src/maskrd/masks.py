@@ -231,8 +231,11 @@ def _parse_kv(body: str, spec: str) -> dict:
         if "=" not in part:
             raise ValueError(f"malformed mask spec {spec!r}")
         key, _, value = part.partition("=")
+        key = key.strip().lower()
+        if key in out:
+            raise ValueError(f"mask spec {spec!r} repeats key {key!r}")
         try:
-            out[key.strip().lower()] = int(value)
+            out[key] = int(value)
         except ValueError:
             raise ValueError(
                 f"non-integer value {value!r} in mask spec {spec!r}") from None

@@ -43,7 +43,6 @@ __all__ = [
     "cpi_doppler_sum",
     "monotonicity_check",
     "mean_doppler_sidelobe",
-    "per_delay_table",
     "metrics_report",
     "report_row",
 ]
@@ -96,7 +95,7 @@ class MeanDopplerSidelobe:
 
 def mainlobe_levels(p: ScenarioParams) -> np.ndarray:
     """E{|r(k,k,0)|^2} for k = 1..N-1."""
-    deficit = p.mask.weight - spectra.autocorr(p.mask)[1:]
+    _, deficit, _ = _per_delay(p.mask)
     return mainlobe(p, deficit, deficit)  # S_kN(0) = w - a[k]
 
 
@@ -113,7 +112,9 @@ def mainlobe_fluctuation(p: ScenarioParams) -> FluctuationStats:
 
 def peak_range_sidelobe(p: ScenarioParams) -> float:
     """Largest off-diagonal expected level, max over k != l of M R[k,l]."""
-    r = spectra.cross_term_matrix(p.mask)[1:, 1:].copy()
+    # R is fresh and >= 0 with a zero row and column 0, so its max with the
+    # diagonal zeroed is the max over k != l in 1..N-1
+    r = spectra.cross_term_matrix(p.mask)
     np.fill_diagonal(r, 0)
     return float(p.M * r.max())
 
@@ -130,12 +131,10 @@ def avg_range_sidelobe(n: int, rho) -> float:
     return float(val)
 
 
-def _per_delay(mask: Mask, mu4: float):
-    """a[k], w - a[k], f(a[k]) and g(a[k]) for k = 1..N-1, from one autocorr."""
+def _per_delay(mask: Mask):
+    """a[k], w - a[k] and f(a[k]) for k = 1..N-1, from one autocorr."""
     a = spectra.autocorr(mask)[1:]
-    deficit = mask.weight - a
-    f = spectra.doppler_energy(a, mask.n, mask.weight)
-    return a, deficit, f, f + (mask.n - 1) * (mu4 - 1) * deficit
+    return a, mask.weight - a, spectra.doppler_energy(a, mask.n, mask.weight)
 
 
 def doppler_sidelobe_sum(mask: Mask, mu4: float) -> DopplerSumBounds:
@@ -146,7 +145,7 @@ def doppler_sidelobe_sum(mask: Mask, mu4: float) -> DopplerSumBounds:
     """
     check_mu4(mu4)
     n, w = mask.n, mask.weight
-    _, deficit, f, _ = _per_delay(mask, mu4)
+    _, deficit, f = _per_delay(mask)
     value = float(f.sum()) + (n - 1) * (mu4 - 1) * float(deficit.sum())
     wnw = w * (n - w)
     upper = wnw * (n - wnw / (n - 1)) + (n - 1) * (mu4 - 1) * float(wnw)
@@ -157,7 +156,8 @@ def doppler_sidelobe_sum(mask: Mask, mu4: float) -> DopplerSumBounds:
 def worst_case_doppler_sum(mask: Mask, mu4: float) -> float:
     """Max over k of g(a[k])."""
     check_mu4(mu4)
-    return float(_per_delay(mask, mu4)[3].max())
+    _, deficit, f = _per_delay(mask)
+    return float((f + (mask.n - 1) * (mu4 - 1) * deficit).max())
 
 
 def cpi_doppler_sum(p: ScenarioParams) -> float:
@@ -166,15 +166,15 @@ def cpi_doppler_sum(p: ScenarioParams) -> float:
     M^2 sum_k f(a[k]) + M (N-1)(mu4-1) sum_k (w - a[k]); this is what a
     Monte Carlo sweep over the bins nu = M, 2M, ... accumulates.
     """
-    _, deficit, f, _ = _per_delay(p.mask, p.mu4)
+    _, deficit, f = _per_delay(p.mask)
     return ((p.M ** 2) * float(f.sum())
             + p.M * (p.mask.n - 1) * (p.mu4 - 1) * float(deficit.sum()))
 
 
 def monotonicity_check(mask: Mask) -> bool:
     """Certify min_k a[k] >= (rho - 1/2) N, checked in exact integers."""
-    a = spectra.autocorr(mask)
-    return 2 * int(a[1:].min()) >= 2 * mask.weight - mask.n
+    a, _, _ = _per_delay(mask)
+    return 2 * int(a.min()) >= 2 * mask.weight - mask.n
 
 
 def mean_doppler_sidelobe(p: ScenarioParams,
@@ -188,7 +188,7 @@ def mean_doppler_sidelobe(p: ScenarioParams,
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    _, deficit, f, _ = _per_delay(p.mask, p.mu4)
+    _, deficit, f = _per_delay(p.mask)
     total = p.total_bins
     per_k = (float(p.M) ** 2 * f + (total - 1) * mainlobe(p, deficit, 0)) / (total - 1)
     if normalization == "by_rho":
@@ -199,13 +199,6 @@ def mean_doppler_sidelobe(p: ScenarioParams,
                           where=main > 0)
     return MeanDopplerSidelobe(per_k=per_k, worst=float(per_k.max()),
                                normalization=normalization)
-
-
-def per_delay_table(mask: Mask, mu4: float) -> list:
-    """Rows (k, a[k], f(a[k]), g(a[k])) for k = 1..N-1."""
-    a, _, f, g = _per_delay(mask, mu4)
-    return [(k, int(a[k - 1]), int(f[k - 1]), float(g[k - 1]))
-            for k in range(1, mask.n)]
 
 
 @dataclass(frozen=True)
@@ -224,7 +217,6 @@ class MaskMetrics:
     doppler_sum: DopplerSumBounds
     worst_doppler_sum: float
     worst_mean_doppler: float
-    per_k: tuple
 
 
 def metrics_report(mask: Mask, m_pri: int, mu4: float,
@@ -245,7 +237,6 @@ def metrics_report(mask: Mask, m_pri: int, mu4: float,
         doppler_sum=doppler_sidelobe_sum(mask, mu4),
         worst_doppler_sum=worst_case_doppler_sum(mask, mu4),
         worst_mean_doppler=mean_doppler_sidelobe(p, normalization).worst,
-        per_k=tuple(per_delay_table(mask, mu4)),
     )
 
 

@@ -385,7 +385,7 @@ def _z_score(mc_mean: float, se: float, closed: float) -> float:
 
 def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
               triples, trials: int, seed: int,
-              budget: int | None = DEFAULT_BUDGET):
+              budget: int = DEFAULT_BUDGET):
     """Estimate and score an explicit list of (k, l, nu) triples.
 
     Point i uses the disjoint generator stream i, so the set of estimates is
@@ -394,11 +394,9 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
     """
     triples = [(int(k), int(l), int(nu)) for k, l, nu in triples]
     params = response.ScenarioParams(mask=mask, M=m_pri, mu4=constellation.mu4)
-    if budget is not None:
-        cost = len(triples) * trials * params.total_bins
-        if cost > budget:
-            raise McBudgetError(
-                f"points x trials x MN = {cost} exceeds the budget {budget}")
+    cost = len(triples) * trials * params.total_bins
+    if cost > budget:
+        raise McBudgetError(f"points x trials x MN = {cost} exceeds the budget {budget}")
     closed = [response.expected_response(params, *t) for t in triples]
     out = []
     for i, ((k, l, nu), cf) in enumerate(zip(triples, closed)):
@@ -412,7 +410,7 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
 
 def validate_grid(mask: Mask, m_pri: int, constellation: Constellation,
                   k_set, l_set, nu_set, trials: int, seed: int,
-                  budget: int | None = DEFAULT_BUDGET) -> ValidationReport:
+                  budget: int = DEFAULT_BUDGET) -> ValidationReport:
     """Monte Carlo vs closed form over the cross product of the index sets."""
     triples = [(k, l, nu) for k in k_set for l in l_set for nu in nu_set]
     if not triples:

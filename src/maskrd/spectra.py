@@ -1,12 +1,12 @@
 """Correlation structure and deterministic spectra of a transmission mask.
 
 Counting quantities (autocorrelation, masked cross terms) are exact integers
-from float kernels: a rounded inverse FFT for a[k], a rounded FFT correlation
-of gamma_k with m_t for one row R[k, :], and one float32 BLAS product for the
-whole of R (0/1 entries, partial sums below 2^24). Each is checked against
-integer identities, which raise ArithmeticError on failure, and the whole
-matrix is limited to N <= MAX_MATRIX_N. Spectra are evaluated as direct
-complex sums.
+from float kernels: autocorr, the one kernel for a[k], is a rounded inverse
+FFT; a rounded FFT correlation of gamma_k with m_t gives one row R[k, :], and
+one float32 BLAS product the whole of R (0/1 entries, partial sums below
+2^24). Each is checked against integer identities (the diagonal of R against
+autocorr), which raise ArithmeticError on failure, and the whole matrix is
+limited to N <= MAX_MATRIX_N. Spectra are evaluated as direct complex sums.
 
 Conventions, with m_t the mask, m_r = 1 - m_t, and all shifts cyclic mod N:
 
@@ -66,12 +66,6 @@ def autocorr(mask: Mask) -> np.ndarray:
     The rounded inverse FFT of |FFT(m_t)|^2, checked against a[0] = w and
     sum a = w^2.
     """
-    return _autocorr(mask)
-
-
-# cross_term_matrix checks its diagonal with this kernel directly, so that the
-# check does not count as one more autocorr call per metrics report.
-def _autocorr(mask: Mask) -> np.ndarray:
     spec = np.fft.rfft(mask.as_array())
     a = np.rint(np.fft.irfft(spec.real ** 2 + spec.imag ** 2, mask.n)).astype(np.int64)
     if a[0] != mask.weight or a.sum() != mask.weight ** 2:
@@ -115,7 +109,7 @@ def cross_term_matrix(mask: Mask) -> np.ndarray:
     listen = np.flatnonzero(bits == 0)
     g = np.lib.stride_tricks.sliding_window_view(rev, n)[n - 1 - listen]
     r = (g.T @ g).astype(np.int64)
-    if (r[0].any() or r[:, 0].any() or np.any(np.diagonal(r) != w - _autocorr(mask))
+    if (r[0].any() or r[:, 0].any() or np.any(np.diagonal(r) != w - autocorr(mask))
             or r.sum() - np.trace(r) != w * (n - w) * (w - 1)):
         raise ArithmeticError(
             f"cross-term matrix of {mask.label} breaks its counting identities")

@@ -87,8 +87,9 @@ RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
      "mask argument 'nope.mask' is neither a family spec nor an existing file"),
     (["mask", "verify", "singer:m"], "malformed mask spec 'singer:m'"),
     (["mask", "show", "comb:N=6,d=x"], "non-integer value 'x' in mask spec 'comb:N=6,d=x'"),
+    (["mask", "gen", "singer:m=3,m=4"], "mask spec 'singer:m=3,m=4' repeats key 'm'"),
 ], ids=["closed_no_mu4", "mc_mu4", "mc_negative_seed", "neither_spec_nor_file",
-        "spec_without_value", "spec_non_integer"])
+        "spec_without_value", "spec_non_integer", "spec_repeated_key"])
 def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
@@ -471,8 +472,10 @@ def payload_sha256(path):
 
 # Payloads whose values are exact integer arithmetic (counts, M R[k,l] and the
 # nu = 0 mainlobe) plus the mu4 floor (mu4 - 1) M (w - a[k]), so their bytes do
-# not depend on FFT or BLAS rounding. Changing any of these hashes changes the
-# tool's output.
+# not depend on FFT or BLAS rounding. The metrics and compare rows, too, are
+# exact counts (a[k], R, f) taken through IEEE float arithmetic, with no FFT or
+# BLAS rounding in any value. Changing any of these hashes changes the tool's
+# output.
 GOLDEN = [
     (["mask", "verify", "singer:m=6"], {
         "singer_m_6_autocorr.csv": "6a9b4f7a7f8e034cdcba13058d37b4a207cdc5662c2c9ca0ebfde00cb9eebe07",
@@ -495,12 +498,18 @@ GOLDEN = [
     (["response", "closed", "--mask", "random:N=40,w=13,seed=9", "--M", "7", "--mu4", "1.32",
       "--k", "1..39:2", "--l", "1..39:3", "--nu", "0..6"], {
         "response_closed.csv": "571c3b54f698312d74f01aec667ace7a5c7c7f1561b2ba0990651b7f1e7be15a"}),
+    (["compare", "--mask", "singer:m=6", "--mask", "comb:N=63,d=3",
+      "--mask", "random:N=63,w=31,seed=7", "--M", "50", "--constellation", "qam16",
+      "--normalize", "by_mainlobe"], {
+        "compare.csv": "86d12a3fb96920559937a7b9ffb79313097bacdea09b8cde06480c780e892c35"}),
+    (["metrics", "--mask", "random:N=40,w=13,seed=9", "--M", "7", "--mu4", "1.32"], {
+        "metrics.csv": "84279f6e4f7c46174ae5bb46ebac361c113dccc075ec50cebd4578f3fa2a3568"}),
 ]
 
 
 @pytest.mark.parametrize("argv, hashes", GOLDEN,
                          ids=["singer6", "comb63", "random63", "closed_singer5",
-                              "closed_comb63", "closed_random40"])
+                              "closed_comb63", "closed_random40", "compare63", "metrics40"])
 def test_golden_payloads(tmp_path, argv, hashes):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 0
     assert sorted(os.listdir(tmp_path)) == sorted(hashes)

@@ -170,6 +170,11 @@ BAD_KEYS = [
      "mask spec 'random:N=9,seed=2' needs keys ('n', 'w', 'seed'), got ('n', 'seed')"),
     ("random:N=9,w=4,seed=2,x=1", "mask spec 'random:N=9,w=4,seed=2,x=1' needs keys "
      "('n', 'w', 'seed'), got ('n', 'w', 'seed', 'x')"),
+    # a repeated key, compared after lower-casing, is refused, not overwritten
+    ("singer:m=3,m=4", "mask spec 'singer:m=3,m=4' repeats key 'm'"),
+    ("comb:N=6,d=3,n=9", "mask spec 'comb:N=6,d=3,n=9' repeats key 'n'"),
+    ("random:N=9,w=4,seed=2,seed=2",
+     "mask spec 'random:N=9,w=4,seed=2,seed=2' repeats key 'seed'"),
 ]
 
 

@@ -57,6 +57,11 @@ def test_peak_range_sidelobe():
     np.fill_diagonal(r, 0)
     assert metrics.peak_range_sidelobe(scenario(comb, 1, 1.0)) == r.max()
     assert r.max() == 21  # blanked row against an open column collects rho N
+    # the max over k != l in 1..N-1, on masks with and without zero sidelobes
+    for m in random_mask_suite(20, seed=83):
+        r = spectra.cross_term_matrix(m)[1:, 1:].copy()
+        np.fill_diagonal(r, 0)
+        assert metrics.peak_range_sidelobe(scenario(m, 3, 1.0)) == 3 * r.max(), m.label
 
 
 @pytest.mark.parametrize("m", range(3, 11))
@@ -150,6 +155,9 @@ def test_jensen_step_constant_profile_never_decreases_sum():
 def test_worst_case_doppler_sum():
     assert metrics.worst_case_doppler_sum(masks.singer_mask(3), 1.0) == 10
     assert metrics.worst_case_doppler_sum(masks.comb_mask(6, 3), 1.0) == 8
+    # singer:m=3 has a[k] = 1 and f(a[k]) = 10 at every k, and w - a[k] = 2
+    assert metrics.worst_case_doppler_sum(masks.singer_mask(3), 1.32) == \
+        pytest.approx(10 + 6 * 0.32 * 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("mu4", [0.5, math.nan, math.inf, -math.inf])
@@ -287,16 +295,23 @@ def test_mean_doppler_by_mainlobe_zero_handling():
 
 @pytest.mark.parametrize("normalization", metrics.NORMALIZATIONS)
 def test_report_autocorr_calls_do_not_depend_on_normalization(monkeypatch, normalization):
-    calls = []
-    original = spectra.autocorr
+    calls, ffts = [], []
+    original, original_rfft = spectra.autocorr, np.fft.rfft
 
     def counted(mask):
         calls.append(mask)
         return original(mask)
 
+    def counted_rfft(*args, **kwargs):
+        ffts.append(args[0])
+        return original_rfft(*args, **kwargs)
+
     monkeypatch.setattr(spectra, "autocorr", counted)
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
     metrics.metrics_report(masks.singer_mask(5), 4, 1.32, normalization)
+    # every autocorrelation a report computes is a counted autocorr call
     assert len(calls) == 6
+    assert len(ffts) == 6
 
 
 def test_flatness_vs_doppler_sum_tradeoff():
@@ -327,11 +342,3 @@ def test_report_rows_and_format():
     assert len(flat) == len(metrics.REPORT_HEADER)
     assert flat[3] == "31/63"
 
-
-def test_per_delay_table():
-    table = metrics.per_delay_table(masks.singer_mask(3), 1.32)
-    assert len(table) == 6
-    for k, a_k, f_k, g_k in table:
-        assert a_k == 1
-        assert f_k == 10
-        assert g_k == pytest.approx(10 + 6 * 0.32 * 2, rel=1e-12)
