@@ -113,13 +113,21 @@ def _quote(text: str) -> str:
 
 
 def _column_cells(column):
-    """The %-spec of a column, from its numpy dtype, and its cells."""
+    """The cells of a column as CSV text, each distinct value formatted once.
+
+    A number column keys its cells by bit pattern, so -0.0 and 0.0, and
+    each NaN payload, stay apart; the value at a key's first occurrence is
+    formatted as its numpy dtype says: integers and bools %d, floats %.11e.
+    Anything else is str() with csv minimal quoting.
+    """
     cells = np.asarray(column)
-    if cells.dtype.kind in "biu":
-        return "%d", cells.tolist()
-    if cells.dtype.kind == "f":
-        return "%.11e", cells.tolist()
-    return "%s", [_quote(str(v)) for v in column]
+    if cells.dtype.kind not in "biuf":
+        return [_quote(str(v)) for v in column]
+    spec = "%.11e" if cells.dtype.kind == "f" else "%d"
+    _, first, inverse = np.unique(cells.view(f"u{cells.itemsize}"),
+                                  return_index=True, return_inverse=True)
+    text = np.array([spec % v for v in cells[first].tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def _array_blocks(axes, values):
@@ -143,16 +151,18 @@ def write_csv(path, header, blocks, config_str: str, seed) -> None:
     numpy dtype sets the format of its cells: integers and bools in decimal
     (%d), floats as %.11e (so -0.0, inf and nan read as Python's float
     format writes them), anything else as str() with csv minimal quoting.
-    Each block is one %-format per row, written at once; the bytes are those
-    of a csv.writer with lineterminator "\n" over the same cells.
+    Each distinct value of a column is formatted once per block (a
+    closed-form grid repeats a few values many times: its range sidelobes
+    do not depend on nu), and each block is written at once; the bytes are
+    those of a csv.writer with lineterminator "\n" over the same cells.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"# {line}\n" for line in _header_lines(config_str, seed)))
         fh.write(",".join(map(_quote, header)) + "\n")
         for block in blocks:
-            specs, cells = zip(*map(_column_cells, block))
-            fmt = ",".join(specs) + "\n"
-            fh.write("".join([fmt % row for row in zip(*cells)]))
+            rows = list(map(",".join, zip(*map(_column_cells, block))))
+            if rows:
+                fh.write("\n".join(rows) + "\n")
 
 
 def _write_out(out_dir: str, files) -> None:

@@ -141,13 +141,24 @@ def doppler_sidelobe_sum(mask: Mask, mu4: float) -> DopplerSumBounds:
     """Sum over k of g(a[k]) with its universal lower and upper bounds.
 
     The integer parts are summed exactly; the mu4 part collapses to the
-    mask-independent constant (N-1)(mu4-1) w (N-w).
+    mask-independent constant (N-1)(mu4-1) w (N-w). The f-parts' gaps to
+    both bounds are checked in exact integers against the tradeoff
+    identities (sums over k = 1..N-1), raising ArithmeticError if either
+    fails:
+
+        (N-1) (upper - value)_f = (N-1) sum a^2 - (sum a)^2
+              (value - lower)_f = sum a (w - a)
     """
     check_mu4(mu4)
     n, w = mask.n, mask.weight
-    _, deficit, f = _per_delay(mask)
-    value = float(f.sum()) + (n - 1) * (mu4 - 1) * float(deficit.sum())
+    a, deficit, f = _per_delay(mask)
     wnw = w * (n - w)
+    f_sum, a_sum, a2_sum = int(f.sum()), int(a.sum()), int(a @ a)
+    if (wnw * (n * (n - 1) - wnw) - (n - 1) * f_sum != (n - 1) * a2_sum - a_sum ** 2
+            or f_sum - wnw * (n - w) != w * a_sum - a2_sum):
+        raise ArithmeticError(
+            f"Doppler sidelobe sum of {mask.label} breaks its tradeoff identities")
+    value = float(f_sum) + (n - 1) * (mu4 - 1) * float(deficit.sum())
     upper = wnw * (n - wnw / (n - 1)) + (n - 1) * (mu4 - 1) * float(wnw)
     lower = float(w * (n - w) ** 2) + (n - 1) * (mu4 - 1) * float(wnw)
     return DopplerSumBounds(value=value, lower=lower, upper=upper)

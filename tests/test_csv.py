@@ -1,14 +1,16 @@
 """cli.write_csv against the per-cell csv.writer it replaced (csv_oracle.py).
 
-The block writer formats each column at once from its dtype; these tests
-hold it to the old writer's bytes cell by cell, across block boundaries and
-through the CLI callers that stream a grid or R in blocks.
+The block writer formats each distinct value of a column once, from its
+dtype; these tests hold it to the old writer's bytes cell by cell, across
+block boundaries and through the CLI callers that stream a grid or R in
+blocks.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import csv_oracle as oracle
 from maskrd import cli, masks, response, spectra
@@ -94,3 +96,67 @@ def test_streamed_tables_match_the_old_writer(tmp_path, argv, name, header, rows
     config = got.decode().splitlines()[1][len("# config: "):]
     oracle.write_csv(tmp_path / "old.csv", header, table, config, 0)
     assert got == (tmp_path / "old.csv").read_bytes()
+
+
+def _bits(dtype, *patterns):
+    return np.array(patterns, dtype=f"u{np.dtype(dtype).itemsize}").view(dtype)
+
+
+# Small pools, so most cells repeat: signed zeros, NaNs of either sign and
+# with a payload, infinities, extreme integers and text that needs quoting.
+POOLS = {
+    "f64": [0.0, -0.0, 1.5, -2.5e-300, 1 / 3, math.inf, -math.inf,
+            *_bits(np.float64, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001)],
+    "f32": list(np.array([0.1, -0.0, 0.0, 65504, np.inf], dtype=np.float32))
+           + list(_bits(np.float32, 0x7FC00000, 0xFFC00000)),
+    "i8": list(np.array([-128, -1, 0, 127], dtype=np.int8)),
+    "u64": list(np.array([0, 5, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)),
+    "bool": [True, False],
+    "text": ["plain", "", "a,b", 'q"x', "line\nbreak", "é"],
+}
+DTYPES = {"f64": np.float64, "f32": np.float32, "i8": np.int8, "u64": np.uint64,
+          "bool": np.bool_, "text": object}
+
+
+@st.composite
+def tables(draw):
+    """Columns of pool values and the edges that split them into blocks,
+    the last of which is always empty (a zero-row block writes nothing).
+
+    At least two columns, as in every table the CLI writes: csv.writer
+    quotes a row that is one empty field, and write_csv does not.
+    """
+    kinds = draw(st.lists(st.sampled_from(sorted(POOLS)), min_size=2, max_size=6))
+    n = draw(st.integers(0, 40))
+    columns = [np.array(draw(st.lists(st.sampled_from(POOLS[k]), min_size=n, max_size=n)),
+                        dtype=DTYPES[k]) for k in kinds]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    return kinds, columns, [0, *cuts, n, n]
+
+
+@given(tables())
+def test_blocks_of_repeated_values_match_the_old_writer(tmp_path_factory, table):
+    kinds, columns, edges = table
+    blocks = [tuple(c[a:b] for c in columns) for a, b in zip(edges, edges[1:])]
+    rows = list(zip(*(c.tolist() for c in columns)))
+    tmp = tmp_path_factory.mktemp("t")
+    cli.write_csv(tmp / "new.csv", kinds, blocks, CONFIG, 7)
+    oracle.write_csv(tmp / "old.csv", kinds, rows, CONFIG, 7)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 64])
+def test_array_blocks_of_signed_zeros_and_nans_match_the_old_writer(
+        monkeypatch, tmp_path, block_rows):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    pool = np.array(POOLS["f64"])
+    values = pool[np.random.default_rng(5).integers(0, len(pool), (3, 4, 5))]
+    axes = (np.array([-128, 0, 127], dtype=np.int8), np.array(POOLS["u64"]),
+            np.array([True, False, True, True, False]))
+    header = ("i8", "u64", "bool", "value")
+    cli.write_csv(tmp_path / "new.csv", header, cli._array_blocks(axes, values), CONFIG, 7)
+    labels = [ax.tolist() for ax in axes]
+    rows = [(labels[0][i], labels[1][j], labels[2][t], values[i, j, t])
+            for i in range(3) for j in range(4) for t in range(5)]
+    oracle.write_csv(tmp_path / "old.csv", header, rows, CONFIG, 7)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from maskrd import masks, metrics, response, spectra
-from conftest import random_mask_suite
+from maskrd import cli, masks, metrics, response, spectra
+from conftest import brute_autocorr, random_mask_suite
 
 
 def scenario(mask, m_pri, mu4):
@@ -113,6 +114,38 @@ def test_doppler_sum_matches_per_k_brute_force():
             scale = max(1.0, abs(b.value))
             assert b.lower <= b.value + 1e-9 * scale
             assert b.value <= b.upper + 1e-9 * scale
+
+
+@st.composite
+def random_or_comb(draw):
+    """A seeded random mask of any weight, or a shifted comb, for N in 3..120."""
+    n = draw(st.integers(3, 120))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+        return masks.cyclic_shift(masks.comb_mask(n, d), draw(st.integers(0, n - 1)))
+    return masks.random_mask(n, draw(st.integers(1, n - 1)), draw(st.integers(0, 2 ** 31)))
+
+
+@given(random_or_comb())
+def test_doppler_sum_tradeoff_identities(mask):
+    # at mu4 = 1 the bounds' gaps are their f-parts; a from the definition
+    n, w = mask.n, mask.weight
+    a = brute_autocorr(mask.bits)[1:]
+    b = metrics.doppler_sidelobe_sum(mask, 1.0)
+    assert b.value - b.lower == sum(x * (w - x) for x in a)
+    assert (n - 1) * (b.upper - b.value) == pytest.approx(
+        (n - 1) * sum(x * x for x in a) - sum(a) ** 2, rel=1e-12, abs=1e-6)
+
+
+def test_broken_doppler_energy_exits_numeric(monkeypatch, tmp_path, capsys):
+    real = spectra.doppler_energy
+    monkeypatch.setattr(spectra, "doppler_energy", lambda a, n, w: real(a, n, w) + 1)
+    argv = ["metrics", "--mask", "singer:m=4", "--M", "3", "--mu4", "1.0",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: Doppler sidelobe sum of singer:m=4 breaks its tradeoff identities"]
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def polarized(mask):
