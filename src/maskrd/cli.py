@@ -160,7 +160,10 @@ def write_csv(path, header, blocks, config_str: str, seed) -> None:
         fh.write("".join(f"# {line}\n" for line in _header_lines(config_str, seed)))
         fh.write(",".join(map(_quote, header)) + "\n")
         for block in blocks:
-            rows = list(map(",".join, zip(*map(_column_cells, block))))
+            columns = list(map(_column_cells, block))
+            if len(columns) == 1:  # csv.writer quotes a row that is one empty field
+                columns[0] = [cell or '""' for cell in columns[0]]
+            rows = list(map(",".join, zip(*columns)))
             if rows:
                 fh.write("\n".join(rows) + "\n")
 
@@ -350,7 +353,9 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------- selftest
 
 def _selftest_items(trials: int, seed: int):
+    """One check per numeric backend path that the outputs rest on."""
     rng = np.random.Generator(np.random.Philox(key=seed))
+    qam16 = montecarlo.make_constellation("qam16")
 
     def random_suite(count, lo=5, hi=64):
         out = []
@@ -359,17 +364,6 @@ def _selftest_items(trials: int, seed: int):
             w = int(rng.integers(1, n))
             out.append(masks.random_mask(n, w, int(rng.integers(0, 2 ** 31))))
         return out
-
-    def singer_difference_counts():
-        for m in range(3, 7):
-            mask = masks.singer_mask(m)
-            n, lam = mask.n, 2 ** (m - 2) - 1
-            counts = {k: 0 for k in range(1, n)}
-            for i in mask.support:
-                for j in mask.support:
-                    if i != j:
-                        counts[(i - j) % n] += 1
-            assert all(v == lam for v in counts.values()), f"m={m}"
 
     def range_sidelobe_sum():
         suite = [masks.singer_mask(m) for m in range(3, 7)]
@@ -386,37 +380,15 @@ def _selftest_items(trials: int, seed: int):
                              for nu in range(1, mask.n))
                 assert abs(direct - spectra.doppler_energy_f(mask, k)) <= 1e-6
 
-    def tiled_dft_sparsity():
-        cases = [(masks.singer_mask(3), 4), (masks.comb_mask(6, 3), 5),
-                 (masks.singer_mask(4), 8), (masks.random_mask(16, 5, 7), 8)]
-        for mask, m_pri in cases:
-            total = m_pri * mask.n
-            assert total <= 2048
-            for k in range(1, mask.n):
-                tiled = np.tile(spectra.gamma(mask, k).values, m_pri)
-                big = np.fft.fft(tiled)
-                for nu in range(total):
-                    if nu % m_pri:
-                        assert abs(big[nu]) <= 1e-9 * total
-                    else:
-                        want = spectra.s_kmn(mask, k, m_pri, nu)
-                        assert abs(big[nu] - want) <= 1e-9 * max(1.0, abs(want))
-
-    def bound_bracketing():
-        for mask in random_suite(60):
-            b = metrics.doppler_sidelobe_sum(mask, 1.32)
-            assert b.lower <= b.value + 1e-9 * max(1.0, abs(b.value))
-            assert b.value <= b.upper + 1e-9 * max(1.0, abs(b.value))
-        for m in range(3, 7):
-            assert metrics.doppler_sidelobe_sum(
-                masks.singer_mask(m), 1.32).attains_upper()
-        for mask in (masks.comb_mask(6, 3), masks.comb_mask(63, 3)):
-            b = metrics.doppler_sidelobe_sum(mask, 1.32)
-            assert b.value == b.lower
+    def rng_known_answer():
+        # the symbol indices at the 15 transmit slots of one stream, as
+        # numpy's Generator.integers(0, 16) draws them from the same state
+        got = montecarlo.draw_stream(masks.singer_mask(3), 4, qam16, 1234, trial=3, stream=5)
+        index = (got[got != 0, None] == qam16.points).argmax(axis=1).tolist()
+        assert index == [10, 6, 13, 1, 1, 14, 7, 13, 7, 6, 11, 9, 0, 4, 1], f"drew {index}"
 
     def double_sum_oracle():
         mask = masks.singer_mask(3)
-        qam16 = montecarlo.make_constellation("qam16")
         params = response.ScenarioParams(mask=mask, M=4, mu4=qam16.mu4)
         for k in range(1, 7):
             for l in range(1, 7):
@@ -427,18 +399,14 @@ def _selftest_items(trials: int, seed: int):
                     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def mc_oracle():
-        mask = masks.singer_mask(3)
-        qam16 = montecarlo.make_constellation("qam16")
         triples = [(1, 1, 0), (1, 1, 2), (2, 5, 9), (3, 3, 4), (4, 2, 0), (6, 6, 12)]
-        pts = montecarlo.mc_points(mask, 4, qam16, triples,
+        pts = montecarlo.mc_points(masks.singer_mask(3), 4, qam16, triples,
                                    trials=trials, seed=seed)
         bad = [p for p in pts if abs(p.z) > 4.0]
         assert not bad, f"{len(bad)} points beyond 4 standard errors"
 
     def determinism():
-        mask = masks.singer_mask(3)
-        qam16 = montecarlo.make_constellation("qam16")
-        scen = montecarlo.EchoScenario(mask=mask, M=4, constellation=qam16,
+        scen = montecarlo.EchoScenario(mask=masks.singer_mask(3), M=4, constellation=qam16,
                                        true_delay=2, true_doppler=0,
                                        trial_doppler=5)
         first = montecarlo.estimate(scen, 2, 200, seed)
@@ -446,11 +414,9 @@ def _selftest_items(trials: int, seed: int):
         assert first == second
 
     return [
-        ("singer_difference_counts", singer_difference_counts),
         ("range_sidelobe_sum_identity", range_sidelobe_sum),
         ("parseval_identity", parseval),
-        ("tiled_dft_sparsity", tiled_dft_sparsity),
-        ("bound_bracketing", bound_bracketing),
+        ("rng_known_answer", rng_known_answer),
         ("double_sum_oracle", double_sum_oracle),
         ("mc_oracle", mc_oracle),
         ("determinism", determinism),

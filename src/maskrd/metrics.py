@@ -12,7 +12,7 @@ with f(a) = (w - a)(N - w + a) the receive-gate spectral energy:
   * the worst case over k, minimized by constant-autocorrelation masks.
 
 This normalization is per tiled period; multiply the f-part by M^2 and the
-mu4-part by M to land on coherent-window units (see cpi_doppler_sum).
+mu4-part by M to land on coherent-window units.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "avg_range_sidelobe",
     "doppler_sidelobe_sum",
     "worst_case_doppler_sum",
-    "cpi_doppler_sum",
-    "monotonicity_check",
     "mean_doppler_sidelobe",
     "metrics_report",
     "report_row",
@@ -169,23 +167,6 @@ def worst_case_doppler_sum(mask: Mask, mu4: float) -> float:
     check_mu4(mu4)
     _, deficit, f = _per_delay(mask)
     return float((f + (mask.n - 1) * (mu4 - 1) * deficit).max())
-
-
-def cpi_doppler_sum(p: ScenarioParams) -> float:
-    """Doppler sidelobe sum in coherent-window units.
-
-    M^2 sum_k f(a[k]) + M (N-1)(mu4-1) sum_k (w - a[k]); this is what a
-    Monte Carlo sweep over the bins nu = M, 2M, ... accumulates.
-    """
-    _, deficit, f = _per_delay(p.mask)
-    return ((p.M ** 2) * float(f.sum())
-            + p.M * (p.mask.n - 1) * (p.mu4 - 1) * float(deficit.sum()))
-
-
-def monotonicity_check(mask: Mask) -> bool:
-    """Certify min_k a[k] >= (rho - 1/2) N, checked in exact integers."""
-    a, _, _ = _per_delay(mask)
-    return 2 * int(a.min()) >= 2 * mask.weight - mask.n
 
 
 def mean_doppler_sidelobe(p: ScenarioParams,

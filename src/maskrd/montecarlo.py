@@ -16,11 +16,11 @@ and started at a counter given by (trial, stream id), so results do not
 depend on evaluation order and are reproducible across platforms. A
 trial's symbols come from its raw 64-bit Philox outputs, each split into
 32-bit words low half first, whatever the byte order of the machine. Word
-x becomes symbol index (x K) >> 32 for K points, and is skipped when
-(x K) mod 2**32 < (2**32 - K) mod K (Lemire's method): exactly the indices
-numpy's Generator.integers(0, K) draws from the same state. For a
-power-of-two K nothing is skipped, so estimate() maps only the words that
-the correlation reads.
+x becomes symbol index (x K) >> 32 for K points (Lemire's method). A
+constellation has a power-of-two K, for which Lemire's method rejects no
+word, so word j gives symbol j: exactly the indices numpy's
+Generator.integers(0, K) draws from the same state, and estimate() maps
+only the words that the correlation reads.
 
 Scoring. mc_points estimates each (k, l, nu) point on its own stream and
 scores it against response.expected_response as an McPoint; validate_grid
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "CONSTELLATION_NAMES",
     "make_constellation",
-    "custom_constellation",
     "draw_stream",
     "correlate",
     "estimate",
@@ -84,16 +83,21 @@ class Constellation:
     """Finite symbol set with validated moments.
 
     Points have zero mean, zero pseudo-variance and unit average energy;
-    mu4 is the normalized fourth moment (1 for constant modulus). For the
-    built-in sets mu4_exact carries the rational value.
+    mu4 is the normalized fourth moment (1 for constant modulus) and
+    mu4_exact its rational value. The point count is a power of two, so
+    that every random word maps to a symbol (see the module docstring).
     """
 
     name: str
     points: np.ndarray
     mu4: float
-    mu4_exact: Fraction | None = None
+    mu4_exact: Fraction
 
     def __post_init__(self):
+        count = len(self.points)
+        if count < 2 or count & (count - 1):
+            raise ValueError(f"constellation {self.name!r} has {count} points, "
+                             "not a power of two >= 2")
         self.points.setflags(write=False)
 
 
@@ -102,7 +106,7 @@ def _moment(points: np.ndarray, p: int, q: int) -> complex:
     return complex(np.mean(points ** p * np.conj(points) ** q))
 
 
-def _validated(name: str, points: np.ndarray, mu4_exact: Fraction | None) -> Constellation:
+def _validated(name: str, points: np.ndarray, mu4_exact: Fraction) -> Constellation:
     energy = float(np.mean(np.abs(points) ** 2))
     points = points / math.sqrt(energy)
     mean = _moment(points, 1, 0)
@@ -117,8 +121,7 @@ def _validated(name: str, points: np.ndarray, mu4_exact: Fraction | None) -> Con
     if not abs(energy - 1.0) <= MOMENT_TOL:
         raise ValueError(
             f"constellation {name!r} failed unit-energy normalization")
-    mu4 = float(mu4_exact) if mu4_exact is not None else float(
-        _moment(points, 2, 2).real)
+    mu4 = float(mu4_exact)
     if not mu4 >= 1.0:
         raise ValueError(f"constellation {name!r} has mu4 = {mu4} < 1")
     return Constellation(name=name, points=points, mu4=mu4, mu4_exact=mu4_exact)
@@ -146,14 +149,6 @@ def make_constellation(name: str) -> Constellation:
         points, mu4 = _square_qam(range(-7, 8, 2))
         return _validated("qam64", points, mu4)
     raise ValueError(f"unknown constellation {name!r}")
-
-
-def custom_constellation(points, name: str = "custom") -> Constellation:
-    """User-supplied point set, normalized to unit energy and validated."""
-    arr = np.asarray(points, dtype=complex)
-    if arr.ndim != 1 or len(arr) < 2:
-        raise ValueError("a constellation needs at least two points")
-    return _validated(name, arr, None)
 
 
 @dataclass(frozen=True)
@@ -201,36 +196,20 @@ class _TrialRngPool:
                        "has_uint32": 0, "uinteger": 0}
 
     def words(self, trial: int, stream: int, count: int) -> np.ndarray:
-        """The first uint32 words of (trial, stream), at least count of them."""
-        counter = self._state["state"]["counter"]
-        counter[2], counter[3] = trial, stream
-        self._bg.state = self._state
-        return self.more(count)
-
-    def more(self, count: int) -> np.ndarray:
-        """The next uint32 words of the current stream, at least count of them.
+        """The first uint32 words of (trial, stream), at least count of them.
 
         Each 64-bit Philox output splits into its low half, then its high half:
         the order in which Generator.integers consumes 32-bit words.
         """
+        counter = self._state["state"]["counter"]
+        counter[2], counter[3] = trial, stream
+        self._bg.state = self._state
         raw = self._bg.random_raw((count + 1) // 2)
         return raw.astype("<u8", copy=False).view("<u4")
 
 
-def _accepted(words: np.ndarray, k: int) -> np.ndarray:
-    """The words that Lemire's method keeps when it draws from range(k).
-
-    A word x is rejected when (x k) mod 2**32 < (2**32 - k) mod k; the
-    threshold is 0 for a power-of-two k, so every word is kept.
-    """
-    threshold = (2 ** 32 - k) % k
-    if threshold == 0:
-        return words
-    return words[((words.astype(np.int64) * k) & 0xFFFFFFFF) >= threshold]
-
-
 def _symbol_index(words: np.ndarray, k: int) -> np.ndarray:
-    """Lemire's map of accepted words to indices in range(k): (x k) >> 32.
+    """Lemire's map of words to indices in range(k): (x k) >> 32.
 
     Exact in int64 for k < 2**31.
     """
@@ -238,20 +217,6 @@ def _symbol_index(words: np.ndarray, k: int) -> np.ndarray:
     index *= k
     index >>= 32
     return index
-
-
-def _symbol_words(pool: _TrialRngPool, trial: int, stream: int, length: int,
-                  k: int) -> np.ndarray:
-    """The accepted words behind the first length symbols of a trial.
-
-    Symbol j of the trial is _symbol_index(result[j], k), the value that
-    Generator.integers(0, k, size=length) draws from the same state.
-    """
-    words = _accepted(pool.words(trial, stream, length), k)
-    while len(words) < length:
-        extra = _accepted(pool.more(length - len(words)), k)
-        words = np.concatenate([words, extra])
-    return words
 
 
 def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
@@ -266,7 +231,7 @@ def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
     idx = np.arange(m_pri * n + n - 1) - (n - 1)
     gate = mask.as_array()[idx % n].astype(np.complex128)
     k = len(constellation.points)
-    words = _symbol_words(_TrialRngPool(seed), trial, stream, len(gate), k)
+    words = _TrialRngPool(seed).words(trial, stream, len(gate))
     return constellation.points[_symbol_index(words[:len(gate)], k)] * gate
 
 
@@ -333,7 +298,7 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     for start in range(0, trials, block):
         rows = words[:min(block, trials - start)]
         for i, row in enumerate(rows):
-            row[:] = _symbol_words(pool, start + i, stream, length, k)[gather]
+            row[:] = pool.words(start + i, stream, length)[gather]
         sym = _symbol_index(rows, k)
         sym_k = sym[:, :width]
         sym_k *= k
@@ -392,6 +357,8 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
     independent of the order in which points are processed. The closed
     forms come first: they check every triple before the first trial.
     """
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
     triples = [(int(k), int(l), int(nu)) for k, l, nu in triples]
     params = response.ScenarioParams(mask=mask, M=m_pri, mu4=constellation.mu4)
     cost = len(triples) * trials * params.total_bins

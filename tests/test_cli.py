@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from maskrd import cli, masks, montecarlo
+from maskrd import cli, masks, montecarlo, response
 
 
 def run_cli(argv):
@@ -402,6 +402,20 @@ def test_a_bad_nu_stops_response_both_before_any_trial(tmp_path, monkeypatch, ca
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("mode", ["mc", "both"])
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_too_few_trials_are_refused_before_any_closed_form(tmp_path, monkeypatch, capsys,
+                                                           mode, trials):
+    calls = []
+    monkeypatch.setattr(response, "expected_response", lambda *args: calls.append(args))
+    assert run_cli(["response", mode, "--mask", "singer:m=6", "--M", "50",
+                    "--constellation", "qam16", "--k", "1..62", "--nu", "0..199",
+                    "--trials", trials, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: need at least 2 trials, got {trials}\n"
+    assert calls == []
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("k, l, nu", [("0", "2", "0"), ("1", "7", "0"), ("1", "2", "28")],
                          ids=["k0", "lN", "nuMN"])
 def test_closed_and_both_refuse_an_index_alike(tmp_path, capsys, k, l, nu):
@@ -432,7 +446,7 @@ def test_bounds_output(tmp_path, capsys):
 def test_selftest_quick(capsys):
     assert run_cli(["selftest", "--trials", "1500"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 6
     assert "FAIL" not in out
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import csv_oracle as oracle
 from maskrd import cli, masks, response, spectra
@@ -122,11 +122,8 @@ DTYPES = {"f64": np.float64, "f32": np.float32, "i8": np.int8, "u64": np.uint64,
 def tables(draw):
     """Columns of pool values and the edges that split them into blocks,
     the last of which is always empty (a zero-row block writes nothing).
-
-    At least two columns, as in every table the CLI writes: csv.writer
-    quotes a row that is one empty field, and write_csv does not.
     """
-    kinds = draw(st.lists(st.sampled_from(sorted(POOLS)), min_size=2, max_size=6))
+    kinds = draw(st.lists(st.sampled_from(sorted(POOLS)), min_size=1, max_size=6))
     n = draw(st.integers(0, 40))
     columns = [np.array(draw(st.lists(st.sampled_from(POOLS[k]), min_size=n, max_size=n)),
                         dtype=DTYPES[k]) for k in kinds]
@@ -135,6 +132,8 @@ def tables(draw):
 
 
 @given(tables())
+# csv.writer quotes a row that is one empty field
+@example((["text"], [np.array(["x", "", "a"], dtype=object)], [0, 1, 3, 3]))
 def test_blocks_of_repeated_values_match_the_old_writer(tmp_path_factory, table):
     kinds, columns, edges = table
     blocks = [tuple(c[a:b] for c in columns) for a, b in zip(edges, edges[1:])]

@@ -6,9 +6,11 @@ definitions over random masks, and singer_mask's recurrence with the trace
 map of every field element (the GF(2^m) oracle in gf2_oracle.py). The guard
 tests check that a kernel that breaks a counting identity, an oversized
 period and an exhausted allocator each end a CLI run with its documented exit
-code and a one-line message, and that selftest reports such a kernel.
+code and a one-line message, and that selftest reports such a kernel, a
+shifted random stream and a sum that differs from call to call.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import gf2_oracle as oracle
-from maskrd import cli, masks, spectra
+from maskrd import cli, masks, montecarlo, spectra
 
 
 def roll_autocorr(bits):
@@ -192,11 +194,33 @@ def test_memory_error_exits_config(monkeypatch, tmp_path, capsys):
     assert _one_error_line(capsys) == "error: out of memory: Unable to allocate 2.00 GiB"
 
 
+def _break_rng(monkeypatch):
+    real = montecarlo._TrialRngPool.words
+
+    def one_word_late(self, trial, stream, count):
+        return real(self, trial, stream, count + 1)[1:]
+
+    monkeypatch.setattr(montecarlo._TrialRngPool, "words", one_word_late)
+
+
+def _break_dot(monkeypatch):
+    real, calls = np.dot, itertools.count()
+
+    def drifting(*args, **kwargs):  # one ulp off on every third call
+        out = real(*args, **kwargs)
+        return out * (1 + np.finfo(float).eps) if next(calls) % 3 == 0 else out
+
+    monkeypatch.setattr(np, "dot", drifting)
+
+
+# every selftest item is failed by at least one breaker
 @pytest.mark.parametrize("breaker, failing", [
     (_break_irfft, {"range_sidelobe_sum_identity", "parseval_identity",
-                    "bound_bracketing", "double_sum_oracle", "mc_oracle"}),
+                    "double_sum_oracle", "mc_oracle"}),
     (_break_window, {"range_sidelobe_sum_identity"}),
-], ids=["fft", "matrix"])
+    (_break_rng, {"rng_known_answer"}),
+    (_break_dot, {"determinism"}),
+], ids=["fft", "matrix", "rng", "nondeterministic_sum"])
 def test_selftest_reports_broken_kernel(monkeypatch, capsys, breaker, failing):
     breaker(monkeypatch)
     assert cli.main(["selftest", "--trials", "300"]) == cli.EXIT_NUMERIC

@@ -244,22 +244,6 @@ def test_minimum_worst_case_period11_weight5():
     assert any(v[1] for v in vals)
 
 
-def test_cpi_scaled_doppler_sum():
-    m = masks.singer_mask(3)
-    p = scenario(m, 4, 1.32)
-    # accumulate the closed form over the grating bins at every k
-    total = sum(response.expected_response(p, k, k, 4 * n)
-                for k in range(1, 7) for n in range(1, 7))
-    assert metrics.cpi_doppler_sum(p) == pytest.approx(total, rel=1e-12)
-
-
-def test_monotonicity_certificate():
-    assert metrics.monotonicity_check(masks.singer_mask(6))
-    assert metrics.monotonicity_check(masks.comb_mask(6, 3))
-    for m in random_mask_suite(50, seed=67):
-        assert metrics.monotonicity_check(m)
-
-
 def test_mean_doppler_sidelobe_closed_form():
     m = masks.singer_mask(3)
     p = scenario(m, 4, 1.0)

@@ -11,7 +11,6 @@ from maskrd import masks, montecarlo as mc, response
 QPSK = mc.make_constellation("qpsk")
 QAM16 = mc.make_constellation("qam16")
 QAM64 = mc.make_constellation("qam64")
-PSK3 = mc.custom_constellation(np.exp(2j * np.pi * np.arange(3) / 3), name="psk3")
 
 
 def test_builtin_moment_table():
@@ -28,21 +27,29 @@ def test_builtin_moment_table():
         assert np.mean(np.abs(pts) ** 4) == pytest.approx(c.mu4, rel=1e-12)
 
 
-def test_custom_constellation_validation():
-    pts = mc.custom_constellation([2, 2j, -2, -2j])
-    assert pts.mu4 == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        mc.custom_constellation([1, 1j, -1, 1j])   # nonzero mean
-    with pytest.raises(ValueError):
-        mc.custom_constellation([1, -1])           # nonzero pseudo-variance
-    with pytest.raises(ValueError):
-        mc.custom_constellation([1])
+def test_validated_refuses_bad_moments():
+    pts = mc._validated("x", np.array([2, 2j, -2, -2j]), Fraction(1))
+    assert np.array_equal(pts.points, [1, 1j, -1, -1j])  # scaled to unit energy
+    with pytest.raises(ValueError, match="nonzero mean"):
+        mc._validated("x", np.array([1, 1j, -1, 1j]), Fraction(1))
+    with pytest.raises(ValueError, match="nonzero pseudo-variance"):
+        mc._validated("x", np.array([1, -1], dtype=complex), Fraction(1))
     # NaN moments fail the checks instead of passing every comparison
     for bad in ([1, 1j, -1, complex("nan")], [1, 1j, -1, -1j, math.inf]):
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            mc.custom_constellation(bad)
+            mc._validated("x", np.array(bad, dtype=complex), Fraction(1))
+    with pytest.raises(ValueError, match="mu4"):
+        mc._validated("x", np.array([1, 1j, -1, -1j]), Fraction(1, 2))
     with pytest.raises(ValueError):
         mc.make_constellation("psk1024")
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 6])
+def test_constellation_size_must_be_a_power_of_two(count):
+    # the draw maps every random word to a symbol only for a power-of-two size
+    points = np.exp(2j * np.pi * np.arange(count) / max(count, 1))
+    with pytest.raises(ValueError, match="not a power of two"):
+        mc.Constellation(name="psk", points=points, mu4=1.0, mu4_exact=Fraction(1))
 
 
 def test_draw_stream_layout_and_determinism():
@@ -68,7 +75,7 @@ def test_draw_stream_counter_layout(trial, stream):
     m, seed = masks.random_mask(11, 4, seed=2), 1234
     n = m.n
     gate = m.as_array()[(np.arange(3 * n + n - 1) - (n - 1)) % n]
-    for const in (QPSK, QAM16, QAM64, PSK3):
+    for const in (QPSK, QAM16, QAM64):
         rng = np.random.Generator(np.random.Philox(
             key=seed, counter=(stream << 192) | (trial << 128)))
         picks = rng.integers(0, len(const.points), size=len(gate))
@@ -93,53 +100,19 @@ def _lemire_reference(words, k):
 
 
 @st.composite
-def _words_with_rejections(draw):
-    k = draw(st.integers(2, 200))
-    # ceil(j 2**32 / k) leaves j 2**32 + (x k mod 2**32) with a low half
-    # below k, which is rejected whenever it is below the threshold
+def _words_for_power_of_two(draw):
+    k = 2 ** draw(st.integers(1, 30))
+    # ceil(j 2**32 / k) puts x k just past a multiple of 2**32
     near = st.integers(0, k - 1).map(lambda j: -(-(j << 32) // k))
-    word = st.one_of(st.integers(0, 2 ** 32 - 1), near, st.just(0))
+    word = st.one_of(st.integers(0, 2 ** 32 - 1), near, st.just(0), st.just(2 ** 32 - 1))
     return k, draw(st.lists(word, max_size=40))
 
 
-@given(_words_with_rejections())
+@given(_words_for_power_of_two())
 def test_lemire_map_matches_reference(case):
     k, words = case
-    arr = np.array(words, dtype=np.uint32)
-    got = mc._symbol_index(mc._accepted(arr, k), k)
+    got = mc._symbol_index(np.array(words, dtype=np.uint32), k)
     assert got.tolist() == _lemire_reference(words, k)
-
-
-def test_lemire_rejection_examples():
-    # k = 3 rejects only x = 0; k = 6 also rejects ceil(2**32 / 6)
-    words = [0, 5, 0, 2 ** 32 - 1, 0]
-    assert mc._symbol_index(mc._accepted(np.array(words, dtype=np.uint32), 3),
-                            3).tolist() == [0, 2] == _lemire_reference(words, 3)
-    x = -(-(1 << 32) // 6)
-    assert (x * 6) % 2 ** 32 < (2 ** 32 - 6) % 6
-    assert mc._accepted(np.array([x, 7], dtype=np.uint32), 6).tolist() == [7]
-    assert mc._accepted(np.array([0, x], dtype=np.uint32), 16).tolist() == [0, x]
-
-
-class _ScriptedPool:
-    """Stands in for _TrialRngPool: hands out fixed chunks of words."""
-
-    def __init__(self, *chunks):
-        self.chunks = [np.array(c, dtype=np.uint32) for c in chunks]
-
-    def words(self, trial, stream, count):
-        return self.more(count)
-
-    def more(self, count):
-        return self.chunks.pop(0)
-
-
-def test_symbol_words_draws_past_rejections():
-    # rejected words (x = 0 for k = 3) are replaced by further draws
-    pool = _ScriptedPool([0, 11, 0, 12], [0, 0], [13, 14])
-    got = mc._symbol_words(pool, 0, 0, 3, 3)
-    assert got.tolist() == [11, 12, 13, 14]
-    assert pool.chunks == []
 
 
 def _definition_estimate(scen, l, trials, seed, stream):
@@ -149,7 +122,7 @@ def _definition_estimate(scen, l, trials, seed, stream):
     return float(np.mean(vals)), float(math.sqrt(np.var(vals, ddof=1) / trials))
 
 
-@pytest.mark.parametrize("const", [QPSK, QAM16, QAM64, PSK3], ids=lambda c: c.name)
+@pytest.mark.parametrize("const", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
 @pytest.mark.parametrize("block_bytes", [
     mc._BLOCK_BYTES,   # as shipped
     1,                 # one trial per block
