@@ -424,6 +424,8 @@ def _selftest_items(trials: int, seed: int):
 
 
 def cmd_selftest(args) -> int:
+    if args.trials < 2:
+        raise ValueError(f"need at least 2 trials, got {args.trials}")
     failures = 0
     started = time.perf_counter()
     for name, fn in _selftest_items(args.trials, args.seed):

@@ -17,14 +17,16 @@ depend on evaluation order and are reproducible across platforms. A
 trial's symbols come from its raw 64-bit Philox outputs, each split into
 32-bit words low half first, whatever the byte order of the machine. Word
 x becomes symbol index (x K) >> 32 for K points (Lemire's method). A
-constellation has a power-of-two K, for which Lemire's method rejects no
-word, so word j gives symbol j: exactly the indices numpy's
-Generator.integers(0, K) draws from the same state, and estimate() maps
-only the words that the correlation reads.
+constellation has a power-of-two K = 2**b, for which Lemire's method
+rejects no word and (x K) >> 32 is x >> (32 - b), the top b bits of x. So
+word j gives symbol j: exactly the indices numpy's Generator.integers(0, K)
+draws from the same state. estimate() gathers only the words that the
+correlation reads, each once on the diagonal k = l.
 
 Scoring. mc_points estimates each (k, l, nu) point on its own stream and
-scores it against response.expected_response as an McPoint; validate_grid
-does so over an index box. Those rows are the one Monte Carlo output:
+scores it against its closed form as an McPoint; the closed forms come
+from one response.build_grid per distinct k. validate_grid does so over
+an index box. Those rows are the one Monte Carlo output:
 `response mc` writes their first six fields (MC_HEADER), `response both`
 all eight (VALIDATION_HEADER).
 """
@@ -100,6 +102,11 @@ class Constellation:
                              "not a power of two >= 2")
         self.points.setflags(write=False)
 
+    @property
+    def bits(self) -> int:
+        """b with 2**b points: the bits of one symbol index."""
+        return len(self.points).bit_length() - 1
+
 
 def _moment(points: np.ndarray, p: int, q: int) -> complex:
     """Empirical E{x^p conj(x)^q} under the uniform symbol distribution."""
@@ -174,6 +181,14 @@ class EchoScenario:
         return self.trial_doppler - self.true_doppler
 
 
+def _check_seed(seed: int) -> None:
+    # the seed is the 128-bit Philox key
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if seed >= 1 << 128:
+        raise ValueError("seed must be below 2**128")
+
+
 class _TrialRngPool:
     """Philox generator keyed by the seed that rewinds to (trial, stream).
 
@@ -183,8 +198,7 @@ class _TrialRngPool:
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_seed(seed)
         self._bg = np.random.Philox(key=seed)
         key = self._bg.state["state"]["key"]
         # Plain ints, not arrays: the state setter reads them one by one, and
@@ -208,15 +222,12 @@ class _TrialRngPool:
         return raw.astype("<u8", copy=False).view("<u4")
 
 
-def _symbol_index(words: np.ndarray, k: int) -> np.ndarray:
-    """Lemire's map of words to indices in range(k): (x k) >> 32.
+def _symbol_index(words: np.ndarray, bits: int) -> np.ndarray:
+    """Lemire's map (x K) >> 32 of uint32 words to indices in range(K = 2**bits).
 
-    Exact in int64 for k < 2**31.
+    For a power-of-two K it is the top bits of each word, in uint32.
     """
-    index = words.astype(np.int64)
-    index *= k
-    index >>= 32
-    return index
+    return words >> (32 - bits)
 
 
 def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
@@ -230,19 +241,22 @@ def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
     n = mask.n
     idx = np.arange(m_pri * n + n - 1) - (n - 1)
     gate = mask.as_array()[idx % n].astype(np.complex128)
-    k = len(constellation.points)
     words = _TrialRngPool(seed).words(trial, stream, len(gate))
-    return constellation.points[_symbol_index(words[:len(gate)], k)] * gate
+    return constellation.points[_symbol_index(words[:len(gate)], constellation.bits)] * gate
 
 
 def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):
-    """Gather indices of x_(n-k) and x_(n-l), and the phases, of one correlation."""
+    """Gather indices of x_(n-k) and x_(n-l), and the phases, of one correlation.
+
+    The active slots n (listening, with both delayed replicas transmitting)
+    repeat with period N: they are found in one period and tiled over M.
+    """
     n = mask.n
     total = m_pri * n
     bits = mask.as_array()
-    ns = np.arange(total)
-    active = ((1 - bits[ns % n]) * bits[(ns - k) % n] * bits[(ns - l) % n]).astype(bool)
-    ns = ns[active]
+    r = np.arange(n)
+    residues = r[((1 - bits) * bits[(r - k) % n] * bits[(r - l) % n]).astype(bool)]
+    ns = (np.arange(0, total, n)[:, None] + residues).ravel()
     phase = np.exp(-2j * np.pi * nu * ns / total)
     return ns - k + n - 1, ns - l + n - 1, phase
 
@@ -271,10 +285,13 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
 
     Trial t draws its own stream from (seed, t, stream), so any execution
     order or partition over workers yields the same per-trial values. Each
-    |r|^2 equals correlate() on draw_stream() bit for bit: only the symbols
-    the correlation reads are mapped from their words, their products are
-    the same complex products (looked up in a table), and each sum is one
-    np.dot over a contiguous row.
+    |r|^2 equals correlate() on draw_stream() bit for bit: only the words
+    the correlation reads are gathered (each once on the diagonal k = l,
+    where x_(n-k) and x_(n-l) are the same symbol), their symbol indices
+    are the top bits of each word, the products are the same complex
+    products (looked up in a table), and a block's sums are one np.matmul,
+    which takes each trial's 1 x 1 output with the BLAS dot of np.dot over
+    a contiguous row.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
@@ -284,29 +301,34 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
                                   l, scenario.doppler_difference)
     length = scenario.M * n + n - 1
     points = scenario.constellation.points
-    k = len(points)
+    bits = scenario.constellation.bits
     # The stream's value at a transmit slot: the point times a gate of 1 + 0j.
-    gated = points * np.ones(k, dtype=np.complex128)
-    # pair[i k + j] = gated[i] conj(gated[j]): k**2 entries, 64 KiB for qam64.
-    pair = np.repeat(gated, k) * np.conj(np.tile(gated, k))
+    gated = points * np.ones(len(points), dtype=np.complex128)
+    # pair[(i << bits) | j] = gated[i] conj(gated[j]): 64 KiB for qam64.
+    pair = np.repeat(gated, len(points)) * np.conj(np.tile(gated, len(points)))
     width = len(phase)
-    gather = np.concatenate([idx_k, idx_l])
+    diagonal = scenario.true_delay == l
+    if diagonal:
+        # x_(n-k) and x_(n-l) are one symbol i: gather it once, read pair[i (K + 1)].
+        gather, pair = idx_k, pair[::len(points) + 1].copy()
+    else:
+        gather = np.concatenate([idx_k, idx_l])
     block = min(trials, max(1, _BLOCK_BYTES // (16 * max(width, 1))))
-    words = np.empty((block, 2 * width), dtype=np.uint32)
+    words = np.empty((block, len(gather)), dtype=np.uint32)
     pool = _TrialRngPool(seed)
     vals = np.empty(trials, dtype=np.float64)
     for start in range(0, trials, block):
         rows = words[:min(block, trials - start)]
+        # Row by row, into C order: a 2-D gather words2d[:, gather] is
+        # F-ordered, and BLAS sums a strided row in another order.
         for i, row in enumerate(rows):
             row[:] = pool.words(start + i, stream, length)[gather]
-        sym = _symbol_index(rows, k)
-        sym_k = sym[:, :width]
-        sym_k *= k
-        sym_k += sym[:, width:]
-        prod = pair[sym_k]
-        # One contiguous row per dot: BLAS sums a strided row in another order.
-        for i in range(len(rows)):
-            vals[start + i] = abs(complex(np.dot(prod[i], phase))) ** 2
+        index = _symbol_index(rows, bits)
+        if not diagonal:
+            index = (index[:, :width] << bits) | index[:, width:]
+        # take(), not pair[index]: a uint32 fancy index is first cast to intp
+        dots = np.matmul(pair.take(index)[:, None, :], phase[:, None])
+        vals[start:start + len(rows)] = [abs(z) ** 2 for z in dots.ravel().tolist()]
     mean = float(np.mean(vals))
     se = float(math.sqrt(np.var(vals, ddof=1) / trials))
     return McEstimate(mean_sq=mean, se=se, trials=trials, seed=seed)
@@ -355,16 +377,29 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
 
     Point i uses the disjoint generator stream i, so the set of estimates is
     independent of the order in which points are processed. The closed
-    forms come first: they check every triple before the first trial.
+    forms come first, one response.build_grid per distinct k over the l and
+    nu values of its triples: they check every triple before the first trial.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    _check_seed(seed)
     triples = [(int(k), int(l), int(nu)) for k, l, nu in triples]
     params = response.ScenarioParams(mask=mask, M=m_pri, mu4=constellation.mu4)
     cost = len(triples) * trials * params.total_bins
     if cost > budget:
         raise McBudgetError(f"points x trials x MN = {cost} exceeds the budget {budget}")
-    closed = [response.expected_response(params, *t) for t in triples]
+    # k -> ({l: its grid position}, {nu: its grid position})
+    axes = {}
+    for k, l, nu in triples:
+        ls, nus = axes.setdefault(k, ({}, {}))
+        ls.setdefault(l, len(ls))
+        nus.setdefault(nu, len(nus))
+    # every k first, as build_grid over a box checks them, then l and nu per k
+    for k in axes:
+        response._check_delay("k", k, mask.n)
+    grids = {k: response.build_grid(params, (k,), ls, nus).values[0]
+             for k, (ls, nus) in axes.items()}
+    closed = [float(grids[k][axes[k][0][l], axes[k][1][nu]]) for k, l, nu in triples]
     out = []
     for i, ((k, l, nu), cf) in enumerate(zip(triples, closed)):
         scen = EchoScenario(mask=mask, M=m_pri, constellation=constellation,

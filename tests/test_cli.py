@@ -407,7 +407,7 @@ def test_a_bad_nu_stops_response_both_before_any_trial(tmp_path, monkeypatch, ca
 def test_too_few_trials_are_refused_before_any_closed_form(tmp_path, monkeypatch, capsys,
                                                            mode, trials):
     calls = []
-    monkeypatch.setattr(response, "expected_response", lambda *args: calls.append(args))
+    monkeypatch.setattr(response, "build_grid", lambda *args: calls.append(args))
     assert run_cli(["response", mode, "--mask", "singer:m=6", "--M", "50",
                     "--constellation", "qam16", "--k", "1..62", "--nu", "0..199",
                     "--trials", trials, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
@@ -416,8 +416,26 @@ def test_too_few_trials_are_refused_before_any_closed_form(tmp_path, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("k, l, nu", [("0", "2", "0"), ("1", "7", "0"), ("1", "2", "28")],
-                         ids=["k0", "lN", "nuMN"])
+@pytest.mark.parametrize("mode", ["mc", "both"])
+@pytest.mark.parametrize("seed, error", [
+    ("-1", "seed must be non-negative"),
+    (str(2 ** 128), "seed must be below 2**128"),
+], ids=["negative", "beyond_philox_key"])
+def test_a_bad_seed_is_refused_before_any_closed_form(tmp_path, monkeypatch, capsys,
+                                                      mode, seed, error):
+    calls = []
+    monkeypatch.setattr(response, "build_grid", lambda *args: calls.append(args))
+    assert run_cli(["response", mode, "--mask", "singer:m=6", "--M", "50",
+                    "--constellation", "qam16", "--k", "1..62", "--nu", "0..19",
+                    "--trials", "2", "--seed", seed, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert calls == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("k, l, nu", [("0", "2", "0"), ("1", "7", "0"), ("1", "2", "28"),
+                                      ("1,9", "2", "0,99")],
+                         ids=["k0", "lN", "nuMN", "k_and_nu"])
 def test_closed_and_both_refuse_an_index_alike(tmp_path, capsys, k, l, nu):
     args = ["--mask", "singer:m=3", "--M", "4", "--constellation", "qam16",
             "--k", k, "--l", l, "--nu", nu, "--out", str(tmp_path / "o")]
@@ -441,6 +459,20 @@ def test_bounds_output(tmp_path, capsys):
     assert "attains_lower: 1" in out
     lines = read(os.path.join(str(tmp_path), "bounds.csv")).decode().splitlines()
     assert lines[3] == "mask_id,I,I_lower,I_upper,attains_upper,attains_lower"
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_selftest_refuses_too_few_trials_before_any_item(monkeypatch, capsys, trials):
+    called = []
+    real = cli._selftest_items
+
+    def recorded(*args):
+        return [(name, lambda name=name: called.append(name)) for name, _ in real(*args)]
+
+    monkeypatch.setattr(cli, "_selftest_items", recorded)
+    assert run_cli(["selftest", "--trials", trials]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: need at least 2 trials, got {trials}\n")
+    assert called == []
 
 
 def test_selftest_quick(capsys):

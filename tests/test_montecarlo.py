@@ -101,18 +101,31 @@ def _lemire_reference(words, k):
 
 @st.composite
 def _words_for_power_of_two(draw):
-    k = 2 ** draw(st.integers(1, 30))
+    bits = draw(st.integers(1, 30))
+    k = 2 ** bits
     # ceil(j 2**32 / k) puts x k just past a multiple of 2**32
     near = st.integers(0, k - 1).map(lambda j: -(-(j << 32) // k))
     word = st.one_of(st.integers(0, 2 ** 32 - 1), near, st.just(0), st.just(2 ** 32 - 1))
-    return k, draw(st.lists(word, max_size=40))
+    return bits, draw(st.lists(word, max_size=40))
 
 
 @given(_words_for_power_of_two())
 def test_lemire_map_matches_reference(case):
-    k, words = case
-    got = mc._symbol_index(np.array(words, dtype=np.uint32), k)
-    assert got.tolist() == _lemire_reference(words, k)
+    # for K = 2**bits the top bits of a word are Lemire's index (x K) >> 32
+    bits, words = case
+    got = mc._symbol_index(np.array(words, dtype=np.uint32), bits)
+    assert got.dtype == np.uint32
+    assert got.tolist() == _lemire_reference(words, 2 ** bits)
+
+
+def test_shift_map_matches_lemire_for_every_power_of_two():
+    for bits in range(1, 31):
+        k, step = 2 ** bits, 2 ** (32 - bits)
+        # both sides of every bucket edge j 2**32 / K, sampled over j
+        edges = [j * step for j in np.linspace(0, k - 1, 65, dtype=np.int64).tolist()]
+        words = sorted({0, 2 ** 32 - 1, *edges, *(e - 1 for e in edges if e)})
+        got = mc._symbol_index(np.array(words, dtype=np.uint32), bits)
+        assert got.tolist() == _lemire_reference(words, k), bits
 
 
 def _definition_estimate(scen, l, trials, seed, stream):
@@ -137,6 +150,9 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
         (masks.comb_mask(6, 3), 4, 3, 3, 2, 0, 9),           # empty kernel
         (masks.random_mask(20, 8, seed=3), 5, 5, 5, 7, 3, 41),
         (masks.random_mask(20, 8, seed=3), 1, 6, 11, 13, 4, 17),
+        # the design point: wide rows, several trials per shipped block
+        (masks.singer_mask(6), 50, 20, 20, 50, 0, 30),
+        (masks.singer_mask(6), 50, 20, 41, 7, 1, 30),
     ]
     for mask, m_pri, k, l, nu, stream, trials in cases:
         scen = mc.EchoScenario(mask=mask, M=m_pri, constellation=const,
@@ -148,6 +164,36 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
                                        constellation=const, true_delay=3,
                                        true_doppler=0, trial_doppler=2),
                        3, 9, seed=29) == mc.McEstimate(0.0, 0.0, 9, 29)
+
+
+def test_seed_is_a_128_bit_philox_key():
+    m = masks.singer_mask(3)
+    assert np.array_equal(mc.draw_stream(m, 2, QPSK, seed=2 ** 128 - 1),
+                          mc.draw_stream(m, 2, QPSK, seed=2 ** 128 - 1))
+    for seed, error in ((-1, "^seed must be non-negative$"),
+                        (2 ** 128, r"^seed must be below 2\*\*128$")):
+        with pytest.raises(ValueError, match=error):
+            mc.draw_stream(m, 2, QPSK, seed=seed)
+        with pytest.raises(ValueError, match=error):
+            mc.mc_points(m, 2, QPSK, [(1, 2, 0)], trials=2, seed=seed)
+
+
+@pytest.mark.parametrize("mask", [masks.singer_mask(3), masks.singer_mask(6),
+                                  masks.comb_mask(12, 4), masks.random_mask(20, 8, seed=3)],
+                         ids=lambda m: m.label)
+@pytest.mark.parametrize("m_pri", [1, 4, 50])
+def test_kernel_is_one_period_tiled(mask, m_pri):
+    # the active slots of the whole window, found slot by slot
+    n, total = mask.n, m_pri * mask.n
+    bits = mask.as_array()
+    for k, l, nu in ((1, 1, 0), (2, 5, 3), (n - 1, 1, total - 1), (3, 3, total // 2)):
+        ns = np.array([s for s in range(total)
+                       if not bits[s % n] and bits[(s - k) % n] and bits[(s - l) % n]],
+                      dtype=np.int64)
+        idx_k, idx_l, phase = mc._kernel(mask, m_pri, k, l, nu)
+        assert np.array_equal(idx_k, ns - k + n - 1)
+        assert np.array_equal(idx_l, ns - l + n - 1)
+        assert np.array_equal(phase, np.exp(-2j * np.pi * nu * ns / total))
 
 
 def test_draw_stream_energy_law_of_large_numbers():
