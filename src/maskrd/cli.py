@@ -137,10 +137,16 @@ def _array_blocks(axes, values):
     columns come from its row range alone, so no column spans the table.
     """
     axes = [np.asarray(ax) for ax in axes]
+    inner = values.size // max(len(values), 1)  # cells per index of the first axis
     for start in range(0, values.size, BLOCK_ROWS):
-        pos = np.unravel_index(
-            np.arange(start, min(start + BLOCK_ROWS, values.size)), values.shape)
-        yield (*(ax[p] for ax, p in zip(axes, pos)), values[pos])
+        stop = min(start + BLOCK_ROWS, values.size)
+        pos = np.unravel_index(np.arange(start, stop), values.shape)
+        # the value column is a slice of the flat cells of the first-axis rows
+        # it spans: a view of a C-ordered array, a small copy of any other
+        first = start // inner
+        cells = values[first:(stop - 1) // inner + 1].reshape(-1)
+        yield (*(ax[p] for ax, p in zip(axes, pos)),
+               cells[start - first * inner:stop - first * inner])
 
 
 def write_csv(path, header, blocks, config_str: str, seed) -> None:
@@ -301,8 +307,9 @@ def cmd_response(args) -> int:
             budget=_resolve_budget(args))
         name, header = (("response_mc.csv", montecarlo.MC_HEADER) if args.mode == "mc"
                         else ("response_both.csv", montecarlo.VALIDATION_HEADER))
-        rows = [dataclasses.astuple(p)[:len(header)] for p in report.points]
-        blocks, seed = [tuple(zip(*rows))], args.seed
+        names = [f.name for f in dataclasses.fields(montecarlo.McPoint)[:len(header)]]
+        blocks = [tuple(tuple(getattr(p, name) for p in report.points) for name in names)]
+        seed = args.seed
     _write_out(args.out, [(name, lambda path: write_csv(path, header, blocks, config, seed))])
     return EXIT_OK
 
@@ -375,10 +382,10 @@ def _selftest_items(trials: int, seed: int):
         suite = [masks.singer_mask(3), masks.singer_mask(6),
                  masks.comb_mask(6, 3), masks.comb_mask(63, 3)] + random_suite(10)
         for mask in suite:
-            for k in range(1, mask.n):
-                direct = sum(abs(spectra.s_kn(mask, k, nu)) ** 2
-                             for nu in range(1, mask.n))
-                assert abs(direct - spectra.doppler_energy_f(mask, k)) <= 1e-6
+            lags = range(1, mask.n)
+            direct = (np.abs(spectra.s_kn_table(mask, lags, lags)) ** 2).sum(axis=1)
+            closed = spectra.doppler_energy(spectra.autocorr(mask)[1:], mask.n, mask.weight)
+            assert np.all(np.abs(direct - closed) <= 1e-6)
 
     def rng_known_answer():
         # the symbol indices at the 15 transmit slots of one stream, as

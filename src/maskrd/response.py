@@ -135,7 +135,8 @@ def build_grid(p: ScenarioParams, k_set, l_set, nu_set) -> ResponseGrid:
 
     Off-diagonal (k != l) entries are written once and broadcast along nu,
     so their Doppler invariance is exact by construction. Diagonal entries
-    evaluate S_kN only at the grating-lobe bins nu = nM of the nu set.
+    read S_kN from one spectra.s_kn_table over the grid's diagonal k and
+    the grating-lobe bins nu = nM of the nu set, and are 0 elsewhere.
     """
     k_set = tuple(int(k) for k in k_set)
     l_set = tuple(int(l) for l in l_set)
@@ -150,13 +151,17 @@ def build_grid(p: ScenarioParams, k_set, l_set, nu_set) -> ResponseGrid:
     for nu in nu_set:
         _check_nu("nu", nu, p.total_bins)
 
-    ls = np.array(l_set)
+    ls, nus = np.array(l_set), np.array(nu_set)
+    diagonal = [k for k in k_set if k in l_set]
+    lobes = nus % p.M == 0
+    s = np.zeros((len(diagonal), len(nu_set)), dtype=complex)
+    if diagonal:
+        s[:, lobes] = spectra.s_kn_table(p.mask, diagonal, nus[lobes] // p.M)
+    lobe_rows = iter(s)
     values = np.empty((len(k_set), len(l_set), len(nu_set)), dtype=np.float64)
     for i, k in enumerate(k_set):
         row = spectra.cross_term_row(p.mask, k)
         values[i] = p.M * row[ls].astype(np.float64)[:, None]
         if k in l_set:
-            s = np.array([0j if nu % p.M else spectra.s_kn(p.mask, k, nu // p.M)
-                          for nu in nu_set])
-            values[i, ls == k] = mainlobe(p, row[k], s)
+            values[i, ls == k] = mainlobe(p, row[k], next(lobe_rows))
     return ResponseGrid(k_set, l_set, nu_set, values)

@@ -6,7 +6,12 @@ FFT; a rounded FFT correlation of gamma_k with m_t gives one row R[k, :], and
 one float32 BLAS product the whole of R (0/1 entries, partial sums below
 2^24). Each is checked against integer identities (the diagonal of R against
 autocorr), which raise ArithmeticError on failure, and the whole matrix is
-limited to N <= MAX_MATRIX_N. Spectra are evaluated as direct complex sums.
+limited to N <= MAX_MATRIX_N.
+
+Spectra are direct complex sums from one kernel, s_kn_table: each S_kN(nu)
+is one np.dot of the complex gate gamma_k with the phase row of bin nu, so
+an entry does not depend on what else its table holds, and s_kn, one entry,
+is the same bits. build_grid takes one table per grid.
 
 Conventions, with m_t the mask, m_r = 1 - m_t, and all shifts cyclic mod N:
 
@@ -35,6 +40,7 @@ __all__ = [
     "cross_term_matrix",
     "gamma",
     "s_kn",
+    "s_kn_table",
     "s_kmn",
     "doppler_energy",
     "doppler_energy_f",
@@ -119,15 +125,39 @@ def cross_term_matrix(mask: Mask) -> np.ndarray:
 def gamma(mask: Mask, k: int) -> GammaSequence:
     """Receive gate gamma_k over one period; k is reduced mod N."""
     bits = mask.as_array()
-    values = (1 - bits) * np.roll(bits, k % mask.n)
+    shift = mask.n - k % mask.n  # m_t[n - k] is bits rolled right by k
+    values = (1 - bits) * np.concatenate((bits[shift:], bits[:shift]))
     return GammaSequence(k=k, values=values)
 
 
 def s_kn(mask: Mask, k: int, nu: int) -> complex:
     """Length-N spectrum of the receive gate at bin nu (reduced mod N)."""
+    return complex(s_kn_table(mask, (k,), (nu,))[0, 0])
+
+
+def s_kn_table(mask: Mask, ks, bins) -> np.ndarray:
+    """S_kN(bin) for each k of ks (rows) and each bin of bins (columns).
+
+    Bins are reduced mod N and may repeat. Each gamma_k is cast to complex
+    once, and the phase row exp(-2j pi bin n / N) of each distinct bin is
+    built once and dropped after use, so no more than one row is held. Each
+    entry is one np.dot (zdotu) of a gate and a row: a matrix product would
+    round differently, and an entry must not depend on what else the table
+    holds.
+    """
     n = mask.n
-    phase = np.exp(-2j * np.pi * (nu % n) * np.arange(n) / n)
-    return complex(np.dot(gamma(mask, k).values, phase))
+    bins = [int(b) % n for b in bins]
+    column = {b: j for j, b in enumerate(dict.fromkeys(bins))}
+    gates = [gamma(mask, k).values.astype(complex) for k in ks]
+    table = np.empty((len(gates), len(column)), dtype=complex)
+    times = np.arange(n, dtype=complex)  # cast once; each product would cast it
+    for b, j in column.items():
+        row = np.exp(-2j * np.pi * b * times / n)
+        for i, gate in enumerate(gates):
+            table[i, j] = np.dot(gate, row)
+    if len(column) < len(bins):  # a repeated bin reads its first column
+        table = table.take([column[b] for b in bins], axis=1)
+    return table
 
 
 def s_kmn(mask: Mask, k: int, m_pri: int, nu: int) -> complex:

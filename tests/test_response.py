@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,10 +154,30 @@ def test_lobe_bins_read_s_kn_only_where_hit(monkeypatch):
     for n in range(m.n):
         want = 9 * abs(spectra.s_kn(m, 5, n)) ** 2 + floor
         assert lobes[n] == pytest.approx(want, rel=1e-12)
-    bins = []
-    original = spectra.s_kn
-    monkeypatch.setattr(spectra, "s_kn",
-                        lambda mask, k, nu: bins.append((k, nu)) or original(mask, k, nu))
+    calls = []
+    original = spectra.s_kn_table
+
+    def recording(mask, ks, bins):
+        calls.append((list(ks), [int(b) for b in bins]))
+        return original(mask, ks, bins)
+
+    monkeypatch.setattr(spectra, "s_kn_table", recording)
     grid = response.build_grid(p, (5, 6), (5, 7), (0, 1, 2, 3, 6, 7, 119))
-    assert bins == [(5, 0), (5, 1), (5, 2)]  # k = 6 has no diagonal point
+    assert calls == [([5], [0, 1, 2])]  # one table; k = 6 has no diagonal point
     assert np.all(grid.values[0, 0, [1, 2, 5, 6]] == floor)
+    assert np.all(grid.values[0, 0, [0, 3, 4]] == lobes[[0, 1, 2]])
+
+
+def test_grating_lobes_hold_one_phase_row_at_a_time():
+    mask = masks.singer_mask(11)  # N = 2047
+    p = scenario(mask, 4, 1.32)
+    tracemalloc.start()
+    try:
+        lobes = response.grating_lobes(p, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20  # all N phase rows at once would take N^2 16 B = 64 MB
+    deficit = mask.weight - int(spectra.autocorr(mask)[3])
+    for n in (0, 1, 1000, mask.n - 1):
+        assert lobes[n] == response.mainlobe(p, deficit, spectra.s_kn(mask, 3, n))

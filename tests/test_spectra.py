@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maskrd import masks, spectra
 from conftest import brute_autocorr, brute_cross_term, random_mask_suite
@@ -102,6 +103,41 @@ def test_s_kn_matches_fft_oracle():
             # nu is reduced mod N
             for nu in range(m.n):
                 assert spectra.s_kn(m, k, nu + m.n) == mine[nu]
+
+
+def scalar_s_kn(mask, k, nu):
+    """S_kN as the scalar kernel computed it before s_kn_table: the byte oracle."""
+    n, bits = mask.n, mask.as_array()
+    phase = np.exp(-2j * np.pi * (nu % n) * np.arange(n) / n)
+    return complex(np.dot((1 - bits) * np.roll(bits, k % n), phase))
+
+
+@st.composite
+def table_case(draw):
+    """A shifted comb or any mask with N in 2..200, some k, and bins that are
+    unsorted and hold 0, a bin at or beyond N, and a repeat."""
+    n = draw(st.integers(2, 200))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+        mask = masks.cyclic_shift(masks.comb_mask(n, d), draw(st.integers(0, n - 1)))
+    else:
+        support = draw(st.permutations(range(n)))[:draw(st.integers(1, n - 1))]
+        mask = masks.custom_mask([int(i in support) for i in range(n)])
+    ks = draw(st.lists(st.integers(1, 2 * n), min_size=1, max_size=4))
+    bins = draw(st.lists(st.integers(0, 3 * n), min_size=1, max_size=10))
+    bins += [0, draw(st.integers(n, 3 * n)), bins[0]]
+    return mask, ks, draw(st.permutations(bins))
+
+
+@given(table_case())
+def test_s_kn_table_is_the_scalar_kernel_bitwise(case):
+    mask, ks, bins = case
+    table = spectra.s_kn_table(mask, ks, bins)
+    want = np.array([[scalar_s_kn(mask, k, nu) for nu in bins] for k in ks])
+    assert table.shape == want.shape and table.dtype == want.dtype
+    assert table.tobytes() == want.tobytes()
+    assert np.array([[spectra.s_kn(mask, k, nu) for nu in bins]
+                     for k in ks]).tobytes() == want.tobytes()
 
 
 def test_parseval_closed_form():
