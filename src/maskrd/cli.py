@@ -112,66 +112,91 @@ def _quote(text: str) -> str:
     return text
 
 
-def _column_cells(column):
-    """The cells of a column as CSV text, each distinct value formatted once.
+def _column_cells(column, end: str):
+    """The cells of a column as CSV text, each followed by end.
 
     A number column keys its cells by bit pattern, so -0.0 and 0.0, and
     each NaN payload, stay apart; the value at a key's first occurrence is
-    formatted as its numpy dtype says: integers and bools %d, floats %.11e.
-    Anything else is str() with csv minimal quoting.
+    formatted once as its numpy dtype says: integers and bools %d, floats
+    %.11e. Anything else is str() with csv minimal quoting.
     """
     cells = np.asarray(column)
     if cells.dtype.kind not in "biuf":
-        return [_quote(str(v)) for v in column]
-    spec = "%.11e" if cells.dtype.kind == "f" else "%d"
+        return [_quote(str(v)) + end for v in column]
+    spec = ("%.11e" if cells.dtype.kind == "f" else "%d") + end
     _, first, inverse = np.unique(cells.view(f"u{cells.itemsize}"),
                                   return_index=True, return_inverse=True)
     text = np.array([spec % v for v in cells[first].tolist()], dtype=object)
     return text[inverse].tolist()
 
 
-def _array_blocks(axes, values):
-    """Blocks (index columns..., value column) of an array's cells, row-major.
-
-    axes holds the index labels of each dimension of values; a block's index
-    columns come from its row range alone, so no column spans the table.
+def _table_block(columns) -> tuple:
+    """The block of a table given as a sequence of equal-length columns: the
+    cells of each column followed by ",", those of the last by a line break.
     """
-    axes = [np.asarray(ax) for ax in axes]
+    block = [_column_cells(c, ",") for c in columns[:-1]]
+    block.append(_column_cells(columns[-1], "\n"))
+    if len(block) == 1:  # csv.writer quotes a row that is one empty field
+        block[0] = ['""\n' if cell == "\n" else cell for cell in block[0]]
+    return tuple(block)
+
+
+def _array_blocks(axes, values):
+    """Blocks of an array's cells, row-major: each axis's label, then the value.
+
+    axes holds the labels of each dimension of values, formatted once per
+    table. A block reads its last-axis labels by position and joins the
+    labels of the other axes (a row prefix such as "k,l,") once for each
+    outer row it spans, so it holds O(BLOCK_ROWS) pieces whatever the shape.
+    """
+    *outer, last = [_column_cells(ax, ",") for ax in axes]
+    size = len(last)
     inner = values.size // max(len(values), 1)  # cells per index of the first axis
     for start in range(0, values.size, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, values.size)
-        pos = np.unravel_index(np.arange(start, stop), values.shape)
         # the value column is a slice of the flat cells of the first-axis rows
         # it spans: a view of a C-ordered array, a small copy of any other
         first = start // inner
         cells = values[first:(stop - 1) // inner + 1].reshape(-1)
-        yield (*(ax[p] for ax, p in zip(axes, pos)),
-               cells[start - first * inner:stop - first * inner])
+        value_text = _column_cells(cells[start - first * inner:stop - first * inner], "\n")
+        head = last[start % size:start % size + stop - start]
+        rest = stop - start - len(head)
+        labels = head + last * (rest // size) + last[:rest % size]
+        if not outer:
+            yield labels, value_text
+            continue
+        rows = range(start // size, (stop - 1) // size + 1)  # the outer rows it spans
+        index = np.unravel_index(np.arange(rows.start, rows.stop), values.shape[:-1])
+        parts = [map(text.__getitem__, i.tolist()) for text, i in zip(outer, index)]
+        prefixes = np.array(list(map("".join, zip(*parts))), dtype=object)
+        counts = np.full(len(rows), size)  # rows of the block in each outer row
+        counts[0] -= start - rows.start * size
+        counts[-1] -= rows.stop * size - stop
+        yield prefixes.repeat(counts).tolist(), labels, value_text
 
 
 def write_csv(path, header, blocks, config_str: str, seed) -> None:
     """Write three '#' lines (tool, config, seed), the header, then the rows.
 
-    blocks is an iterable of blocks, each a tuple of equal-length columns; a
-    streamed table comes in blocks of at most BLOCK_ROWS rows. A column's
-    numpy dtype sets the format of its cells: integers and bools in decimal
-    (%d), floats as %.11e (so -0.0, inf and nan read as Python's float
-    format writes them), anything else as str() with csv minimal quoting.
-    Each distinct value of a column is formatted once per block (a
-    closed-form grid repeats a few values many times: its range sidelobes
-    do not depend on nu), and each block is written at once; the bytes are
-    those of a csv.writer with lineterminator "\n" over the same cells.
+    blocks is an iterable of blocks as _table_block and _array_blocks build
+    them: tuples of equal-length lists of text pieces, each piece one or
+    more cells with the separator that follows them. A block's rows are its
+    pieces read across the lists, then down, and a block is written with
+    one join. Each distinct value of a column is formatted once per block
+    (a closed-form grid repeats a few values many times: its range
+    sidelobes do not depend on nu) and each axis label once per table; the
+    bytes are those of a csv.writer with lineterminator "\n" over the same
+    cells, formatted as _column_cells says.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"# {line}\n" for line in _header_lines(config_str, seed)))
         fh.write(",".join(map(_quote, header)) + "\n")
         for block in blocks:
-            columns = list(map(_column_cells, block))
-            if len(columns) == 1:  # csv.writer quotes a row that is one empty field
-                columns[0] = [cell or '""' for cell in columns[0]]
-            rows = list(map(",".join, zip(*columns)))
-            if rows:
-                fh.write("\n".join(rows) + "\n")
+            width = len(block)
+            pieces = [None] * (width * len(block[0]))
+            for j, column in enumerate(block):
+                pieces[j::width] = column
+            fh.write("".join(pieces))
 
 
 def _write_out(out_dir: str, files) -> None:
@@ -308,7 +333,8 @@ def cmd_response(args) -> int:
         name, header = (("response_mc.csv", montecarlo.MC_HEADER) if args.mode == "mc"
                         else ("response_both.csv", montecarlo.VALIDATION_HEADER))
         names = [f.name for f in dataclasses.fields(montecarlo.McPoint)[:len(header)]]
-        blocks = [tuple(tuple(getattr(p, name) for p in report.points) for name in names)]
+        blocks = [_table_block([tuple(getattr(p, name) for p in report.points)
+                                 for name in names])]
         seed = args.seed
     _write_out(args.out, [(name, lambda path: write_csv(path, header, blocks, config, seed))])
     return EXIT_OK
@@ -331,7 +357,7 @@ def cmd_metrics(args) -> int:
     rows = [metrics.report_row(metrics.metrics_report(mask, args.M, mu4, args.normalize))
             for mask in mask_list]
     _write_out(args.out, [(f"{args.command}.csv", lambda path: write_csv(
-        path, metrics.REPORT_HEADER, [tuple(zip(*rows))], config, 0))])
+        path, metrics.REPORT_HEADER, [_table_block(tuple(zip(*rows)))], config, 0))])
     return EXIT_OK
 
 
@@ -353,7 +379,7 @@ def cmd_bounds(args) -> int:
                int(b.attains_upper()), int(b.attains_lower()))
         _write_out(args.out, [("bounds.csv", lambda path: write_csv(
             path, ("mask_id", "I", "I_lower", "I_upper", "attains_upper", "attains_lower"),
-            [tuple(zip(row))], config, 0))])
+            [_table_block(tuple(zip(row)))], config, 0))])
     return EXIT_OK
 
 

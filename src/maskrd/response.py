@@ -13,8 +13,8 @@ moderate_slice and grating_lobes read a grid with one k and l = k. Delay 0
 is the blind range and is rejected rather than reported as zero.
 _check_delay and _check_nu are the one range check of (k, l, nu), here and
 in the Monte Carlo oracle. The CLI writes a grid's values row-major in
-(k, l, nu), in blocks whose index columns come from each block's row range
-(cli.write_csv).
+(k, l, nu), in blocks that read the k, l and nu label text, formatted once
+per grid, by position (cli._array_blocks).
 """
 
 from __future__ import annotations

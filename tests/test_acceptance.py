@@ -113,9 +113,10 @@ def test_c05_offzero_spectral_energy():
     suite += [masks.comb_mask(6, 3), masks.comb_mask(63, 3)]
     suite += random_mask_suite(20, seed=505)
     for m in suite:
-        for k in range(1, m.n):
-            direct = sum(abs(spectra.s_kn(m, k, nu)) ** 2
-                         for nu in range(1, m.n))
+        lags = range(1, m.n)
+        table = spectra.s_kn_table(m, lags, lags)  # row k - 1 holds S_kN(1..N-1)
+        for k, row in zip(lags, table):
+            direct = sum(abs(row) ** 2)
             assert abs(direct - spectra.doppler_energy_f(m, k)) <= 1e-6
     s3 = masks.singer_mask(3)
     for k in range(1, 7):

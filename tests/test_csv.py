@@ -1,16 +1,20 @@
 """cli.write_csv against the per-cell csv.writer it replaced (csv_oracle.py).
 
-The block writer formats each distinct value of a column once, from its
-dtype; these tests hold it to the old writer's bytes cell by cell, across
-block boundaries and through the CLI callers that stream a grid or R in
-blocks.
+The block writer formats each distinct value of a column once per block,
+from its dtype, and each axis label of an array table once per table; these
+tests hold it to the old writer's bytes cell by cell, across block
+boundaries and through the CLI callers that stream a grid or R in blocks,
+and hold a streamed block to its own rows in memory.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import csv_oracle as oracle
 from maskrd import cli, masks, response, spectra
@@ -20,7 +24,8 @@ CONFIG = "response closed --out 'a b'"
 
 def both_writers(tmp_path, header, rows):
     """Bytes of cli.write_csv on rows as one block, then of the oracle."""
-    cli.write_csv(tmp_path / "new.csv", header, [tuple(zip(*rows))], CONFIG, 7)
+    cli.write_csv(tmp_path / "new.csv", header, [cli._table_block(tuple(zip(*rows)))],
+                  CONFIG, 7)
     oracle.write_csv(tmp_path / "old.csv", header, rows, CONFIG, 7)
     return (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
 
@@ -55,11 +60,12 @@ def test_grid_blocks_order_and_schema(monkeypatch):
     p = response.ScenarioParams(mask=masks.singer_mask(3), M=2, mu4=1.0)
     grid = response.build_grid(p, (1,), (1, 2), (0, 1))
     blocks = list(cli._array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values))
-    assert [len(b) for b in blocks] == [4, 4]
-    assert [len(b[0]) for b in blocks] == [3, 1]
-    rows = [row for b in blocks for row in zip(*(c.tolist() for c in b))]
-    assert [r[:3] for r in rows] == [(1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1)]
-    assert [r[3] for r in rows] == grid.values.ravel().tolist()
+    # a block is (prefix, last-axis label, value) pieces, one of each per row
+    assert [tuple(map(len, b)) for b in blocks] == [(3, 3, 3), (1, 1, 1)]
+    prefix, labels, values = ([piece for b in blocks for piece in b[j]] for j in range(3))
+    assert prefix == ["1,1,", "1,1,", "1,2,", "1,2,"]
+    assert labels == ["0,", "1,", "0,", "1,"]
+    assert values == ["%.11e\n" % v for v in grid.values.ravel()]
 
 
 def _grid_rows(argv):
@@ -136,7 +142,7 @@ def tables(draw):
 @example((["text"], [np.array(["x", "", "a"], dtype=object)], [0, 1, 3, 3]))
 def test_blocks_of_repeated_values_match_the_old_writer(tmp_path_factory, table):
     kinds, columns, edges = table
-    blocks = [tuple(c[a:b] for c in columns) for a, b in zip(edges, edges[1:])]
+    blocks = [cli._table_block([c[a:b] for c in columns]) for a, b in zip(edges, edges[1:])]
     rows = list(zip(*(c.tolist() for c in columns)))
     tmp = tmp_path_factory.mktemp("t")
     cli.write_csv(tmp / "new.csv", kinds, blocks, CONFIG, 7)
@@ -159,3 +165,74 @@ def test_array_blocks_of_signed_zeros_and_nans_match_the_old_writer(
             for i in range(3) for j in range(4) for t in range(5)]
     oracle.write_csv(tmp_path / "old.csv", header, rows, CONFIG, 7)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+LABELS = ("i8", "u64", "bool")
+VALUES = {"f64": np.array(POOLS["f64"]),
+          "i64": np.array([-2 ** 63, -1, 0, 7, 2 ** 63 - 1], dtype=np.int64)}
+# How a value array of a given shape is cut from a C-ordered base: (the
+# base's shape, the cut). The base itself, the base without its first index
+# on every axis (as r[1:, 1:] in mask verify --out), every other index of the
+# base's last axis, or the base transposed.
+VIEWS = {
+    "whole": (lambda shape: shape, lambda base: base),
+    "offset": (lambda shape: [s + 1 for s in shape],
+               lambda base: base[(slice(1, None),) * base.ndim]),
+    "strided": (lambda shape: [*shape[:-1], 2 * shape[-1]], lambda base: base[..., ::2]),
+    "transposed": (lambda shape: shape[::-1], lambda base: base.T),
+}
+
+
+@st.composite
+def arrays(draw):
+    """Labelled arrays of 1 to 3 axes of pool values, and a BLOCK_ROWS."""
+    shape = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    kinds = draw(st.lists(st.sampled_from(LABELS), min_size=len(shape), max_size=len(shape)))
+    axes = [np.array(draw(st.lists(st.sampled_from(POOLS[k]), min_size=s, max_size=s)),
+                     dtype=DTYPES[k]) for k, s in zip(kinds, shape)]
+    pool = VALUES[draw(st.sampled_from(sorted(VALUES)))]
+    base_shape, cut = VIEWS[draw(st.sampled_from(sorted(VIEWS)))]
+    index = draw(hnp.arrays(np.intp, base_shape(shape), elements=st.integers(0, len(pool) - 1)))
+    return axes, cut(pool[index]), draw(st.sampled_from([1, 5, 64]))
+
+
+def _array(kinds, shape, view="offset", values="f64", block_rows=5):
+    """One example of arrays(): the pools taken in turn."""
+    axes = [np.array(POOLS[k] * s, dtype=DTYPES[k])[:s] for k, s in zip(kinds, shape)]
+    base_shape, cut = VIEWS[view]
+    pool = VALUES[values]
+    index = np.arange(np.prod(base_shape(shape)), dtype=np.intp).reshape(base_shape(shape))
+    return axes, cut(pool[index % len(pool)]), block_rows
+
+
+@given(arrays())
+@example(_array(("u64", "i8", "bool"), (3, 4, 1), block_rows=1))  # a last axis of length 1
+@example(_array(("i8", "bool", "u64"), (2, 0, 3)))  # an empty axis: no rows
+@example(_array(("bool", "u64"), (6, 5), view="transposed", values="i64", block_rows=64))
+def test_array_tables_match_the_old_writer(tmp_path_factory, table):
+    axes, values, block_rows = table
+    header = (*(f"axis{d}" for d in range(values.ndim)), "value")
+    tmp = tmp_path_factory.mktemp("t")
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        cli.write_csv(tmp / "new.csv", header, cli._array_blocks(axes, values), CONFIG, 7)
+    labels = [ax.tolist() for ax in axes]
+    rows = [(*(labels[d][i] for d, i in enumerate(index)), values[index])
+            for index in np.ndindex(values.shape)]
+    oracle.write_csv(tmp / "old.csv", header, rows, CONFIG, 7)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def test_a_block_holds_its_own_rows_only(tmp_path):
+    # 256 x 256 outer rows of 4 cells: a row prefix held for every outer row
+    # of the table would take ~4 MB, and the table's text is ~7 MB
+    values = (np.arange(256 * 256 * 4) % 3 * 0.25).reshape(256, 256, 4)
+    axes = (range(256), range(256), range(4))
+    tracemalloc.start()
+    try:
+        cli.write_csv(tmp_path / "t.csv", ("k", "l", "nu", "v"),
+                      cli._array_blocks(axes, values), CONFIG, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.csv").stat().st_size > 7e6
+    assert peak < 2e6
