@@ -242,9 +242,11 @@ def _resolve_budget(args) -> int:
 
 
 def _resolve_mu4(args) -> float:
-    if getattr(args, "mu4", None) is not None:
+    if args.mu4 is not None and args.constellation:
+        raise ValueError("give --mu4 or --constellation, not both")
+    if args.mu4 is not None:
         return args.mu4
-    if getattr(args, "constellation", None):
+    if args.constellation:
         return montecarlo.make_constellation(args.constellation).mu4
     raise ValueError("supply --mu4 or --constellation")
 
@@ -323,9 +325,7 @@ def cmd_response(args) -> int:
     else:
         if not args.constellation:
             raise ValueError("Monte Carlo runs need --constellation")
-        if args.mu4 is not None:
-            raise ValueError(
-                "Monte Carlo runs take mu4 from the constellation; drop --mu4")
+        _resolve_mu4(args)  # refuses --mu4 beside it
         report = montecarlo.validate_grid(
             mask, args.M, montecarlo.make_constellation(args.constellation),
             k_set, l_set, nu_set, trials=args.trials, seed=args.seed,
@@ -368,18 +368,14 @@ def cmd_bounds(args) -> int:
     config = canonical_config(["bounds"], options)
     mask = mask_from_arg(args.mask)
     b = metrics.doppler_sidelobe_sum(mask, mu4)
+    header = ("mask_id", "I", "I_lower", "I_upper", "attains_upper", "attains_lower")
+    row = (mask.label, b.value, b.lower, b.upper, int(b.attains_upper()), int(b.attains_lower()))
     print(f"mask: {mask.label}")
-    print(f"I: {b.value:.11e}")
-    print(f"I_lower: {b.lower:.11e}")
-    print(f"I_upper: {b.upper:.11e}")
-    print(f"attains_upper: {int(b.attains_upper())}")
-    print(f"attains_lower: {int(b.attains_lower())}")
+    for name, v in zip(header[1:], row[1:]):
+        print(f"{name}: {v:.11e}" if isinstance(v, float) else f"{name}: {v}")
     if args.out:
-        row = (mask.label, b.value, b.lower, b.upper,
-               int(b.attains_upper()), int(b.attains_lower()))
         _write_out(args.out, [("bounds.csv", lambda path: write_csv(
-            path, ("mask_id", "I", "I_lower", "I_upper", "attains_upper", "attains_lower"),
-            [_table_block(tuple(zip(row)))], config, 0))])
+            path, header, [_table_block(tuple(zip(row)))], config, 0))])
     return EXIT_OK
 
 

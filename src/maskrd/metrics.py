@@ -11,6 +11,9 @@ with f(a) = (w - a)(N - w + a) the receive-gate spectral energy:
     with equality for fully polarized a[k], comb masks), and
   * the worst case over k, minimized by constant-autocorrelation masks.
 
+A bound is attained iff the sum's exact integer gap to it is 0; the upper
+gap, (N-1) times the spread of a[k], is 0 iff the mainlobe is flat (CDS).
+
 This normalization is per tiled period; multiply the f-part by M^2 and the
 mu4-part by M to land on coherent-window units.
 """
@@ -61,22 +64,23 @@ class FluctuationStats:
     min: float
     max: float
     ptp_ratio: float
-    variance: float
 
 
 @dataclass(frozen=True)
 class DopplerSumBounds:
-    """Doppler sidelobe sum with its universal bracketing bounds."""
+    """Doppler sidelobe sum, its universal bounds and its exact gaps to them."""
 
     value: float
     lower: float
     upper: float
+    upper_gap: int
+    lower_gap: int
 
-    def attains_upper(self, rtol: float = 1e-9) -> bool:
-        return math.isclose(self.value, self.upper, rel_tol=rtol)
+    def attains_upper(self) -> bool:
+        return self.upper_gap == 0
 
-    def attains_lower(self, rtol: float = 1e-9) -> bool:
-        return math.isclose(self.value, self.lower, rel_tol=rtol)
+    def attains_lower(self) -> bool:
+        return self.lower_gap == 0
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,6 @@ class MeanDopplerSidelobe:
 
     per_k: np.ndarray
     worst: float
-    normalization: str
 
     def __post_init__(self):
         self.per_k.setflags(write=False)
@@ -98,14 +101,10 @@ def mainlobe_levels(p: ScenarioParams) -> np.ndarray:
 
 
 def mainlobe_fluctuation(p: ScenarioParams) -> FluctuationStats:
-    """Min, max, peak-to-peak ratio and variance of the mainlobe levels."""
+    """Min, max and peak-to-peak ratio of the mainlobe levels."""
     levels = mainlobe_levels(p)
-    lo = float(levels.min())
-    hi = float(levels.max())
-    ratio = hi / lo if lo > 0 else math.inf
-    # a constant profile has zero variance outright, not mean-roundoff dust
-    var = 0.0 if hi == lo else float(np.var(levels))
-    return FluctuationStats(min=lo, max=hi, ptp_ratio=ratio, variance=var)
+    lo, hi = float(levels.min()), float(levels.max())
+    return FluctuationStats(min=lo, max=hi, ptp_ratio=hi / lo if lo > 0 else math.inf)
 
 
 def peak_range_sidelobe(p: ScenarioParams) -> float:
@@ -144,22 +143,26 @@ def doppler_sidelobe_sum(mask: Mask, mu4: float) -> DopplerSumBounds:
     identities (sums over k = 1..N-1), raising ArithmeticError if either
     fails:
 
-        (N-1) (upper - value)_f = (N-1) sum a^2 - (sum a)^2
-              (value - lower)_f = sum a (w - a)
+        (N-1) (upper - value)_f = (N-1) sum a^2 - (sum a)^2 = upper_gap
+              (value - lower)_f = sum a (w - a)             = lower_gap
     """
     check_mu4(mu4)
     n, w = mask.n, mask.weight
-    a, deficit, f = _per_delay(mask)
+    if w * n * n >= 2 ** 63:  # a[k] <= w bounds the int64 sums of f and a^2 by w N^2
+        raise ValueError(f"{mask.label} is too large for exact Doppler sums: w N^2 >= 2^63")
+    a, _, f = _per_delay(mask)
     wnw = w * (n - w)
     f_sum, a_sum, a2_sum = int(f.sum()), int(a.sum()), int(a @ a)
-    if (wnw * (n * (n - 1) - wnw) - (n - 1) * f_sum != (n - 1) * a2_sum - a_sum ** 2
-            or f_sum - wnw * (n - w) != w * a_sum - a2_sum):
+    upper_gap, lower_gap = (n - 1) * a2_sum - a_sum ** 2, w * a_sum - a2_sum
+    if (wnw * (n * (n - 1) - wnw) - (n - 1) * f_sum != upper_gap
+            or f_sum - wnw * (n - w) != lower_gap):
         raise ArithmeticError(
             f"Doppler sidelobe sum of {mask.label} breaks its tradeoff identities")
-    value = float(f_sum) + (n - 1) * (mu4 - 1) * float(deficit.sum())
-    upper = wnw * (n - wnw / (n - 1)) + (n - 1) * (mu4 - 1) * float(wnw)
-    lower = float(w * (n - w) ** 2) + (n - 1) * (mu4 - 1) * float(wnw)
-    return DopplerSumBounds(value=value, lower=lower, upper=upper)
+    floor = (n - 1) * (mu4 - 1) * float(wnw)  # sum of w - a[k] is w (N - w)
+    return DopplerSumBounds(value=float(f_sum) + floor,
+                            lower=float(w * (n - w) ** 2) + floor,
+                            upper=wnw * (n - wnw / (n - 1)) + floor,
+                            upper_gap=upper_gap, lower_gap=lower_gap)
 
 
 def worst_case_doppler_sum(mask: Mask, mu4: float) -> float:
@@ -189,8 +192,7 @@ def mean_doppler_sidelobe(p: ScenarioParams,
         main = mainlobe(p, deficit, deficit)  # mainlobe_levels(p), no second autocorr
         per_k = np.divide(per_k, main, out=np.where(per_k == 0, 0.0, np.inf),
                           where=main > 0)
-    return MeanDopplerSidelobe(per_k=per_k, worst=float(per_k.max()),
-                               normalization=normalization)
+    return MeanDopplerSidelobe(per_k=per_k, worst=float(per_k.max()))
 
 
 @dataclass(frozen=True)

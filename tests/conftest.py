@@ -32,6 +32,12 @@ def brute_dft(seq, nu):
     return sum(seq[i] * np.exp(-2j * np.pi * nu * i / n) for i in range(n))
 
 
+def qr_mask(p):
+    """The nonzero quadratic residues mod a prime p: a CDS iff p = 3 mod 4."""
+    return masks.custom_mask([int(pow(i, (p - 1) // 2, p) == 1) for i in range(p)],
+                             label=f"qr:p={p}")
+
+
 def random_mask_suite(count, seed, lo=5, hi=64):
     """Seeded random masks with varied period and weight."""
     rng = np.random.Generator(np.random.Philox(key=seed))

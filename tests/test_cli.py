@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from maskrd import cli, masks, montecarlo, response
+from conftest import qr_mask
 
 
 def run_cli(argv):
@@ -75,12 +76,16 @@ def test_mask_show_output(capsys):
 
 
 RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
+BOTH_MU4 = "give --mu4 or --constellation, not both"
 
 
 @pytest.mark.parametrize("argv, error", [
     (["response", "closed", *RESPONSE], "supply --mu4 or --constellation"),
-    (["response", "mc", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"],
-     "Monte Carlo runs take mu4 from the constellation; drop --mu4"),
+    (["response", "mc", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], BOTH_MU4),
+    (["response", "closed", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], BOTH_MU4),
+    (["metrics", "--mask", "singer:m=3", "--M", "2", "--constellation", "qam16",
+      "--mu4", "1.0"], BOTH_MU4),
+    (["bounds", "--mask", "singer:m=3", "--mu4", "1.0", "--constellation", "qpsk"], BOTH_MU4),
     (["response", "mc", *RESPONSE, "--constellation", "qam16", "--seed", "-3"],
      "seed must be non-negative"),
     (["mask", "verify", "nope.mask"],
@@ -88,8 +93,9 @@ RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
     (["mask", "verify", "singer:m"], "malformed mask spec 'singer:m'"),
     (["mask", "show", "comb:N=6,d=x"], "non-integer value 'x' in mask spec 'comb:N=6,d=x'"),
     (["mask", "gen", "singer:m=3,m=4"], "mask spec 'singer:m=3,m=4' repeats key 'm'"),
-], ids=["closed_no_mu4", "mc_mu4", "mc_negative_seed", "neither_spec_nor_file",
-        "spec_without_value", "spec_non_integer", "spec_repeated_key"])
+], ids=["closed_no_mu4", "mc_mu4", "closed_mu4", "metrics_mu4", "bounds_mu4",
+        "mc_negative_seed", "neither_spec_nor_file", "spec_without_value",
+        "spec_non_integer", "spec_repeated_key"])
 def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
@@ -459,6 +465,13 @@ def test_bounds_output(tmp_path, capsys):
     assert "attains_lower: 1" in out
     lines = read(os.path.join(str(tmp_path), "bounds.csv")).decode().splitlines()
     assert lines[3] == "mask_id,I,I_lower,I_upper,attains_upper,attains_lower"
+    # the QR mask at p = 40009 (1 mod 4) is no CDS: its sum is below I_upper
+    # by a relative 8.3e-10, which a float test at rtol 1e-9 took for equality
+    path = tmp_path / "qr40009.mask"
+    masks.save_mask(qr_mask(40009), path)
+    assert run_cli(["bounds", "--mask", str(path), "--mu4", "1.0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["attains_upper: 0", "attains_lower: 0"]
 
 
 @pytest.mark.parametrize("trials", ["0", "1"])
@@ -561,13 +574,20 @@ GOLDEN = [
         "compare.csv": "86d12a3fb96920559937a7b9ffb79313097bacdea09b8cde06480c780e892c35"}),
     (["metrics", "--mask", "random:N=40,w=13,seed=9", "--M", "7", "--mu4", "1.32"], {
         "metrics.csv": "84279f6e4f7c46174ae5bb46ebac361c113dccc075ec50cebd4578f3fa2a3568"}),
+    (["bounds", "--mask", "singer:m=6", "--constellation", "qam16"], {
+        "bounds.csv": "f5730f6c8fd97508757921a8501fd355aa5a4102bcb6ff0bbbe3463c9c24c562"}),
+    (["bounds", "--mask", "comb:N=63,d=3", "--mu4", "1.0"], {
+        "bounds.csv": "f687d9ceb8064bc6ba25a2aecfa0447db30ad6dbd7552e73bdc50696c39bb473"}),
+    (["bounds", "--mask", "random:N=63,w=31,seed=7", "--mu4", "1.32"], {
+        "bounds.csv": "aa096b58664c6fe5d3f28f60a73c2a34f0ad8cb42785f1a38baf74d4193a9da6"}),
 ]
 
 
 @pytest.mark.parametrize("argv, hashes", GOLDEN,
                          ids=["singer6", "comb63", "random63", "closed_singer5",
                               "closed_comb63", "closed_random40", "closed_singer7_blocks",
-                              "closed_random63_lobes", "compare63", "metrics40"])
+                              "closed_random63_lobes", "compare63", "metrics40",
+                              "bounds_singer6", "bounds_comb63", "bounds_random63"])
 def test_golden_payloads(tmp_path, argv, hashes):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 0
     assert sorted(os.listdir(tmp_path)) == sorted(hashes)
