@@ -11,16 +11,19 @@ below zero belong to the tail of the previous coherent window and are drawn
 as fresh independent symbols; cyclic reuse would correlate the window edges.
 Arrays store index i at position i + N - 1.
 
-Randomness. Every trial draws from a Philox generator keyed by the seed
-and started at a counter given by (trial, stream id), so results do not
-depend on evaluation order and are reproducible across platforms. A
-trial's symbols come from its raw 64-bit Philox outputs, each split into
-32-bit words low half first, whatever the byte order of the machine. Word
-x becomes symbol index (x K) >> 32 for K points (Lemire's method). A
-constellation has a power-of-two K = 2**b, for which Lemire's method
-rejects no word and (x K) >> 32 is x >> (32 - b), the top b bits of x. So
-word j gives symbol j: exactly the indices numpy's Generator.integers(0, K)
-draws from the same state. estimate() gathers only the words that the
+Randomness. Stream s is the byte sequence that numpy's
+Generator(Philox(key=seed, counter=s << 192)).integers(0, K, dtype=np.uint8)
+draws for K points: its raw 64-bit outputs split into bytes, low byte
+first, whatever the byte order of the machine. A constellation has
+K = 2**b <= 256 points, for which that 8-bit bounded draw (Lemire's method)
+rejects no byte and maps byte x to x >> (8 - b), its top b bits. Only the
+T transmit slots of -(N-1)..MN-1 take a symbol: with W = ceil(T / 8),
+trial t reads the outputs tW..tW+W-1 of its stream, and byte j of them is
+the symbol index of its j-th transmit slot. Trial and stream numbers are
+below 2**64, so a stream's trials never reach the next stream. Any
+(trial, stream) is reached directly, results do not depend on evaluation
+order, and they are reproducible across platforms. estimate() draws a
+block of trials with one call and gathers only the bytes that the
 correlation reads, each once on the diagonal k = l.
 
 Scoring. mc_points estimates each (k, l, nu) point on its own stream and
@@ -70,9 +73,10 @@ CONSTELLATION_NAMES = ("qpsk", "qam16", "qam64")
 MC_HEADER = ("k", "l", "nu", "value", "se", "trials")
 VALIDATION_HEADER = ("k", "l", "nu", "mc_mean", "mc_se", "trials", "closed_form", "z")
 # estimate() works on blocks of trials whose largest buffers, 16 bytes per
-# trial and correlation term, stay within _BLOCK_BYTES: small enough to
-# stay in cache (1 MiB blocks measured slower, 256 KiB no faster, one
-# trial at a time 7% slower end to end).
+# trial and correlation term, stay within _BLOCK_BYTES, and draws each
+# block's random bytes with one call. At the design point (2 vCPUs) 64 KiB
+# and 1 MiB blocks measured 10-20% slower, 256 and 512 KiB no faster, and
+# one trial a block 3-4x slower.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -86,8 +90,9 @@ class Constellation:
 
     Points have zero mean, zero pseudo-variance and unit average energy;
     mu4 is the normalized fourth moment (1 for constant modulus) and
-    mu4_exact its rational value. The point count is a power of two, so
-    that every random word maps to a symbol (see the module docstring).
+    mu4_exact its rational value. The point count is a power of two of at
+    most 256, so that every random byte maps to a symbol (see the module
+    docstring).
     """
 
     name: str
@@ -100,6 +105,9 @@ class Constellation:
         if count < 2 or count & (count - 1):
             raise ValueError(f"constellation {self.name!r} has {count} points, "
                              "not a power of two >= 2")
+        if count > 256:
+            raise ValueError(f"constellation {self.name!r} has {count} points, "
+                             "more than the 256 of one random byte")
         self.points.setflags(write=False)
 
     @property
@@ -189,12 +197,19 @@ def _check_seed(seed: int) -> None:
         raise ValueError("seed must be below 2**128")
 
 
-class _TrialRngPool:
-    """Philox generator keyed by the seed that rewinds to (trial, stream).
+def _check_stream_index(name: str, value: int) -> int:
+    # trial and stream each fill at most one 64-bit word of the Philox counter
+    value = int(value)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must be in 0..2**64 - 1, got {value}")
+    return value
 
-    Trial t of stream s starts at the 256-bit counter (s << 192) | (t << 128),
-    so streams are disjoint by (trial, stream); rewinding one bit generator
-    saves its construction cost on every trial.
+
+class _TrialRngPool:
+    """Philox generator keyed by the seed that rewinds to any output of a stream.
+
+    Stream s starts at the 256-bit counter s << 192, so streams are disjoint;
+    rewinding one bit generator saves its construction cost on every draw.
     """
 
     def __init__(self, seed: int):
@@ -209,25 +224,38 @@ class _TrialRngPool:
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
 
-    def words(self, trial: int, stream: int, count: int) -> np.ndarray:
-        """The first uint32 words of (trial, stream), at least count of them.
+    def bytes(self, stream: int, first: int, count: int) -> np.ndarray:
+        """The raw 64-bit outputs first..first+count-1 of a stream, as bytes.
 
-        Each 64-bit Philox output splits into its low half, then its high half:
-        the order in which Generator.integers consumes 32-bit words.
+        Each output splits into 8 bytes, low byte first: the order in which
+        Generator.integers(..., dtype=np.uint8) consumes them.
         """
-        counter = self._state["state"]["counter"]
-        counter[2], counter[3] = trial, stream
+        # one counter step makes four outputs; the first comes from step 1
+        counter = (stream << 192) + first // 4
+        self._state["state"]["counter"] = [(counter >> shift) & 0xFFFF_FFFF_FFFF_FFFF
+                                           for shift in (0, 64, 128, 192)]
         self._bg.state = self._state
-        raw = self._bg.random_raw((count + 1) // 2)
-        return raw.astype("<u8", copy=False).view("<u4")
+        skip = first % 4
+        raw = self._bg.random_raw(skip + count)[skip:]
+        return raw.astype("<u8", copy=False).view(np.uint8)
 
 
-def _symbol_index(words: np.ndarray, bits: int) -> np.ndarray:
-    """Lemire's map (x K) >> 32 of uint32 words to indices in range(K = 2**bits).
+def _symbol_index(data: np.ndarray, bits: int) -> np.ndarray:
+    """Lemire's 8-bit map (x K) >> 8 of bytes to indices in range(K = 2**bits).
 
-    For a power-of-two K it is the top bits of each word, in uint32.
+    For a power-of-two K it is the top bits of each byte, in uint8.
     """
-    return words >> (32 - bits)
+    return data >> (8 - bits)
+
+
+def _transmit_gate(mask: Mask, m_pri: int):
+    """The 0/1 gate over stream positions -(N-1)..MN-1, and W = ceil(T / 8).
+
+    T is the number of transmit slots, W the 64-bit outputs of one trial.
+    """
+    n = mask.n
+    gate = mask.as_array()[(np.arange(m_pri * n + n - 1) - (n - 1)) % n]
+    return gate, -(-int(gate.sum()) // 8)
 
 
 def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
@@ -238,11 +266,14 @@ def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
     Transmit slots hold i.i.d. uniform constellation points, listen slots
     hold exact zeros. Deterministic in (seed, trial, stream).
     """
-    n = mask.n
-    idx = np.arange(m_pri * n + n - 1) - (n - 1)
-    gate = mask.as_array()[idx % n].astype(np.complex128)
-    words = _TrialRngPool(seed).words(trial, stream, len(gate))
-    return constellation.points[_symbol_index(words[:len(gate)], constellation.bits)] * gate
+    trial = _check_stream_index("trial", trial)
+    stream = _check_stream_index("stream", stream)
+    gate, words = _transmit_gate(mask, m_pri)
+    slots = np.flatnonzero(gate)
+    data = _TrialRngPool(seed).bytes(stream, trial * words, words)
+    index = np.zeros(len(gate), dtype=np.uint8)
+    index[slots] = _symbol_index(data[:len(slots)], constellation.bits)
+    return constellation.points[index] * gate.astype(np.complex128)
 
 
 def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):
@@ -283,23 +314,27 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
              stream: int = 0) -> McEstimate:
     """Estimate E{|r|^2} over independent trials.
 
-    Trial t draws its own stream from (seed, t, stream), so any execution
-    order or partition over workers yields the same per-trial values. Each
-    |r|^2 equals correlate() on draw_stream() bit for bit: only the words
-    the correlation reads are gathered (each once on the diagonal k = l,
-    where x_(n-k) and x_(n-l) are the same symbol), their symbol indices
-    are the top bits of each word, the products are the same complex
-    products (looked up in a table), and a block's sums are one np.matmul,
-    which takes each trial's 1 x 1 output with the BLAS dot of np.dot over
-    a contiguous row.
+    Trial t reads its own outputs of the stream (see the module docstring),
+    so any execution order or partition over workers yields the same
+    per-trial values. Each |r|^2 equals correlate() on draw_stream() bit for
+    bit. A block of consecutive trials is one draw of raw outputs, viewed as
+    one row of bytes per trial; one take() gathers, in C order, the bytes of
+    the transmit slots that the correlation reads (each once on the diagonal
+    k = l, where x_(n-k) and x_(n-l) are the same symbol). The products are
+    the same complex products, looked up in a table by symbol index, and a
+    block's sums are one np.matmul, which takes each trial's 1 x 1 output
+    with the BLAS dot of np.dot over a contiguous row.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    stream = _check_stream_index("stream", stream)
     n = scenario.mask.n
     response._check_delay("l", l, n)
     idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
                                   l, scenario.doppler_difference)
-    length = scenario.M * n + n - 1
+    gate, words = _transmit_gate(scenario.mask, scenario.M)
+    # a stream position's rank among the transmit slots: its byte in the trial
+    rank = np.cumsum(gate) - 1
     points = scenario.constellation.points
     bits = scenario.constellation.bits
     # The stream's value at a transmit slot: the point times a gate of 1 + 0j.
@@ -309,26 +344,28 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     width = len(phase)
     diagonal = scenario.true_delay == l
     if diagonal:
-        # x_(n-k) and x_(n-l) are one symbol i: gather it once, read pair[i (K + 1)].
-        gather, pair = idx_k, pair[::len(points) + 1].copy()
+        # x_(n-k) and x_(n-l) are one symbol i: gather it once, and read
+        # pair[i (K + 1)] straight from its byte x, with i = x >> (8 - bits).
+        gather = rank[idx_k]
+        pair = pair[::len(points) + 1][_symbol_index(np.arange(256, dtype=np.uint8), bits)]
     else:
-        gather = np.concatenate([idx_k, idx_l])
+        gather = rank[np.concatenate([idx_k, idx_l])]
     block = min(trials, max(1, _BLOCK_BYTES // (16 * max(width, 1))))
-    words = np.empty((block, len(gather)), dtype=np.uint32)
     pool = _TrialRngPool(seed)
     vals = np.empty(trials, dtype=np.float64)
     for start in range(0, trials, block):
-        rows = words[:min(block, trials - start)]
-        # Row by row, into C order: a 2-D gather words2d[:, gather] is
-        # F-ordered, and BLAS sums a strided row in another order.
-        for i, row in enumerate(rows):
-            row[:] = pool.words(start + i, stream, length)[gather]
-        index = _symbol_index(rows, bits)
+        rows = min(block, trials - start)
+        data = pool.bytes(stream, start * words, rows * words).reshape(rows, 8 * words)
+        # take() fills a C-ordered result; data[:, gather] would be F-ordered,
+        # and BLAS sums a strided row in another order.
+        index = data.take(gather, axis=1)
         if not diagonal:
-            index = (index[:, :width] << bits) | index[:, width:]
-        # take(), not pair[index]: a uint32 fancy index is first cast to intp
+            index = _symbol_index(index, bits)
+            index = (index[:, :width].astype(np.uint16) << bits) | index[:, width:]
+        # take(), not pair[index]: fancy indexing by a uint8 or uint16 array
+        # measured 1.5-2.5x slower
         dots = np.matmul(pair.take(index)[:, None, :], phase[:, None])
-        vals[start:start + len(rows)] = [abs(z) ** 2 for z in dots.ravel().tolist()]
+        vals[start:start + rows] = [abs(z) ** 2 for z in dots.ravel().tolist()]
     mean = float(np.mean(vals))
     se = float(math.sqrt(np.var(vals, ddof=1) / trials))
     return McEstimate(mean_sq=mean, se=se, trials=trials, seed=seed)

@@ -195,12 +195,12 @@ def test_memory_error_exits_config(monkeypatch, tmp_path, capsys):
 
 
 def _break_rng(monkeypatch):
-    real = montecarlo._TrialRngPool.words
+    real = montecarlo._TrialRngPool.bytes
 
-    def one_word_late(self, trial, stream, count):
-        return real(self, trial, stream, count + 1)[1:]
+    def one_output_late(self, stream, first, count):
+        return real(self, stream, first + 1, count)
 
-    monkeypatch.setattr(montecarlo._TrialRngPool, "words", one_word_late)
+    monkeypatch.setattr(montecarlo._TrialRngPool, "bytes", one_output_late)
 
 
 def _break_dot(monkeypatch):

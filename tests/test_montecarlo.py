@@ -46,10 +46,20 @@ def test_validated_refuses_bad_moments():
 
 @pytest.mark.parametrize("count", [0, 1, 3, 6])
 def test_constellation_size_must_be_a_power_of_two(count):
-    # the draw maps every random word to a symbol only for a power-of-two size
+    # the draw maps every random byte to a symbol only for a power-of-two size
     points = np.exp(2j * np.pi * np.arange(count) / max(count, 1))
     with pytest.raises(ValueError, match="not a power of two"):
         mc.Constellation(name="psk", points=points, mu4=1.0, mu4_exact=Fraction(1))
+
+
+@pytest.mark.parametrize("count", [512, 1024])
+def test_constellation_size_must_fit_a_byte(count):
+    # one random byte is a symbol: the 8-bit draw rejects nothing up to 256 points
+    points = np.exp(2j * np.pi * np.arange(count) / count)
+    with pytest.raises(ValueError, match="more than the 256 of one random byte"):
+        mc.Constellation(name="psk", points=points, mu4=1.0, mu4_exact=Fraction(1))
+    assert mc.Constellation(name="psk", points=points[::count // 256], mu4=1.0,
+                            mu4_exact=Fraction(1)).bits == 8
 
 
 def test_draw_stream_layout_and_determinism():
@@ -68,64 +78,83 @@ def test_draw_stream_layout_and_determinism():
     assert not np.array_equal(st, mc.draw_stream(m, 4, QAM16, seed=5, trial=1))
 
 
-@pytest.mark.parametrize("trial, stream", [(0, 0), (1, 0), (7, 3), (0, 5), (2 ** 40, 2 ** 33)])
+def _uint8_draw(seed, stream, first, count, k):
+    # the bytes Generator.integers(0, k, dtype=np.uint8) draws from stream,
+    # starting at its 64-bit output first; one counter step makes four outputs
+    bg = np.random.Philox(key=seed, counter=stream << 192)
+    bg.advance(first // 4)
+    skip = 8 * (first % 4)
+    return np.random.Generator(bg).integers(0, k, size=skip + count, dtype=np.uint8)[skip:]
+
+
+@pytest.mark.parametrize("trial, stream", [(0, 0), (1, 0), (7, 3), (0, 5), (2 ** 40, 2 ** 33),
+                                           (2 ** 64 - 1, 2 ** 64 - 1)])
 def test_draw_stream_counter_layout(trial, stream):
-    # trial t of stream s starts Philox at the counter (s << 192) | (t << 128),
-    # and symbols are the indices Generator.integers draws from that state
+    # stream s is the uint8 draw of Generator.integers from the counter
+    # s << 192; trial t takes W = ceil(T / 8) outputs of it, from output t W,
+    # and byte j is the index of its j-th transmit slot
     m, seed = masks.random_mask(11, 4, seed=2), 1234
     n = m.n
     gate = m.as_array()[(np.arange(3 * n + n - 1) - (n - 1)) % n]
+    slots = np.flatnonzero(gate)
+    words = -(-len(slots) // 8)
     for const in (QPSK, QAM16, QAM64):
-        rng = np.random.Generator(np.random.Philox(
-            key=seed, counter=(stream << 192) | (trial << 128)))
-        picks = rng.integers(0, len(const.points), size=len(gate))
+        k = len(const.points)
+        picks = _uint8_draw(seed, stream, trial * words, len(slots), k)
+        if trial < 8:  # the same bytes, drawn from the start of the stream
+            whole = np.random.Generator(np.random.Philox(key=seed, counter=stream << 192))
+            start = 8 * words * trial
+            drawn = whole.integers(0, k, size=start + len(slots), dtype=np.uint8)
+            assert np.array_equal(drawn[start:], picks)
+        want = np.zeros(len(gate), dtype=complex)
+        want[slots] = const.points[picks]
         got = mc.draw_stream(m, 3, const, seed=seed, trial=trial, stream=stream)
-        assert np.array_equal(got, const.points[picks] * gate)
+        assert np.array_equal(got, want)
 
 
-def _lemire_reference(words, k):
-    # numpy's bounded draw: scale by k, redraw while the low half is below
-    # the threshold, keep the high half
-    threshold = (2 ** 32 - k) % k
-    out, it = [], iter(words)
+def test_trial_and_stream_must_fit_a_counter_word():
+    m = masks.singer_mask(3)
+    scen = mc.EchoScenario(mask=m, M=2, constellation=QPSK,
+                           true_delay=1, true_doppler=0, trial_doppler=0)
+    for trial, stream in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)):
+        name, value = ("trial", trial) if trial else ("stream", stream)
+        error = rf"^{name} must be in 0\.\.2\*\*64 - 1, got {value}$"
+        with pytest.raises(ValueError, match=error):
+            mc.draw_stream(m, 2, QPSK, seed=1, trial=trial, stream=stream)
+        if name == "stream":
+            with pytest.raises(ValueError, match=error):
+                mc.estimate(scen, 1, 2, seed=1, stream=stream)
+
+
+def _lemire8_reference(data, k):
+    # numpy's 8-bit bounded draw: scale a byte by k, redraw while the low
+    # byte is below the threshold, keep the high byte
+    threshold = (2 ** 8 - k) % k
+    out, it = [], iter(data)
     for x in it:
         m = x * k
-        while m % 2 ** 32 < threshold:
+        while m % 2 ** 8 < threshold:
             x = next(it, None)
             if x is None:
                 return out
             m = x * k
-        out.append(m >> 32)
+        out.append(m >> 8)
     return out
 
 
-@st.composite
-def _words_for_power_of_two(draw):
-    bits = draw(st.integers(1, 30))
-    k = 2 ** bits
-    # ceil(j 2**32 / k) puts x k just past a multiple of 2**32
-    near = st.integers(0, k - 1).map(lambda j: -(-(j << 32) // k))
-    word = st.one_of(st.integers(0, 2 ** 32 - 1), near, st.just(0), st.just(2 ** 32 - 1))
-    return bits, draw(st.lists(word, max_size=40))
-
-
-@given(_words_for_power_of_two())
-def test_lemire_map_matches_reference(case):
-    # for K = 2**bits the top bits of a word are Lemire's index (x K) >> 32
-    bits, words = case
-    got = mc._symbol_index(np.array(words, dtype=np.uint32), bits)
-    assert got.dtype == np.uint32
-    assert got.tolist() == _lemire_reference(words, 2 ** bits)
+@given(st.integers(1, 8), st.lists(st.integers(0, 255), max_size=40))
+def test_lemire_map_matches_reference(bits, data):
+    # for K = 2**bits the top bits of a byte are Lemire's index (x K) >> 8
+    got = mc._symbol_index(np.array(data, dtype=np.uint8), bits)
+    assert got.dtype == np.uint8
+    assert got.tolist() == _lemire8_reference(data, 2 ** bits)
 
 
 def test_shift_map_matches_lemire_for_every_power_of_two():
-    for bits in range(1, 31):
-        k, step = 2 ** bits, 2 ** (32 - bits)
-        # both sides of every bucket edge j 2**32 / K, sampled over j
-        edges = [j * step for j in np.linspace(0, k - 1, 65, dtype=np.int64).tolist()]
-        words = sorted({0, 2 ** 32 - 1, *edges, *(e - 1 for e in edges if e)})
-        got = mc._symbol_index(np.array(words, dtype=np.uint32), bits)
-        assert got.tolist() == _lemire_reference(words, k), bits
+    data = list(range(256))
+    for bits in range(1, 9):
+        got = mc._symbol_index(np.array(data, dtype=np.uint8), bits)
+        assert got.tolist() == _lemire8_reference(data, 2 ** bits), bits
 
 
 def _definition_estimate(scen, l, trials, seed, stream):
