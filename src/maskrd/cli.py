@@ -35,27 +35,30 @@ SELFTEST_TIME_BUDGET = 120.0
 
 # ---------------------------------------------------------------- helpers
 
+_INDEX_ENTRY = re.compile(r"([+-]?\d+)(?:\.\.([+-]?\d+)(?::([+-]?\d+))?)?")
+
+
 def parse_index_set(text: str) -> tuple:
-    """Expand index-set syntax: comma list of "a", "a..b" or "a..b:s"."""
+    """Expand index-set syntax: comma list of "a", "a..b" or "a..b:s".
+
+    A stride needs a range: any other entry, an empty one too, is refused.
+    """
     out = []
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty index set")
     for seg in compact.split(","):
-        body, _, stride_txt = seg.partition(":")
-        stride = 1
-        if stride_txt:
-            stride = int(stride_txt)
-            if stride < 1:
-                raise ValueError(f"stride must be positive in {seg!r}")
-        if ".." in body:
-            a_txt, _, b_txt = body.partition("..")
-            a, b = int(a_txt), int(b_txt)
-            if b < a:
-                raise ValueError(f"empty range {seg!r}")
-            out.extend(range(a, b + 1, stride))
-        else:
-            out.append(int(body))
+        match = _INDEX_ENTRY.fullmatch(seg)
+        if not match:
+            raise ValueError(f"index-set entry {seg!r} of {compact!r} is not "
+                             "'a', 'a..b' or 'a..b:s'")
+        a_txt, b_txt, stride_txt = match.groups()
+        a, b, stride = int(a_txt), int(b_txt or a_txt), int(stride_txt or 1)
+        if stride < 1:
+            raise ValueError(f"stride must be positive in {seg!r}")
+        if b < a:
+            raise ValueError(f"empty range {seg!r}")
+        out.extend(range(a, b + 1, stride))
     return tuple(out)
 
 
@@ -266,6 +269,8 @@ def cmd_mask(args) -> int:
 
     mask = mask_from_arg(args.spec)
     check = masks.verify_cds(mask)
+    # built, or refused, before the first line is printed
+    r = spectra.cross_term_matrix(mask) if args.action == "verify" and args.out else None
     if args.action == "show":
         print(masks.serialize_mask(mask))
     print(f"label: {mask.label}")
@@ -287,7 +292,6 @@ def cmd_mask(args) -> int:
         for k in range(mask.n):
             print(f"{k},{int(a[k])}")
         if args.out:
-            r = spectra.cross_term_matrix(mask)
             slug, lags = _slug(mask.label), range(1, mask.n)
             _write_out(args.out, [
                 (f"{slug}_autocorr.csv", lambda path: write_csv(
@@ -455,6 +459,7 @@ def _selftest_items(trials: int, seed: int):
 def cmd_selftest(args) -> int:
     if args.trials < 2:
         raise ValueError(f"need at least 2 trials, got {args.trials}")
+    montecarlo._check_seed(args.seed)
     failures = 0
     started = time.perf_counter()
     for name, fn in _selftest_items(args.trials, args.seed):
@@ -483,7 +488,8 @@ def build_parser():
         prog="maskrd",
         description="Range-Doppler analysis of periodic binary transmission masks.",
         epilog="Index sets: comma-separated entries 'a', 'a..b' (inclusive) "
-               "or 'a..b:s' (stride s), e.g. '1..62' or '0,5,10..20:5'.")
+               "or 'a..b:s' (stride s; a stride needs a range), e.g. '1..62' "
+               "or '0,5,10..20:5'.")
     parser.add_argument("--version", action="version",
                         version=f"maskrd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,10 +21,11 @@ T transmit slots of -(N-1)..MN-1 take a symbol: with W = ceil(T / 8),
 trial t reads the outputs tW..tW+W-1 of its stream, and byte j of them is
 the symbol index of its j-th transmit slot. Trial and stream numbers are
 below 2**64, so a stream's trials never reach the next stream. Any
-(trial, stream) is reached directly, results do not depend on evaluation
-order, and they are reproducible across platforms. estimate() draws a
-block of trials with one call and gathers only the bytes that the
-correlation reads, each once on the diagonal k = l.
+(trial, stream) is reached directly (_stream), results do not depend on
+evaluation order, and they are reproducible across platforms. draw_stream()
+draws with that Generator.integers call itself; estimate() positions its
+stream once per point, draws its blocks of trials in order, and gathers
+only the bytes that the correlation reads, each once on the diagonal k = l.
 
 Scoring. mc_points estimates each (k, l, nu) point on its own stream and
 scores it against its closed form as an McPoint; the closed forms come
@@ -205,39 +206,18 @@ def _check_stream_index(name: str, value: int) -> int:
     return value
 
 
-class _TrialRngPool:
-    """Philox generator keyed by the seed that rewinds to any output of a stream.
+def _stream(seed: int, stream: int, first: int = 0) -> np.random.Philox:
+    """Philox keyed by the seed, positioned at raw output first of a stream.
 
-    Stream s starts at the 256-bit counter s << 192, so streams are disjoint;
-    rewinding one bit generator saves its construction cost on every draw.
+    Stream s starts at the 256-bit counter s << 192, so streams are disjoint.
+    One counter step makes four outputs, the first of them from step 1.
+    Philox buffers what a draw leaves of a step, so draws in order read the
+    outputs in order.
     """
-
-    def __init__(self, seed: int):
-        _check_seed(seed)
-        self._bg = np.random.Philox(key=seed)
-        key = self._bg.state["state"]["key"]
-        # Plain ints, not arrays: the state setter reads them one by one, and
-        # numpy scalars make a rewind several times slower.
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": [0, 0, 0, 0],
-                                 "key": [int(v) for v in key]},
-                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                       "has_uint32": 0, "uinteger": 0}
-
-    def bytes(self, stream: int, first: int, count: int) -> np.ndarray:
-        """The raw 64-bit outputs first..first+count-1 of a stream, as bytes.
-
-        Each output splits into 8 bytes, low byte first: the order in which
-        Generator.integers(..., dtype=np.uint8) consumes them.
-        """
-        # one counter step makes four outputs; the first comes from step 1
-        counter = (stream << 192) + first // 4
-        self._state["state"]["counter"] = [(counter >> shift) & 0xFFFF_FFFF_FFFF_FFFF
-                                           for shift in (0, 64, 128, 192)]
-        self._bg.state = self._state
-        skip = first % 4
-        raw = self._bg.random_raw(skip + count)[skip:]
-        return raw.astype("<u8", copy=False).view(np.uint8)
+    _check_seed(seed)
+    bg = np.random.Philox(key=seed, counter=(stream << 192) + first // 4)
+    bg.random_raw(first % 4)
+    return bg
 
 
 def _symbol_index(data: np.ndarray, bits: int) -> np.ndarray:
@@ -270,9 +250,9 @@ def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
     stream = _check_stream_index("stream", stream)
     gate, words = _transmit_gate(mask, m_pri)
     slots = np.flatnonzero(gate)
-    data = _TrialRngPool(seed).bytes(stream, trial * words, words)
+    rng = np.random.Generator(_stream(seed, stream, trial * words))
     index = np.zeros(len(gate), dtype=np.uint8)
-    index[slots] = _symbol_index(data[:len(slots)], constellation.bits)
+    index[slots] = rng.integers(0, len(constellation.points), size=len(slots), dtype=np.uint8)
     return constellation.points[index] * gate.astype(np.complex128)
 
 
@@ -317,12 +297,13 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     Trial t reads its own outputs of the stream (see the module docstring),
     so any execution order or partition over workers yields the same
     per-trial values. Each |r|^2 equals correlate() on draw_stream() bit for
-    bit. A block of consecutive trials is one draw of raw outputs, viewed as
-    one row of bytes per trial; one take() gathers, in C order, the bytes of
-    the transmit slots that the correlation reads (each once on the diagonal
-    k = l, where x_(n-k) and x_(n-l) are the same symbol). The products are
-    the same complex products, looked up in a table by symbol index, and a
-    block's sums are one np.matmul, which takes each trial's 1 x 1 output
+    bit. The stream is positioned once; each block of consecutive trials is
+    its next draw of raw outputs, viewed as one row of bytes per trial, and
+    one take() gathers, in C order, the bytes of the transmit slots that the
+    correlation reads (each once on the diagonal k = l, where x_(n-k) and
+    x_(n-l) are the same symbol). The products are the same complex
+    products, looked up in a table by symbol index (a byte's top bits), and
+    a block's sums are one np.matmul, which takes each trial's 1 x 1 output
     with the BLAS dot of np.dot over a contiguous row.
     """
     if trials < 2:
@@ -351,11 +332,13 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     else:
         gather = rank[np.concatenate([idx_k, idx_l])]
     block = min(trials, max(1, _BLOCK_BYTES // (16 * max(width, 1))))
-    pool = _TrialRngPool(seed)
+    bg = _stream(seed, stream)
     vals = np.empty(trials, dtype=np.float64)
     for start in range(0, trials, block):
         rows = min(block, trials - start)
-        data = pool.bytes(stream, start * words, rows * words).reshape(rows, 8 * words)
+        # each 64-bit output as 8 bytes, low byte first: one row per trial
+        raw = bg.random_raw(rows * words).astype("<u8", copy=False)
+        data = raw.view(np.uint8).reshape(rows, 8 * words)
         # take() fills a C-ordered result; data[:, gather] would be F-ordered,
         # and BLAS sums a strided row in another order.
         index = data.take(gather, axis=1)

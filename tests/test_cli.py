@@ -34,6 +34,11 @@ def test_parse_index_set():
         cli.parse_index_set("1..9:0")
     with pytest.raises(ValueError):
         cli.parse_index_set("a..b")
+    # a stride needs a range, and an entry is never empty
+    for text, entry in (("5:2", "5:2"), ("1..3,,4", ""), ("1..3:", "1..3:"),
+                        ("1..2..3", "1..2..3"), ("1..3:2:5", "1..3:2:5"), ("4,", "")):
+        with pytest.raises(ValueError, match=f"^index-set entry {entry!r} of "):
+            cli.parse_index_set(text)
 
 
 def test_mask_gen_stdout(capsys):
@@ -93,9 +98,14 @@ BOTH_MU4 = "give --mu4 or --constellation, not both"
     (["mask", "verify", "singer:m"], "malformed mask spec 'singer:m'"),
     (["mask", "show", "comb:N=6,d=x"], "non-integer value 'x' in mask spec 'comb:N=6,d=x'"),
     (["mask", "gen", "singer:m=3,m=4"], "mask spec 'singer:m=3,m=4' repeats key 'm'"),
+    (["response", "closed", *RESPONSE, "--mu4", "1.0", "--k", "1:3"],
+     "index-set entry '1:3' of '1:3' is not 'a', 'a..b' or 'a..b:s'"),
+    (["response", "closed", *RESPONSE, "--mu4", "1.0", "--nu", "1..3,,4"],
+     "index-set entry '' of '1..3,,4' is not 'a', 'a..b' or 'a..b:s'"),
 ], ids=["closed_no_mu4", "mc_mu4", "closed_mu4", "metrics_mu4", "bounds_mu4",
         "mc_negative_seed", "neither_spec_nor_file", "spec_without_value",
-        "spec_non_integer", "spec_repeated_key"])
+        "spec_non_integer", "spec_repeated_key", "stride_without_range",
+        "empty_entry"])
 def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
@@ -132,6 +142,16 @@ def test_mask_verify_streams_crossterm_rows(tmp_path):
     assert len(lines) == 4 + 254 ** 2
     assert lines[4] == b"1,1,64" and lines[5] == b"1,2,32"  # w - a[k], then R[1,2]
     assert peak < 2 * 2 ** 20  # R itself is 255^2 int64 = 0.5 MB
+
+
+def test_mask_verify_out_refused_before_printing(tmp_path, capsys):
+    # N = 16383 is above spectra.MAX_MATRIX_N: the a[k] table is not printed first
+    out = tmp_path / "out"
+    assert run_cli(["mask", "verify", "singer:m=14", "--out", str(out)]) == cli.EXIT_CONFIG
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.count("\n") == 1 and stderr.startswith("error: ")
+    assert not out.exists()
 
 
 def test_mask_verify_corrupted_file(tmp_path, capsys):
@@ -474,8 +494,8 @@ def test_bounds_output(tmp_path, capsys):
     assert out[-2:] == ["attains_upper: 0", "attains_lower: 0"]
 
 
-@pytest.mark.parametrize("trials", ["0", "1"])
-def test_selftest_refuses_too_few_trials_before_any_item(monkeypatch, capsys, trials):
+def _record_selftest_items(monkeypatch):
+    """Replace each selftest item by one that records its name; return the record."""
     called = []
     real = cli._selftest_items
 
@@ -483,8 +503,26 @@ def test_selftest_refuses_too_few_trials_before_any_item(monkeypatch, capsys, tr
         return [(name, lambda name=name: called.append(name)) for name, _ in real(*args)]
 
     monkeypatch.setattr(cli, "_selftest_items", recorded)
+    return called
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_selftest_refuses_too_few_trials_before_any_item(monkeypatch, capsys, trials):
+    called = _record_selftest_items(monkeypatch)
     assert run_cli(["selftest", "--trials", trials]) == cli.EXIT_CONFIG
     assert capsys.readouterr() == ("", f"error: need at least 2 trials, got {trials}\n")
+    assert called == []
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, "seed must be non-negative"),
+    (2 ** 128, "seed must be below 2**128"),
+], ids=["negative", "beyond_key"])
+def test_selftest_refuses_bad_seed_before_any_item(monkeypatch, capsys, seed, error):
+    # the same message as response mc, not numpy's Philox key error
+    called = _record_selftest_items(monkeypatch)
+    assert run_cli(["selftest", "--seed", str(seed)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: {error}\n")
     assert called == []
 
 
@@ -580,6 +618,14 @@ GOLDEN = [
         "bounds.csv": "f687d9ceb8064bc6ba25a2aecfa0447db30ad6dbd7552e73bdc50696c39bb473"}),
     (["bounds", "--mask", "random:N=63,w=31,seed=7", "--mu4", "1.32"], {
         "bounds.csv": "aa096b58664c6fe5d3f28f60a73c2a34f0ad8cb42785f1a38baf74d4193a9da6"}),
+    # Monte Carlo payloads pin the random-stream layout too; their values rest
+    # on libm exp and BLAS dot rounding (recorded on x86-64 with numpy 2.4.6)
+    (["response", "mc", "--mask", "singer:m=4", "--M", "3", "--constellation", "qam16",
+      "--k", "1..14", "--l", "1,2,7", "--nu", "0,1,3,6", "--trials", "50", "--seed", "5"], {
+        "response_mc.csv": "143bda9944fe99c35dcc1d085e1d57e261f50daa2352861f9336078381681449"}),
+    (["response", "both", "--mask", "singer:m=6", "--M", "50", "--constellation", "qam16",
+      "--k", "20", "--l", "20,41", "--nu", "0,7,23,50,100", "--trials", "2000", "--seed", "1"], {
+        "response_both.csv": "d21f5cb25cc3741460c81e325b32efd6474562a63de2df8871d4417a8e39d6d3"}),
 ]
 
 
@@ -587,7 +633,8 @@ GOLDEN = [
                          ids=["singer6", "comb63", "random63", "closed_singer5",
                               "closed_comb63", "closed_random40", "closed_singer7_blocks",
                               "closed_random63_lobes", "compare63", "metrics40",
-                              "bounds_singer6", "bounds_comb63", "bounds_random63"])
+                              "bounds_singer6", "bounds_comb63", "bounds_random63",
+                              "mc_singer4", "both_design_point"])
 def test_golden_payloads(tmp_path, argv, hashes):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 0
     assert sorted(os.listdir(tmp_path)) == sorted(hashes)

@@ -195,12 +195,12 @@ def test_memory_error_exits_config(monkeypatch, tmp_path, capsys):
 
 
 def _break_rng(monkeypatch):
-    real = montecarlo._TrialRngPool.bytes
+    real = montecarlo._stream
 
-    def one_output_late(self, stream, first, count):
-        return real(self, stream, first + 1, count)
+    def one_output_late(seed, stream, first=0):
+        return real(seed, stream, first + 1)
 
-    monkeypatch.setattr(montecarlo._TrialRngPool, "bytes", one_output_late)
+    monkeypatch.setattr(montecarlo, "_stream", one_output_late)
 
 
 def _break_dot(monkeypatch):
