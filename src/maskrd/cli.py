@@ -99,6 +99,24 @@ def canonical_config(words, options: dict) -> str:
     return " ".join(parts)
 
 
+def run_config(args) -> str:
+    """The '# config:' line of a run, from the namespace its sub-parser built.
+
+    Its words are the command, the mask action or response mode and the mask
+    spec; its options are every option the sub-parser declares, with the
+    index sets canonical and --l given as --k when it is left out.
+    """
+    options = vars(args).copy()
+    del options["func"]
+    words = [options.pop(key) for key in ("command", "action", "mode", "spec")
+             if key in options]
+    if "k" in options:
+        options["l"] = options["l"] or options["k"]
+        for key in ("k", "l", "nu"):
+            options[key] = canonical_index_set(options[key])
+    return canonical_config(words, options)
+
+
 def _header_lines(config_str: str, seed) -> tuple:
     """The tool, config and seed lines that open every output file, without '# '."""
     return (f"tool: maskrd {__version__}", f"config: {config_str}", f"seed: {seed}")
@@ -257,7 +275,7 @@ def _resolve_mu4(args) -> float:
 # ---------------------------------------------------------------- commands
 
 def cmd_mask(args) -> int:
-    config = canonical_config(["mask", args.action, args.spec], {"out": args.out})
+    config = run_config(args)
     if args.action == "gen":
         mask = masks.from_spec(args.spec)
         if args.out:
@@ -301,23 +319,12 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
-def _response_options(args) -> dict:
-    opts = {"mask": args.mask, "M": args.M, "constellation": args.constellation,
-            "k": canonical_index_set(args.k), "l": canonical_index_set(args.l or args.k),
-            "nu": canonical_index_set(args.nu), "out": args.out}
-    if args.mode == "closed":
-        opts["mu4"] = args.mu4
-    else:
-        opts.update(trials=args.trials, seed=args.seed, budget=args.budget)
-    return opts
-
-
 def cmd_response(args) -> int:
     mask = mask_from_arg(args.mask)
     k_set = parse_index_set(args.k)
     l_set = parse_index_set(args.l) if args.l else k_set
     nu_set = parse_index_set(args.nu)
-    config = canonical_config(["response", args.mode], _response_options(args))
+    config = run_config(args)
 
     if args.mode == "closed":
         mu4 = _resolve_mu4(args)
@@ -327,9 +334,6 @@ def cmd_response(args) -> int:
         name, header, seed = "response_closed.csv", response.GRID_HEADER_CLOSED, 0
         blocks = _array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values)
     else:
-        if not args.constellation:
-            raise ValueError("Monte Carlo runs need --constellation")
-        _resolve_mu4(args)  # refuses --mu4 beside it
         report = montecarlo.validate_grid(
             mask, args.M, montecarlo.make_constellation(args.constellation),
             k_set, l_set, nu_set, trials=args.trials, seed=args.seed,
@@ -348,15 +352,7 @@ def cmd_metrics(args) -> int:
     if args.command == "compare" and len(args.mask) < 2:
         raise ValueError("compare needs at least two --mask arguments")
     mu4 = _resolve_mu4(args)
-    options = {
-        "mask": args.mask,
-        "M": args.M,
-        "constellation": args.constellation,
-        "mu4": args.mu4,
-        "normalize": args.normalize,
-        "out": args.out,
-    }
-    config = canonical_config([args.command], options)
+    config = run_config(args)
     mask_list = [mask_from_arg(text) for text in args.mask]
     rows = [metrics.report_row(metrics.metrics_report(mask, args.M, mu4, args.normalize))
             for mask in mask_list]
@@ -367,9 +363,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_bounds(args) -> int:
     mu4 = _resolve_mu4(args)
-    options = {"mask": args.mask, "constellation": args.constellation,
-               "mu4": args.mu4, "out": args.out}
-    config = canonical_config(["bounds"], options)
+    config = run_config(args)
     mask = mask_from_arg(args.mask)
     b = metrics.doppler_sidelobe_sum(mask, mu4)
     header = ("mask_id", "I", "I_lower", "I_upper", "attains_upper", "attains_lower")
@@ -384,6 +378,12 @@ def cmd_bounds(args) -> int:
 
 
 # ---------------------------------------------------------------- selftest
+
+def _mc_oracle_case():
+    """The mask, M and (k, l, nu) triples of the mc_oracle item."""
+    triples = ((1, 1, 0), (1, 1, 2), (2, 5, 9), (3, 3, 4), (4, 2, 0), (6, 6, 12))
+    return masks.singer_mask(3), 4, triples
+
 
 def _selftest_items(trials: int, seed: int):
     """One check per numeric backend path that the outputs rest on."""
@@ -432,9 +432,8 @@ def _selftest_items(trials: int, seed: int):
                     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def mc_oracle():
-        triples = [(1, 1, 0), (1, 1, 2), (2, 5, 9), (3, 3, 4), (4, 2, 0), (6, 6, 12)]
-        pts = montecarlo.mc_points(masks.singer_mask(3), 4, qam16, triples,
-                                   trials=trials, seed=seed)
+        mask, m_pri, triples = _mc_oracle_case()
+        pts = montecarlo.mc_points(mask, m_pri, qam16, triples, trials=trials, seed=seed)
         bad = [p for p in pts if abs(p.z) > 4.0]
         assert not bad, f"{len(bad)} points beyond 4 standard errors"
 
@@ -457,9 +456,9 @@ def _selftest_items(trials: int, seed: int):
 
 
 def cmd_selftest(args) -> int:
-    if args.trials < 2:
-        raise ValueError(f"need at least 2 trials, got {args.trials}")
-    montecarlo._check_seed(args.seed)
+    # the mc_oracle item's trials, seed and work, refused before any item runs
+    mask, m_pri, triples = _mc_oracle_case()
+    montecarlo.check_run(len(triples), args.trials, args.seed, mask.n * m_pri)
     failures = 0
     started = time.perf_counter()
     for name, fn in _selftest_items(args.trials, args.seed):
@@ -494,38 +493,54 @@ def build_parser():
                         version=f"maskrd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def mu4_source(p):
+        # closed forms read mu4 alone: given as such, or as the constellation's
+        p.add_argument("--constellation", choices=montecarlo.CONSTELLATION_NAMES)
+        p.add_argument("--mu4", type=float,
+                       help="symbol kurtosis, in place of --constellation")
+
     p_mask = sub.add_parser("mask", help="generate, verify or show masks")
-    p_mask.add_argument("action", choices=("gen", "verify", "show"))
-    p_mask.add_argument("spec", help="family spec (singer:m=6, comb:N=63,d=3, "
-                                     "random:N=63,w=31,seed=7) or mask file")
-    p_mask.add_argument("--out", help="directory to write the mask file into")
-    p_mask.set_defaults(func=cmd_mask)
+    actions = p_mask.add_subparsers(dest="action", required=True)
+    for action, out_help in (
+            ("gen", "directory to write the mask file into (default: print the mask)"),
+            ("verify", "directory to write the autocorrelation and cross-term CSVs into"),
+            ("show", None)):
+        p = actions.add_parser(action)
+        p.add_argument("spec", help="family spec (singer:m=6, comb:N=63,d=3, "
+                                    "random:N=63,w=31,seed=7) or mask file")
+        if out_help:
+            p.add_argument("--out", help=out_help)
+        p.set_defaults(func=cmd_mask)
 
     p_resp = sub.add_parser("response", help="expected response grids")
-    p_resp.add_argument("mode", choices=("closed", "mc", "both"))
-    p_resp.add_argument("--mask", required=True)
-    p_resp.add_argument("--M", type=int, required=True,
-                        help="periods per coherent window")
-    p_resp.add_argument("--constellation", choices=montecarlo.CONSTELLATION_NAMES)
-    p_resp.add_argument("--mu4", type=float,
-                        help="symbol kurtosis for closed-form-only runs")
-    p_resp.add_argument("--k", required=True, help="true delay index set")
-    p_resp.add_argument("--l", help="trial delay index set (default: same as --k)")
-    p_resp.add_argument("--nu", required=True, help="Doppler bin index set")
-    p_resp.add_argument("--trials", type=int, default=10000)
-    p_resp.add_argument("--seed", type=int, default=0)
-    p_resp.add_argument("--out", default=".")
-    p_resp.add_argument("--budget", type=int,
-                        help=f"max points*trials*MN (or ${BUDGET_ENV})")
-    p_resp.set_defaults(func=cmd_response)
+    modes = p_resp.add_subparsers(dest="mode", required=True)
+    for mode in ("closed", "mc", "both"):
+        p = modes.add_parser(mode)
+        p.add_argument("--mask", required=True)
+        p.add_argument("--M", type=int, required=True,
+                       help="periods per coherent window")
+        if mode == "closed":
+            mu4_source(p)
+        else:
+            p.add_argument("--constellation", choices=montecarlo.CONSTELLATION_NAMES,
+                           required=True)
+        p.add_argument("--k", required=True, help="true delay index set")
+        p.add_argument("--l", help="trial delay index set (default: same as --k)")
+        p.add_argument("--nu", required=True, help="Doppler bin index set")
+        if mode != "closed":
+            p.add_argument("--trials", type=int, default=10000)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--budget", type=int,
+                           help=f"max points*trials*MN (or ${BUDGET_ENV})")
+        p.add_argument("--out", default=".")
+        p.set_defaults(func=cmd_response)
 
     for name, needs_many in (("metrics", False), ("compare", True)):
         p = sub.add_parser(name, help="mask quality report (CSV)")
         p.add_argument("--mask", action="append", required=True,
                        help="repeatable" if needs_many else None)
         p.add_argument("--M", type=int, required=True)
-        p.add_argument("--constellation", choices=montecarlo.CONSTELLATION_NAMES)
-        p.add_argument("--mu4", type=float)
+        mu4_source(p)
         p.add_argument("--normalize", choices=metrics.NORMALIZATIONS,
                        default="none", help="mean-Doppler-sidelobe scaling")
         p.add_argument("--out", default=".")
@@ -533,8 +548,7 @@ def build_parser():
 
     p_bounds = sub.add_parser("bounds", help="Doppler sidelobe sum and bounds")
     p_bounds.add_argument("--mask", required=True)
-    p_bounds.add_argument("--constellation", choices=montecarlo.CONSTELLATION_NAMES)
-    p_bounds.add_argument("--mu4", type=float)
+    mu4_source(p_bounds)
     p_bounds.add_argument("--out")
     p_bounds.set_defaults(func=cmd_bounds)
 

@@ -60,6 +60,7 @@ __all__ = [
     "draw_stream",
     "correlate",
     "estimate",
+    "check_run",
     "mc_points",
     "validate_grid",
     "expectation_by_double_sum",
@@ -390,6 +391,20 @@ def _z_score(mc_mean: float, se: float, closed: float) -> float:
     return math.inf
 
 
+def check_run(points: int, trials: int, seed: int, total_bins: int,
+              budget: int = DEFAULT_BUDGET) -> None:
+    """Refuse a Monte Carlo run before any work: fewer than 2 trials, a seed
+    outside the Philox key, or points x trials x MN (MN = total_bins) above
+    budget.
+    """
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    _check_seed(seed)
+    cost = points * trials * total_bins
+    if cost > budget:
+        raise McBudgetError(f"points x trials x MN = {cost} exceeds the budget {budget}")
+
+
 def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
               triples, trials: int, seed: int,
               budget: int = DEFAULT_BUDGET):
@@ -400,14 +415,9 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
     forms come first, one response.build_grid per distinct k over the l and
     nu values of its triples: they check every triple before the first trial.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    _check_seed(seed)
     triples = [(int(k), int(l), int(nu)) for k, l, nu in triples]
+    check_run(len(triples), trials, seed, mask.n * m_pri, budget)
     params = response.ScenarioParams(mask=mask, M=m_pri, mu4=constellation.mu4)
-    cost = len(triples) * trials * params.total_bins
-    if cost > budget:
-        raise McBudgetError(f"points x trials x MN = {cost} exceeds the budget {budget}")
     # k -> ({l: its grid position}, {nu: its grid position})
     axes = {}
     for k, l, nu in triples:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -86,7 +87,6 @@ BOTH_MU4 = "give --mu4 or --constellation, not both"
 
 @pytest.mark.parametrize("argv, error", [
     (["response", "closed", *RESPONSE], "supply --mu4 or --constellation"),
-    (["response", "mc", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], BOTH_MU4),
     (["response", "closed", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], BOTH_MU4),
     (["metrics", "--mask", "singer:m=3", "--M", "2", "--constellation", "qam16",
       "--mu4", "1.0"], BOTH_MU4),
@@ -102,7 +102,7 @@ BOTH_MU4 = "give --mu4 or --constellation, not both"
      "index-set entry '1:3' of '1:3' is not 'a', 'a..b' or 'a..b:s'"),
     (["response", "closed", *RESPONSE, "--mu4", "1.0", "--nu", "1..3,,4"],
      "index-set entry '' of '1..3,,4' is not 'a', 'a..b' or 'a..b:s'"),
-], ids=["closed_no_mu4", "mc_mu4", "closed_mu4", "metrics_mu4", "bounds_mu4",
+], ids=["closed_no_mu4", "closed_mu4", "metrics_mu4", "bounds_mu4",
         "mc_negative_seed", "neither_spec_nor_file", "spec_without_value",
         "spec_non_integer", "spec_repeated_key", "stride_without_range",
         "empty_entry"])
@@ -110,9 +110,35 @@ def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     if argv[0] == "response":
-        argv = [*argv, "--trials", "10", "--out", str(out)]
+        trials = ["--trials", "10"] if argv[1] in ("mc", "both") else []
+        argv = [*argv, *trials, "--out", str(out)]
     assert run_cli(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert os.listdir(tmp_path) == []
+
+
+# Each action's sub-parser declares only the options the action reads: any
+# other is an argparse error, raised before anything is read or written.
+@pytest.mark.parametrize("argv, flag", [
+    (["mask", "show", "singer:m=3", "--out", "out"], "--out"),
+    (["response", "closed", *RESPONSE, "--mu4", "1.0", "--trials", "5"], "--trials"),
+    (["response", "closed", *RESPONSE, "--mu4", "1.0", "--seed", "9"], "--seed"),
+    (["response", "closed", *RESPONSE, "--mu4", "1.0", "--budget", "1"], "--budget"),
+    (["response", "mc", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], "--mu4"),
+    (["response", "both", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], "--mu4"),
+    (["response", "mc", *RESPONSE], "--constellation"),
+], ids=["show_out", "closed_trials", "closed_seed", "closed_budget", "mc_mu4", "both_mu4",
+        "mc_no_constellation"])
+def test_an_option_the_action_does_not_read_is_refused(tmp_path, monkeypatch, capsys,
+                                                       argv, flag):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "response":
+        argv = [*argv, "--out", "out"]
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert any(line.startswith("maskrd") and "error: " in line and flag in line
+               for line in stderr.splitlines())
     assert os.listdir(tmp_path) == []
 
 
@@ -219,14 +245,6 @@ def test_response_mc_is_first_six_columns_of_both(tmp_path):
     rows = [r.split(",") for r in mc_lines[4:]]
     assert [tuple(r[:3]) for r in rows][:2] == [("1", "1", "0"), ("1", "1", "1")]
     assert all(float(r[3]) >= 0 and float(r[4]) >= 0 and r[5] == "800" for r in rows)
-
-
-def test_response_mc_needs_constellation(tmp_path):
-    argv = ["response", "mc", "--mask", "singer:m=3", "--M", "2",
-            "--mu4", "1.32", "--k", "1", "--nu", "0", "--trials", "50",
-            "--out", str(tmp_path / "out")]
-    assert run_cli(argv) == cli.EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
 
 
 def test_response_both_z_column(tmp_path):
@@ -526,6 +544,15 @@ def test_selftest_refuses_bad_seed_before_any_item(monkeypatch, capsys, seed, er
     assert called == []
 
 
+def test_selftest_refuses_work_over_budget_before_any_item(monkeypatch, capsys):
+    # 6 points x 1e8 trials x MN = 28 is above montecarlo.DEFAULT_BUDGET
+    called = _record_selftest_items(monkeypatch)
+    assert run_cli(["selftest", "--trials", "100000000"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: points x trials x MN = 16800000000 exceeds "
+                                       f"the budget {montecarlo.DEFAULT_BUDGET}\n")
+    assert called == []
+
+
 def test_selftest_quick(capsys):
     assert run_cli(["selftest", "--trials", "1500"]) == 0
     out = capsys.readouterr().out
@@ -546,6 +573,54 @@ def test_canonical_config_round_trip(tmp_path):
     assert run_cli(tokens) == 0
     second = read(os.path.join(out2, "response_closed.csv")).decode()
     assert first.splitlines()[3:] == second.splitlines()[3:]
+
+
+# One run per action that writes a file, each giving every option the action
+# reads (closed, metrics and bounds take --mu4, compare --constellation: a run
+# takes one of the two), and the '# config:' line it writes.
+CONFIG_LINES = [
+    (["mask", "gen", "singer:m=3", "--out", "out"], "mask gen singer:m=3 --out out"),
+    (["mask", "verify", "singer:m=3", "--out", "out"], "mask verify singer:m=3 --out out"),
+    (["response", "closed", "--mask", "singer:m=3", "--M", "2", "--mu4", "1.32",
+      "--k", "1..3, 5", "--l", "2", "--nu", "0..1", "--out", "out"],
+     "response closed --M 2 --k 1..3,5 --l 2 --mask singer:m=3 --mu4 1.32 --nu 0..1 "
+     "--out out"),
+    (["response", "mc", "--mask", "singer:m=3", "--M", "2", "--constellation", "qpsk",
+      "--k", "1", "--l", "2..3", "--nu", "0", "--trials", "20", "--seed", "4",
+      "--budget", "100000", "--out", "out"],
+     "response mc --M 2 --budget 100000 --constellation qpsk --k 1 --l 2..3 "
+     "--mask singer:m=3 --nu 0 --out out --seed 4 --trials 20"),
+    # --l defaults to --k, and --trials and --seed to their defaults
+    (["response", "both", "--mask", "singer:m=3", "--M", "2", "--constellation", "qam16",
+      "--k", "1,2", "--nu", "0,1", "--budget", "100000000", "--out", "out"],
+     "response both --M 2 --budget 100000000 --constellation qam16 --k 1,2 --l 1,2 "
+     "--mask singer:m=3 --nu 0,1 --out out --seed 0 --trials 10000"),
+    (["metrics", "--mask", "singer:m=3", "--M", "2", "--mu4", "1.0",
+      "--normalize", "by_mainlobe", "--out", "out"],
+     "metrics --M 2 --mask singer:m=3 --mu4 1.0 --normalize by_mainlobe --out out"),
+    (["compare", "--mask", "singer:m=3", "--mask", "comb:N=6,d=3", "--M", "2",
+      "--constellation", "qpsk", "--normalize", "by_rho", "--out", "out"],
+     "compare --M 2 --constellation qpsk --mask singer:m=3 --mask comb:N=6,d=3 "
+     "--normalize by_rho --out out"),
+    (["bounds", "--mask", "singer:m=3", "--mu4", "1.0", "--out", "out"],
+     "bounds --mask singer:m=3 --mu4 1.0 --out out"),
+]
+
+
+@pytest.mark.parametrize("argv, line", CONFIG_LINES,
+                         ids=["mask_gen", "mask_verify", "response_closed", "response_mc",
+                              "response_both", "metrics", "compare", "bounds"])
+def test_config_line_of_each_action(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)
+    words = argv[:2] if argv[0] in ("mask", "response") else argv[:1]
+    assert run_cli([*words, "--help"]) == 0
+    # the options the action's sub-parser declares, as its help lists them
+    declared = set(re.findall(r"^  (--\w+)", capsys.readouterr().out, re.M))
+    assert run_cli(argv) == 0
+    for name in os.listdir(tmp_path / "out"):
+        assert read(tmp_path / "out" / name).decode().splitlines()[1] == f"# config: {line}"
+    on_line = {w for w in shlex.split(line) if w.startswith("--")}
+    assert {w for w in argv if w.startswith("--")} <= on_line <= declared
 
 
 def test_console_entry_point(tmp_path):
