@@ -62,11 +62,6 @@ def parse_index_set(text: str) -> tuple:
     return tuple(out)
 
 
-def canonical_index_set(text: str) -> str:
-    parse_index_set(text)
-    return "".join(text.split())
-
-
 def mask_from_arg(text: str) -> masks.Mask:
     head = text.partition(":")[0].strip().lower()
     if head in masks.SPECS:
@@ -77,14 +72,23 @@ def mask_from_arg(text: str) -> masks.Mask:
         f"mask argument {text!r} is neither a family spec nor an existing file")
 
 
-def canonical_config(words, options: dict) -> str:
-    """Canonical one-line form of a run: its words, then the sorted flags.
+def run_config(args) -> str:
+    """The '# config:' line of a run, from the namespace its sub-parser built.
 
-    Each word is shlex-quoted, so shlex.split gives the run back. A word
-    with a line break is refused: shlex cannot quote it onto the one
-    '# config:' line, and the rest of it would become a line of its own.
+    Its words are the command, the mask action or response mode and the mask
+    spec, then every other option the sub-parser declares as sorted flags,
+    the index sets (parsed already) without whitespace. Each word is
+    shlex-quoted, so shlex.split gives the run back. A word with a line
+    break is refused: shlex cannot quote it onto the one '# config:' line,
+    and the rest of it would become a line of its own.
     """
-    words = list(words)
+    options = vars(args).copy()
+    del options["func"], options["parser"]
+    words = [options.pop(key) for key in ("command", "action", "mode", "spec")
+             if key in options]
+    if "k" in options:
+        for key in ("k", "l", "nu"):
+            options[key] = "".join(options[key].split())
     for key in sorted(options):
         value = options[key]
         if value is None:
@@ -97,24 +101,6 @@ def canonical_config(words, options: dict) -> str:
             raise ValueError(f"a line break in {text!r} cannot go on the "
                              "one-line '# config:' header")
     return " ".join(parts)
-
-
-def run_config(args) -> str:
-    """The '# config:' line of a run, from the namespace its sub-parser built.
-
-    Its words are the command, the mask action or response mode and the mask
-    spec; its options are every option the sub-parser declares, with the
-    index sets canonical and --l given as --k when it is left out.
-    """
-    options = vars(args).copy()
-    del options["func"]
-    words = [options.pop(key) for key in ("command", "action", "mode", "spec")
-             if key in options]
-    if "k" in options:
-        options["l"] = options["l"] or options["k"]
-        for key in ("k", "l", "nu"):
-            options[key] = canonical_index_set(options[key])
-    return canonical_config(words, options)
 
 
 def _header_lines(config_str: str, seed) -> tuple:
@@ -263,19 +249,16 @@ def _resolve_budget(args) -> int:
 
 
 def _resolve_mu4(args) -> float:
-    if args.mu4 is not None and args.constellation:
-        raise ValueError("give --mu4 or --constellation, not both")
+    # argparse lets through exactly one of the two
     if args.mu4 is not None:
         return args.mu4
-    if args.constellation:
-        return montecarlo.make_constellation(args.constellation).mu4
-    raise ValueError("supply --mu4 or --constellation")
+    return montecarlo.make_constellation(args.constellation).mu4
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_mask(args) -> int:
-    config = run_config(args)
+    config = run_config(args) if getattr(args, "out", None) else None  # show has no --out
     if args.action == "gen":
         mask = masks.from_spec(args.spec)
         if args.out:
@@ -320,10 +303,10 @@ def cmd_mask(args) -> int:
 
 
 def cmd_response(args) -> int:
+    if args.l is None:
+        args.l = args.k
     mask = mask_from_arg(args.mask)
-    k_set = parse_index_set(args.k)
-    l_set = parse_index_set(args.l) if args.l else k_set
-    nu_set = parse_index_set(args.nu)
+    k_set, l_set, nu_set = (parse_index_set(text) for text in (args.k, args.l, args.nu))
     config = run_config(args)
 
     if args.mode == "closed":
@@ -363,7 +346,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_bounds(args) -> int:
     mu4 = _resolve_mu4(args)
-    config = run_config(args)
+    config = run_config(args) if args.out else None
     mask = mask_from_arg(args.mask)
     b = metrics.doppler_sidelobe_sum(mask, mu4)
     header = ("mask_id", "I", "I_lower", "I_upper", "attains_upper", "attains_lower")
@@ -495,9 +478,10 @@ def build_parser():
 
     def mu4_source(p):
         # closed forms read mu4 alone: given as such, or as the constellation's
-        p.add_argument("--constellation", choices=montecarlo.CONSTELLATION_NAMES)
-        p.add_argument("--mu4", type=float,
-                       help="symbol kurtosis, in place of --constellation")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--constellation", choices=montecarlo.CONSTELLATION_NAMES)
+        group.add_argument("--mu4", type=float,
+                           help="symbol kurtosis, in place of --constellation")
 
     p_mask = sub.add_parser("mask", help="generate, verify or show masks")
     actions = p_mask.add_subparsers(dest="action", required=True)
@@ -510,7 +494,7 @@ def build_parser():
                                     "random:N=63,w=31,seed=7) or mask file")
         if out_help:
             p.add_argument("--out", help=out_help)
-        p.set_defaults(func=cmd_mask)
+        p.set_defaults(func=cmd_mask, parser=p)
 
     p_resp = sub.add_parser("response", help="expected response grids")
     modes = p_resp.add_subparsers(dest="mode", required=True)
@@ -533,7 +517,7 @@ def build_parser():
             p.add_argument("--budget", type=int,
                            help=f"max points*trials*MN (or ${BUDGET_ENV})")
         p.add_argument("--out", default=".")
-        p.set_defaults(func=cmd_response)
+        p.set_defaults(func=cmd_response, parser=p)
 
     for name, needs_many in (("metrics", False), ("compare", True)):
         p = sub.add_parser(name, help="mask quality report (CSV)")
@@ -544,26 +528,29 @@ def build_parser():
         p.add_argument("--normalize", choices=metrics.NORMALIZATIONS,
                        default="none", help="mean-Doppler-sidelobe scaling")
         p.add_argument("--out", default=".")
-        p.set_defaults(func=cmd_metrics)
+        p.set_defaults(func=cmd_metrics, parser=p)
 
     p_bounds = sub.add_parser("bounds", help="Doppler sidelobe sum and bounds")
     p_bounds.add_argument("--mask", required=True)
     mu4_source(p_bounds)
     p_bounds.add_argument("--out")
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.set_defaults(func=cmd_bounds, parser=p_bounds)
 
     p_self = sub.add_parser("selftest", help="run the embedded identity suite")
     p_self.add_argument("--trials", type=int, default=100000,
                         help="Monte Carlo trials for the oracle item")
     p_self.add_argument("--seed", type=int, default=1234)
-    p_self.set_defaults(func=cmd_selftest)
+    p_self.set_defaults(func=cmd_selftest, parser=p_self)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # a word the action does not read is reported with the action's usage
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:
+            args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

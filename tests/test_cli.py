@@ -82,15 +82,9 @@ def test_mask_show_output(capsys):
 
 
 RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
-BOTH_MU4 = "give --mu4 or --constellation, not both"
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["response", "closed", *RESPONSE], "supply --mu4 or --constellation"),
-    (["response", "closed", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], BOTH_MU4),
-    (["metrics", "--mask", "singer:m=3", "--M", "2", "--constellation", "qam16",
-      "--mu4", "1.0"], BOTH_MU4),
-    (["bounds", "--mask", "singer:m=3", "--mu4", "1.0", "--constellation", "qpsk"], BOTH_MU4),
     (["response", "mc", *RESPONSE, "--constellation", "qam16", "--seed", "-3"],
      "seed must be non-negative"),
     (["mask", "verify", "nope.mask"],
@@ -102,10 +96,12 @@ BOTH_MU4 = "give --mu4 or --constellation, not both"
      "index-set entry '1:3' of '1:3' is not 'a', 'a..b' or 'a..b:s'"),
     (["response", "closed", *RESPONSE, "--mu4", "1.0", "--nu", "1..3,,4"],
      "index-set entry '' of '1..3,,4' is not 'a', 'a..b' or 'a..b:s'"),
-], ids=["closed_no_mu4", "closed_mu4", "metrics_mu4", "bounds_mu4",
-        "mc_negative_seed", "neither_spec_nor_file", "spec_without_value",
+    # an empty --l is an empty index set, not "same as --k"
+    (["response", "closed", *RESPONSE, "--mu4", "1.0", "--k", "1,2", "--l", ""],
+     "empty index set"),
+], ids=["mc_negative_seed", "neither_spec_nor_file", "spec_without_value",
         "spec_non_integer", "spec_repeated_key", "stride_without_range",
-        "empty_entry"])
+        "empty_entry", "empty_l"])
 def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
@@ -117,8 +113,10 @@ def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys
     assert os.listdir(tmp_path) == []
 
 
-# Each action's sub-parser declares only the options the action reads: any
-# other is an argparse error, raised before anything is read or written.
+# Each action's sub-parser declares only the options the action reads, and
+# that exactly one of --mu4 and --constellation gives mu4: any other use is an
+# argparse error with the action's own usage, raised before anything is read
+# or written.
 @pytest.mark.parametrize("argv, flag", [
     (["mask", "show", "singer:m=3", "--out", "out"], "--out"),
     (["response", "closed", *RESPONSE, "--mu4", "1.0", "--trials", "5"], "--trials"),
@@ -127,16 +125,26 @@ def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys
     (["response", "mc", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], "--mu4"),
     (["response", "both", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], "--mu4"),
     (["response", "mc", *RESPONSE], "--constellation"),
+    (["response", "closed", *RESPONSE], "--mu4"),
+    (["response", "closed", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], "--mu4"),
+    (["metrics", "--mask", "singer:m=3", "--M", "2", "--constellation", "qam16",
+      "--mu4", "1.0"], "--mu4"),
+    (["bounds", "--mask", "singer:m=3", "--mu4", "1.0", "--constellation", "qpsk"], "--mu4"),
+    (["compare", "--mask", "singer:m=3", "--mask", "comb:N=6,d=3", "--M", "2"], "--mu4"),
+    (["bounds", "--mask", "singer:m=3"], "--mu4"),
 ], ids=["show_out", "closed_trials", "closed_seed", "closed_budget", "mc_mu4", "both_mu4",
-        "mc_no_constellation"])
+        "mc_no_constellation", "closed_no_mu4", "closed_mu4", "metrics_mu4", "bounds_mu4",
+        "compare_no_mu4", "bounds_no_mu4"])
 def test_an_option_the_action_does_not_read_is_refused(tmp_path, monkeypatch, capsys,
                                                        argv, flag):
     monkeypatch.chdir(tmp_path)
+    words = argv[:2] if argv[0] in ("mask", "response") else argv[:1]
     if argv[0] == "response":
         argv = [*argv, "--out", "out"]
     assert run_cli(argv) == cli.EXIT_CONFIG
     stdout, stderr = capsys.readouterr()
     assert stdout == ""
+    assert stderr.startswith(f"usage: maskrd {' '.join(words)} ")
     assert any(line.startswith("maskrd") and "error: " in line and flag in line
                for line in stderr.splitlines())
     assert os.listdir(tmp_path) == []
@@ -365,6 +373,20 @@ def test_line_break_in_a_mask_path_is_refused(tmp_path, capsys, brk):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: a line break in ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+def test_line_break_in_a_mask_path_is_kept_where_no_file_is_written(tmp_path, capsys, brk):
+    # no '# config:' line is built, so nothing needs to fit on one
+    mask = tmp_path / f"nl{brk}x.mask"
+    mask.write_text("1101000\n")
+    for argv in (["mask", "show", str(mask)],
+                 ["mask", "verify", str(mask)],
+                 ["mask", "gen", f"singer:m=3{brk}"],
+                 ["bounds", "--mask", str(mask), "--mu4", "1.0"]):
+        assert run_cli(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+    assert os.listdir(tmp_path) == [mask.name]
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
