@@ -38,10 +38,12 @@ SELFTEST_TIME_BUDGET = 120.0
 _INDEX_ENTRY = re.compile(r"([+-]?\d+)(?:\.\.([+-]?\d+)(?::([+-]?\d+))?)?")
 
 
-def parse_index_set(text: str) -> tuple:
+def parse_index_set(text: str, check=lambda value: None) -> tuple:
     """Expand index-set syntax: comma list of "a", "a..b" or "a..b:s".
 
     A stride needs a range: any other entry, an empty one too, is refused.
+    check refuses a value off the set's axis. It sees each entry's two ends
+    before the entry is expanded: an axis is an interval.
     """
     out = []
     compact = "".join(text.split())
@@ -58,7 +60,10 @@ def parse_index_set(text: str) -> tuple:
             raise ValueError(f"stride must be positive in {seg!r}")
         if b < a:
             raise ValueError(f"empty range {seg!r}")
-        out.extend(range(a, b + 1, stride))
+        entry = range(a, b + 1, stride)
+        check(entry[0])
+        check(entry[-1])
+        out.extend(entry)
     return tuple(out)
 
 
@@ -206,11 +211,10 @@ def write_csv(path, header, blocks, config_str: str, seed) -> None:
             fh.write("".join(pieces))
 
 
-def _write_out(out_dir: str, files) -> None:
-    """Write each (name, write) of files by write(out_dir/name), creating
-    out_dir, then print one 'wrote' line per file.
+def _write_out(out_dir: str, name: str, write) -> None:
+    """Write out_dir/name by write(path), creating out_dir; print a 'wrote' line.
 
-    An OSError removes the directories this call created, with the files it
+    An OSError removes the directories this call created, with the file it
     wrote into them, and never a directory that existed before. The missing
     ancestors are found on out_dir as given: its absolute form can exceed
     PATH_MAX where the given path does not.
@@ -220,25 +224,23 @@ def _write_out(out_dir: str, files) -> None:
     while head and not os.path.lexists(head):
         created.append(head)
         head = os.path.dirname(head)
-    paths = [os.path.join(out_dir, name) for name, _ in files]
+    path = os.path.join(out_dir, name)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for path, (_, write) in zip(paths, files):
-            write(path)
+        write(path)
     except OSError:
-        for path in paths if created else ():
+        if created:
             with contextlib.suppress(OSError):
                 os.remove(path)
-        for path in created:
+        for made in created:
             with contextlib.suppress(OSError):
-                os.rmdir(path)
+                os.rmdir(made)
         raise
-    for path in paths:
-        print(f"wrote {path}")
+    print(f"wrote {path}")
 
 
 def _slug(label: str) -> str:
-    # the last 240 characters, so "<slug>_crossterms.csv" fits in NAME_MAX = 255
+    # the last 240 characters, so "<slug>_autocorr.csv" fits in NAME_MAX = 255
     return re.sub(r"[^A-Za-z0-9]+", "_", label).strip("_")[-240:]
 
 
@@ -249,8 +251,8 @@ def _resolve_budget(args) -> int:
 
 
 def _resolve_mu4(args) -> float:
-    # argparse lets through exactly one of the two
-    if args.mu4 is not None:
+    # argparse lets through exactly one of the two; response mc/both take no --mu4
+    if getattr(args, "mu4", None) is not None:
         return args.mu4
     return montecarlo.make_constellation(args.constellation).mu4
 
@@ -262,16 +264,14 @@ def cmd_mask(args) -> int:
     if args.action == "gen":
         mask = masks.from_spec(args.spec)
         if args.out:
-            _write_out(args.out, [(_slug(mask.label) + ".mask", lambda path: masks.save_mask(
-                mask, path, header_lines=_header_lines(config, 0)))])
+            _write_out(args.out, _slug(mask.label) + ".mask", lambda path: masks.save_mask(
+                mask, path, header_lines=_header_lines(config, 0)))
         else:
             print(masks.serialize_mask(mask))
         return EXIT_OK
 
     mask = mask_from_arg(args.spec)
     check = masks.verify_cds(mask)
-    # built, or refused, before the first line is printed
-    r = spectra.cross_term_matrix(mask) if args.action == "verify" and args.out else None
     if args.action == "show":
         print(masks.serialize_mask(mask))
     print(f"label: {mask.label}")
@@ -293,12 +293,8 @@ def cmd_mask(args) -> int:
         for k in range(mask.n):
             print(f"{k},{int(a[k])}")
         if args.out:
-            slug, lags = _slug(mask.label), range(1, mask.n)
-            _write_out(args.out, [
-                (f"{slug}_autocorr.csv", lambda path: write_csv(
-                    path, ("k", "a"), _array_blocks((range(mask.n),), a), config, 0)),
-                (f"{slug}_crossterms.csv", lambda path: write_csv(
-                    path, ("k", "l", "R"), _array_blocks((lags, lags), r[1:, 1:]), config, 0))])
+            _write_out(args.out, f"{_slug(mask.label)}_autocorr.csv", lambda path: write_csv(
+                path, ("k", "a"), _array_blocks((range(mask.n),), a), config, 0))
     return EXIT_OK
 
 
@@ -306,28 +302,29 @@ def cmd_response(args) -> int:
     if args.l is None:
         args.l = args.k
     mask = mask_from_arg(args.mask)
-    k_set, l_set, nu_set = (parse_index_set(text) for text in (args.k, args.l, args.nu))
+    # M first: the nu axis is 0..MN-1
+    params = response.ScenarioParams(mask=mask, M=args.M, mu4=_resolve_mu4(args))
+    k_set = parse_index_set(args.k, lambda k: response._check_delay("k", k, mask.n))
+    l_set = parse_index_set(args.l, lambda l: response._check_delay("l", l, mask.n))
+    nu_set = parse_index_set(args.nu, lambda nu: response._check_nu("nu", nu, params.total_bins))
     config = run_config(args)
 
     if args.mode == "closed":
-        mu4 = _resolve_mu4(args)
-        grid = response.build_grid(
-            response.ScenarioParams(mask=mask, M=args.M, mu4=mu4),
-            k_set, l_set, nu_set)
-        name, header, seed = "response_closed.csv", response.GRID_HEADER_CLOSED, 0
+        grid = response.build_grid(params, k_set, l_set, nu_set)
+        header, seed = response.GRID_HEADER_CLOSED, 0
         blocks = _array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values)
     else:
         report = montecarlo.validate_grid(
             mask, args.M, montecarlo.make_constellation(args.constellation),
             k_set, l_set, nu_set, trials=args.trials, seed=args.seed,
             budget=_resolve_budget(args))
-        name, header = (("response_mc.csv", montecarlo.MC_HEADER) if args.mode == "mc"
-                        else ("response_both.csv", montecarlo.VALIDATION_HEADER))
+        header = montecarlo.MC_HEADER if args.mode == "mc" else montecarlo.VALIDATION_HEADER
         names = [f.name for f in dataclasses.fields(montecarlo.McPoint)[:len(header)]]
         blocks = [_table_block([tuple(getattr(p, name) for p in report.points)
                                  for name in names])]
         seed = args.seed
-    _write_out(args.out, [(name, lambda path: write_csv(path, header, blocks, config, seed))])
+    _write_out(args.out, f"response_{args.mode}.csv",
+               lambda path: write_csv(path, header, blocks, config, seed))
     return EXIT_OK
 
 
@@ -339,8 +336,8 @@ def cmd_metrics(args) -> int:
     mask_list = [mask_from_arg(text) for text in args.mask]
     rows = [metrics.report_row(metrics.metrics_report(mask, args.M, mu4, args.normalize))
             for mask in mask_list]
-    _write_out(args.out, [(f"{args.command}.csv", lambda path: write_csv(
-        path, metrics.REPORT_HEADER, [_table_block(tuple(zip(*rows)))], config, 0))])
+    _write_out(args.out, f"{args.command}.csv", lambda path: write_csv(
+        path, metrics.REPORT_HEADER, [_table_block(tuple(zip(*rows)))], config, 0))
     return EXIT_OK
 
 
@@ -355,8 +352,8 @@ def cmd_bounds(args) -> int:
     for name, v in zip(header[1:], row[1:]):
         print(f"{name}: {v:.11e}" if isinstance(v, float) else f"{name}: {v}")
     if args.out:
-        _write_out(args.out, [("bounds.csv", lambda path: write_csv(
-            path, header, [_table_block(tuple(zip(row)))], config, 0))])
+        _write_out(args.out, "bounds.csv", lambda path: write_csv(
+            path, header, [_table_block(tuple(zip(row)))], config, 0))
     return EXIT_OK
 
 
@@ -487,7 +484,7 @@ def build_parser():
     actions = p_mask.add_subparsers(dest="action", required=True)
     for action, out_help in (
             ("gen", "directory to write the mask file into (default: print the mask)"),
-            ("verify", "directory to write the autocorrelation and cross-term CSVs into"),
+            ("verify", "directory to write the autocorrelation CSV into"),
             ("show", None)):
         p = actions.add_parser(action)
         p.add_argument("spec", help="family spec (singer:m=6, comb:N=63,d=3, "
@@ -546,11 +543,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # a word the action does not read is reported with the action's usage
         args, unread = build_parser().parse_known_args(argv)
         if unread:
-            args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
+            # under the root's usage if given before the command word, else the action's
+            before = set(argv[:argv.index(args.command)])
+            (build_parser() if before.intersection(unread) else args.parser).error(
+                f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

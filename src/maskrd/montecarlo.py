@@ -424,9 +424,6 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
         ls, nus = axes.setdefault(k, ({}, {}))
         ls.setdefault(l, len(ls))
         nus.setdefault(nu, len(nus))
-    # every k first, as build_grid over a box checks them, then l and nu per k
-    for k in axes:
-        response._check_delay("k", k, mask.n)
     grids = {k: response.build_grid(params, (k,), ls, nus).values[0]
              for k, (ls, nus) in axes.items()}
     closed = [float(grids[k][axes[k][0][l], axes[k][1][nu]]) for k, l, nu in triples]
@@ -444,6 +441,8 @@ def validate_grid(mask: Mask, m_pri: int, constellation: Constellation,
                   k_set, l_set, nu_set, trials: int, seed: int,
                   budget: int = DEFAULT_BUDGET) -> ValidationReport:
     """Monte Carlo vs closed form over the cross product of the index sets."""
+    # refused by its size, before the triples are built
+    check_run(len(k_set) * len(l_set) * len(nu_set), trials, seed, mask.n * m_pri, budget)
     triples = [(k, l, nu) for k in k_set for l in l_set for nu in nu_set]
     if not triples:
         raise ValueError("index sets must be non-empty")

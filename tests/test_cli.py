@@ -150,6 +150,20 @@ def test_an_option_the_action_does_not_read_is_refused(tmp_path, monkeypatch, ca
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["--bogus", "mask", "gen", "singer:m=3"], "usage: maskrd [-h] "),
+    (["mask", "gen", "singer:m=3", "--bogus"], "usage: maskrd mask gen "),
+    (["--bogus", "mask", "gen", "singer:m=3", "--other"], "usage: maskrd [-h] "),
+], ids=["before_command", "after_action", "before_and_after"])
+def test_an_unread_word_is_reported_under_the_usage_where_it_was_given(capsys, argv, usage):
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(usage)
+    unread = " ".join(w for w in argv if w.startswith("--"))
+    assert stderr.splitlines()[-1].endswith(f"error: unrecognized arguments: {unread}")
+
+
 def test_mask_verify_table_export(tmp_path):
     out = str(tmp_path)
     assert run_cli(["mask", "verify", "singer:m=3", "--out", out]) == 0
@@ -157,35 +171,16 @@ def test_mask_verify_table_export(tmp_path):
     assert a_lines[3] == "k,a"
     assert a_lines[4] == "0,3"
     assert a_lines[5:] == [f"{k},1" for k in range(1, 7)]
-    r_lines = read(os.path.join(out, "singer_m_3_crossterms.csv")).decode().splitlines()
-    assert r_lines[3] == "k,l,R"
-    assert len(r_lines) == 4 + 36
-    assert "1,2,1" in r_lines
+    assert os.listdir(out) == ["singer_m_3_autocorr.csv"]
 
 
-def test_mask_verify_streams_crossterm_rows(tmp_path):
-    # singer:m=8 has 254^2 = 64516 R rows; as a list of tuples they took ~4 MB
-    tracemalloc.start()
-    try:
-        code = run_cli(["mask", "verify", "singer:m=8", "--out", str(tmp_path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    lines = read(tmp_path / "singer_m_8_crossterms.csv").splitlines()
-    assert len(lines) == 4 + 254 ** 2
-    assert lines[4] == b"1,1,64" and lines[5] == b"1,2,32"  # w - a[k], then R[1,2]
-    assert peak < 2 * 2 ** 20  # R itself is 255^2 int64 = 0.5 MB
-
-
-def test_mask_verify_out_refused_before_printing(tmp_path, capsys):
-    # N = 16383 is above spectra.MAX_MATRIX_N: the a[k] table is not printed first
+def test_mask_verify_out_past_the_matrix_limit(tmp_path, capsys):
+    # N = 16383 is above spectra.MAX_MATRIX_N, which only an N x N R needs
     out = tmp_path / "out"
-    assert run_cli(["mask", "verify", "singer:m=14", "--out", str(out)]) == cli.EXIT_CONFIG
-    stdout, stderr = capsys.readouterr()
-    assert stdout == ""
-    assert stderr.count("\n") == 1 and stderr.startswith("error: ")
-    assert not out.exists()
+    assert run_cli(["mask", "verify", "singer:m=14", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert os.listdir(out) == ["singer_m_14_autocorr.csv"]
+    assert len(read(out / "singer_m_14_autocorr.csv").splitlines()) == 4 + 16383
 
 
 def test_mask_verify_corrupted_file(tmp_path, capsys):
@@ -340,7 +335,6 @@ def test_non_ascii_paths(tmp_path, capsys):
     assert run_cli(["mask", "verify", str(tmp_path / "ü.mask"), "--out", str(out)]) == 0
     slug = cli._slug(str(tmp_path / "ü.mask"))
     assert len(read(out / f"{slug}_autocorr.csv").splitlines()) == 4 + 40
-    assert len(read(out / f"{slug}_crossterms.csv").splitlines()) == 4 + 39 ** 2
 
 
 def test_mask_verify_long_input_path(tmp_path):
@@ -351,11 +345,9 @@ def test_mask_verify_long_input_path(tmp_path):
     out, ref = tmp_path / "out", tmp_path / "ref"
     assert run_cli(["mask", "verify", str(mask_dir / "singer_m_3.mask"), "--out", str(out)]) == 0
     assert run_cli(["mask", "verify", "singer:m=3", "--out", str(ref)]) == 0
-    names, ref_names = sorted(os.listdir(out)), sorted(os.listdir(ref))
-    assert names[0].endswith("_autocorr.csv") and names[1].endswith("_crossterms.csv")
-    assert all(len(n) <= 255 for n in names)
-    for name, ref_name in zip(names, ref_names):
-        assert payload_sha256(out / name) == payload_sha256(ref / ref_name)
+    (name,), (ref_name,) = os.listdir(out), os.listdir(ref)
+    assert name.endswith("_autocorr.csv") and len(name) <= 255
+    assert payload_sha256(out / name) == payload_sha256(ref / ref_name)
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
@@ -436,8 +428,7 @@ def _dir_of_length(base, length):
     (["response", "closed", "--mask", "singer:m=3", "--M", "2", "--mu4", "1.0",
       "--k", "1", "--nu", "0"], "response_closed.csv"),
     (["mask", "gen", "singer:m=3"], "singer_m_3.mask"),
-    # the autocorrelation file fits and is written; the longer name fails after it
-    (["mask", "verify", "singer:m=3"], "singer_m_3_crossterms.csv"),
+    (["mask", "verify", "singer:m=3"], "singer_m_3_autocorr.csv"),
 ], ids=["bounds", "metrics", "closed", "gen", "verify"])
 def test_out_path_past_path_max_leaves_no_directory(tmp_path, capsys, argv, name):
     path_max = os.pathconf(tmp_path, "PC_PATH_MAX")
@@ -512,6 +503,43 @@ def test_closed_and_both_refuse_an_index_alike(tmp_path, capsys, k, l, nu):
     assert len(errors[0].splitlines()) == 1 and errors[0].startswith("error: ")
     assert errors[0] == errors[1]
     assert not (tmp_path / "o").exists()
+
+
+def _traced_run(argv):
+    """Exit code and tracemalloc peak of one CLI run."""
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", [["closed", "--mu4", "1"], ["mc", "--constellation", "qam16"]],
+                         ids=["closed", "mc"])
+def test_an_index_range_off_its_axis_is_refused_before_it_is_expanded(tmp_path, capsys, mode):
+    # 3e6 + 1 Doppler bins, of which 14 are on the axis
+    code, peak = _traced_run(["response", mode[0], "--mask", "singer:m=3", "--M", "2",
+                              *mode[1:], "--k", "1", "--nu", "0..3000000",
+                              "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: nu must be in 0..13, got 3000000\n"
+    assert peak < 2 ** 20
+    assert os.listdir(tmp_path) == []
+
+
+def test_monte_carlo_work_over_budget_is_refused_before_its_triples_are_built(
+        tmp_path, monkeypatch, capsys):
+    # 62 x 62 x 200 = 768800 points at the design point
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    code, peak = _traced_run(["response", "mc", "--mask", "singer:m=6", "--M", "50",
+                              "--constellation", "qam16", "--k", "1..62", "--l", "1..62",
+                              "--nu", "0..199", "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: points x trials x MN = 24217200000000 exceeds the budget 2000000000\n")
+    assert peak < 2 ** 20
+    assert os.listdir(tmp_path) == []
 
 
 def test_bounds_output(tmp_path, capsys):
@@ -672,16 +700,12 @@ def payload_sha256(path):
 # output.
 GOLDEN = [
     (["mask", "verify", "singer:m=6"], {
-        "singer_m_6_autocorr.csv": "6a9b4f7a7f8e034cdcba13058d37b4a207cdc5662c2c9ca0ebfde00cb9eebe07",
-        "singer_m_6_crossterms.csv": "2aba5fe4adb69b888a9e7b383ec695ed0b3c33c8dbb36f43b094af253a5277d9"}),
+        "singer_m_6_autocorr.csv": "6a9b4f7a7f8e034cdcba13058d37b4a207cdc5662c2c9ca0ebfde00cb9eebe07"}),
     (["mask", "verify", "comb:N=63,d=3"], {
-        "comb_N_63_d_3_autocorr.csv": "baf0aa8d6c27ea3f4be13e9ea182dc4ff9e58ca6966ba28cfad56ffed62903a9",
-        "comb_N_63_d_3_crossterms.csv": "2abc660c90c74e57352f0224ea0eaabe10d80106f5d8cf94874ef973a70fca49"}),
+        "comb_N_63_d_3_autocorr.csv": "baf0aa8d6c27ea3f4be13e9ea182dc4ff9e58ca6966ba28cfad56ffed62903a9"}),
     (["mask", "verify", "random:N=63,w=31,seed=7"], {
         "random_N_63_w_31_seed_7_autocorr.csv":
-            "c89d727dab1893623805ac554ab027d12632f0651659e5ff4ca50689eec398e6",
-        "random_N_63_w_31_seed_7_crossterms.csv":
-            "bd7b2133c9fefc72eb54d3c783dc79cae09d2bdb7ebb828c4097b115e8462db1"}),
+            "c89d727dab1893623805ac554ab027d12632f0651659e5ff4ca50689eec398e6"}),
     (["response", "closed", "--mask", "singer:m=5", "--M", "4", "--mu4", "1.0",
       "--k", "1..30", "--nu", "0..3"], {
         "response_closed.csv": "98f4178a2363b53e69b0dd6ebd065f6a94a85094bc78e6e87ef93e609a5686f5"}),

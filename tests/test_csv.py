@@ -3,7 +3,7 @@
 The block writer formats each distinct value of a column once per block,
 from its dtype, and each axis label of an array table once per table; these
 tests hold it to the old writer's bytes cell by cell, across block
-boundaries and through the CLI callers that stream a grid or R in blocks,
+boundaries and through the CLI caller that streams a grid in blocks,
 and hold a streamed block to its own rows in memory.
 """
 
@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import csv_oracle as oracle
-from maskrd import cli, masks, response, spectra
+from maskrd import cli, masks, response
 
 CONFIG = "response closed --out 'a b'"
 
@@ -79,21 +79,12 @@ def _grid_rows(argv):
             for t, nu in enumerate(grid.nu_set)]
 
 
-def _crossterm_rows(argv):
-    mask = masks.from_spec(argv[2])
-    r = spectra.cross_term_matrix(mask)
-    return [(k, l, int(r[k, l])) for k in range(1, mask.n) for l in range(1, mask.n)]
-
-
 @pytest.mark.parametrize("argv, name, header, rows", [
     # 16 k x 62 l x 21 nu = 20832 rows, grating lobes at nu = 0, 50, 100
     (["response", "closed", "--mask", "singer:m=6", "--M", "50", "--mu4", "1.32",
       "--k", "1..62:4", "--l", "1..62", "--nu", "0..100:5"],
      "response_closed.csv", response.GRID_HEADER_CLOSED, _grid_rows),
-    # 126^2 = 15876 rows of R
-    (["mask", "verify", "singer:m=7"], "singer_m_7_crossterms.csv", ("k", "l", "R"),
-     _crossterm_rows),
-], ids=["closed_grid", "crossterms"])
+], ids=["closed_grid"])
 def test_streamed_tables_match_the_old_writer(tmp_path, argv, name, header, rows):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     got = (tmp_path / name).read_bytes()

@@ -144,7 +144,8 @@ def test_large_period_refused_before_allocation(tmp_path, capsys):
     out = tmp_path / "out"
     tracemalloc.start()
     try:
-        code = cli.main(["mask", "verify", str(path), "--out", str(out)])
+        code = cli.main(["metrics", "--mask", str(path), "--M", "4", "--mu4", "1.0",
+                         "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from maskrd import masks, response, spectra
+from maskrd import masks, montecarlo, response, spectra
 from conftest import brute_cross_term, random_mask_suite
 
 
@@ -181,3 +182,26 @@ def test_grating_lobes_hold_one_phase_row_at_a_time():
     deficit = mask.weight - int(spectra.autocorr(mask)[3])
     for n in (0, 1, 1000, mask.n - 1):
         assert lobes[n] == response.mainlobe(p, deficit, spectra.s_kn(mask, 3, n))
+
+
+@st.composite
+def double_sum_cases(draw):
+    """A mask of N <= 8, M <= 3, an in-range (k, l, nu) and a constellation."""
+    n = draw(st.integers(2, 8))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                .filter(lambda b: 0 < sum(b) < n))
+    m_pri = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.one_of(st.just(k), st.integers(1, n - 1)))  # the mainlobe often
+    nu = draw(st.integers(0, m_pri * n - 1))
+    name = draw(st.sampled_from(montecarlo.CONSTELLATION_NAMES))
+    return masks.Mask(tuple(bits)), m_pri, k, l, nu, montecarlo.make_constellation(name)
+
+
+@given(double_sum_cases())
+def test_closed_form_matches_the_double_sum_oracle(case):
+    mask, m_pri, k, l, nu, constellation = case
+    p = scenario(mask, m_pri, constellation.mu4)
+    got = response.build_grid(p, (k,), (l,), (nu,)).values[0, 0, 0]
+    want = montecarlo.expectation_by_double_sum(mask, m_pri, constellation, k, l, nu)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
