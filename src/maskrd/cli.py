@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 configuration error, 3 numeric contract failure,
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
+import io
 import os
 import re
 import shlex
@@ -117,24 +119,17 @@ def _header_lines(config_str: str, seed) -> tuple:
 BLOCK_ROWS = 4096
 
 
-def _quote(text: str) -> str:
-    # csv.QUOTE_MINIMAL for delimiter ",", quotechar '"' and lineterminator "\n"
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _column_cells(column, end: str):
     """The cells of a column as CSV text, each followed by end.
 
     A number column keys its cells by bit pattern, so -0.0 and 0.0, and
     each NaN payload, stay apart; the value at a key's first occurrence is
     formatted once as its numpy dtype says: integers and bools %d, floats
-    %.11e. Anything else is str() with csv minimal quoting.
+    %.11e. Anything else is str(), left for csv.writer to quote.
     """
     cells = np.asarray(column)
     if cells.dtype.kind not in "biuf":
-        return [_quote(str(v)) + end for v in column]
+        return [str(v) + end for v in column]
     spec = ("%.11e" if cells.dtype.kind == "f" else "%d") + end
     _, first, inverse = np.unique(cells.view(f"u{cells.itemsize}"),
                                   return_index=True, return_inverse=True)
@@ -142,21 +137,18 @@ def _column_cells(column, end: str):
     return text[inverse].tolist()
 
 
-def _table_block(columns) -> tuple:
-    """The block of a table given as a sequence of equal-length columns: the
-    cells of each column followed by ",", those of the last by a line break.
-    """
-    block = [_column_cells(c, ",") for c in columns[:-1]]
-    block.append(_column_cells(columns[-1], "\n"))
-    if len(block) == 1:  # csv.writer quotes a row that is one empty field
-        block[0] = ['""\n' if cell == "\n" else cell for cell in block[0]]
-    return tuple(block)
+def _table(columns) -> str:
+    """The rows of a table given as equal-length columns, as csv.writer writes them."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(zip(*(_column_cells(c, "") for c in columns)))
+    return text.getvalue()
 
 
 def _array_blocks(axes, values):
-    """Blocks of an array's cells, row-major: each axis's label, then the value.
+    """The text of an array's rows, row-major, BLOCK_ROWS rows per string.
 
-    axes holds the labels of each dimension of values, formatted once per
+    A row is each axis's label, then the value; the labels are numbers, so
+    none needs quoting. axes holds the labels of each dimension of values, formatted once per
     table. A block reads its last-axis labels by position and joins the
     labels of the other axes (a row prefix such as "k,l,") once for each
     outer row it spans, so it holds O(BLOCK_ROWS) pieces whatever the shape.
@@ -173,42 +165,37 @@ def _array_blocks(axes, values):
         value_text = _column_cells(cells[start - first * inner:stop - first * inner], "\n")
         head = last[start % size:start % size + stop - start]
         rest = stop - start - len(head)
-        labels = head + last * (rest // size) + last[:rest % size]
-        if not outer:
-            yield labels, value_text
-            continue
-        rows = range(start // size, (stop - 1) // size + 1)  # the outer rows it spans
-        index = np.unravel_index(np.arange(rows.start, rows.stop), values.shape[:-1])
-        parts = [map(text.__getitem__, i.tolist()) for text, i in zip(outer, index)]
-        prefixes = np.array(list(map("".join, zip(*parts))), dtype=object)
-        counts = np.full(len(rows), size)  # rows of the block in each outer row
-        counts[0] -= start - rows.start * size
-        counts[-1] -= rows.stop * size - stop
-        yield prefixes.repeat(counts).tolist(), labels, value_text
+        columns = [head + last * (rest // size) + last[:rest % size], value_text]
+        if outer:
+            rows = range(start // size, (stop - 1) // size + 1)  # the outer rows it spans
+            index = np.unravel_index(np.arange(rows.start, rows.stop), values.shape[:-1])
+            parts = [map(text.__getitem__, i.tolist()) for text, i in zip(outer, index)]
+            prefixes = np.array(list(map("".join, zip(*parts))), dtype=object)
+            counts = np.full(len(rows), size)  # rows of the block in each outer row
+            counts[0] -= start - rows.start * size
+            counts[-1] -= rows.stop * size - stop
+            columns.insert(0, prefixes.repeat(counts).tolist())
+        # a row is its pieces read across the columns
+        pieces = [None] * (len(columns) * len(value_text))
+        for j, column in enumerate(columns):
+            pieces[j::len(columns)] = column
+        yield "".join(pieces)
 
 
-def write_csv(path, header, blocks, config_str: str, seed) -> None:
+def write_csv(path, header, chunks, config_str: str, seed) -> None:
     """Write three '#' lines (tool, config, seed), the header, then the rows.
 
-    blocks is an iterable of blocks as _table_block and _array_blocks build
-    them: tuples of equal-length lists of text pieces, each piece one or
-    more cells with the separator that follows them. A block's rows are its
-    pieces read across the lists, then down, and a block is written with
-    one join. Each distinct value of a column is formatted once per block
-    (a closed-form grid repeats a few values many times: its range
+    chunks is an iterable of rows as text, as _table and _array_blocks give
+    them. Each distinct value of a number column is formatted once per
+    chunk (a closed-form grid repeats a few values many times: its range
     sidelobes do not depend on nu) and each axis label once per table; the
     bytes are those of a csv.writer with lineterminator "\n" over the same
     cells, formatted as _column_cells says.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"# {line}\n" for line in _header_lines(config_str, seed)))
-        fh.write(",".join(map(_quote, header)) + "\n")
-        for block in blocks:
-            width = len(block)
-            pieces = [None] * (width * len(block[0]))
-            for j, column in enumerate(block):
-                pieces[j::width] = column
-            fh.write("".join(pieces))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(chunks)
 
 
 def _write_out(out_dir: str, name: str, write) -> None:
@@ -288,13 +275,12 @@ def cmd_mask(args) -> int:
             print("structure: cyclic difference set")
         else:
             print("structure: irregular")
-        a = spectra.autocorr(mask)
+        table = list(_array_blocks((range(mask.n),), spectra.autocorr(mask)))
         print("k,a")
-        for k in range(mask.n):
-            print(f"{k},{int(a[k])}")
+        sys.stdout.writelines(table)
         if args.out:
             _write_out(args.out, f"{_slug(mask.label)}_autocorr.csv", lambda path: write_csv(
-                path, ("k", "a"), _array_blocks((range(mask.n),), a), config, 0))
+                path, ("k", "a"), table, config, 0))
     return EXIT_OK
 
 
@@ -312,7 +298,7 @@ def cmd_response(args) -> int:
     if args.mode == "closed":
         grid = response.build_grid(params, k_set, l_set, nu_set)
         header, seed = response.GRID_HEADER_CLOSED, 0
-        blocks = _array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values)
+        chunks = _array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values)
     else:
         report = montecarlo.validate_grid(
             mask, args.M, montecarlo.make_constellation(args.constellation),
@@ -320,11 +306,10 @@ def cmd_response(args) -> int:
             budget=_resolve_budget(args))
         header = montecarlo.MC_HEADER if args.mode == "mc" else montecarlo.VALIDATION_HEADER
         names = [f.name for f in dataclasses.fields(montecarlo.McPoint)[:len(header)]]
-        blocks = [_table_block([tuple(getattr(p, name) for p in report.points)
-                                 for name in names])]
+        chunks = [_table([tuple(getattr(p, name) for p in report.points) for name in names])]
         seed = args.seed
     _write_out(args.out, f"response_{args.mode}.csv",
-               lambda path: write_csv(path, header, blocks, config, seed))
+               lambda path: write_csv(path, header, chunks, config, seed))
     return EXIT_OK
 
 
@@ -337,7 +322,7 @@ def cmd_metrics(args) -> int:
     rows = [metrics.report_row(metrics.metrics_report(mask, args.M, mu4, args.normalize))
             for mask in mask_list]
     _write_out(args.out, f"{args.command}.csv", lambda path: write_csv(
-        path, metrics.REPORT_HEADER, [_table_block(tuple(zip(*rows)))], config, 0))
+        path, metrics.REPORT_HEADER, [_table(zip(*rows))], config, 0))
     return EXIT_OK
 
 
@@ -353,7 +338,7 @@ def cmd_bounds(args) -> int:
         print(f"{name}: {v:.11e}" if isinstance(v, float) else f"{name}: {v}")
     if args.out:
         _write_out(args.out, "bounds.csv", lambda path: write_csv(
-            path, header, [_table_block(tuple(zip(row)))], config, 0))
+            path, header, [_table(zip(row))], config, 0))
     return EXIT_OK
 
 

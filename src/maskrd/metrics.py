@@ -113,7 +113,7 @@ def peak_range_sidelobe(p: ScenarioParams) -> float:
     # diagonal zeroed is the max over k != l in 1..N-1
     r = spectra.cross_term_matrix(p.mask)
     np.fill_diagonal(r, 0)
-    return float(p.M * r.max())
+    return float(p.M * int(r.max()))  # in Python ints: M R can pass 2**63
 
 
 def avg_range_sidelobe(n: int, rho) -> float:

@@ -12,9 +12,7 @@ evaluator and the only code that picks a branch; expected_response,
 moderate_slice and grating_lobes read a grid with one k and l = k. Delay 0
 is the blind range and is rejected rather than reported as zero.
 _check_delay and _check_nu are the one range check of (k, l, nu), here and
-in the Monte Carlo oracle. The CLI writes a grid's values row-major in
-(k, l, nu), in blocks that read the k, l and nu label text, formatted once
-per grid, by position (cli._array_blocks).
+in the Monte Carlo oracle.
 """
 
 from __future__ import annotations
@@ -60,6 +58,8 @@ class ScenarioParams:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M}")
+        if self.M >= 1 << 63:  # M goes into numpy integer arithmetic as an int64
+            raise ValueError(f"M must be below 2**63, got {self.M}")
         check_mu4(self.mu4)
 
     @property

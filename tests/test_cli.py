@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from maskrd import cli, masks, montecarlo, response
+from maskrd import cli, masks, montecarlo, response, spectra
 from conftest import qr_mask
 
 
@@ -99,9 +99,18 @@ RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
     # an empty --l is an empty index set, not "same as --k"
     (["response", "closed", *RESPONSE, "--mu4", "1.0", "--k", "1,2", "--l", ""],
      "empty index set"),
+    # M past int64, where numpy cannot take it
+    (["response", "closed", "--mask", "singer:m=3", "--M", str(2 ** 63), "--mu4", "1.0",
+      "--k", "1", "--nu", "0"],
+     f"M must be below 2**63, got {2 ** 63}"),
+    (["metrics", "--mask", "singer:m=3", "--mu4", "1.0", "--M", str(2 ** 63)],
+     f"M must be below 2**63, got {2 ** 63}"),
+    (["compare", "--mask", "singer:m=3", "--mask", "singer:m=4", "--mu4", "1.0",
+      "--M", str(2 ** 64)], f"M must be below 2**63, got {2 ** 64}"),
 ], ids=["mc_negative_seed", "neither_spec_nor_file", "spec_without_value",
         "spec_non_integer", "spec_repeated_key", "stride_without_range",
-        "empty_entry", "empty_l"])
+        "empty_entry", "empty_l", "closed_M_past_int64", "metrics_M_past_int64",
+        "compare_M_past_int64"])
 def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
@@ -172,6 +181,17 @@ def test_mask_verify_table_export(tmp_path):
     assert a_lines[4] == "0,3"
     assert a_lines[5:] == [f"{k},1" for k in range(1, 7)]
     assert os.listdir(out) == ["singer_m_3_autocorr.csv"]
+
+
+def test_mask_verify_prints_the_table_it_writes(tmp_path, capsys):
+    # N = 8191 rows: two blocks of cli.BLOCK_ROWS and part of a third
+    out = tmp_path / "out"
+    assert run_cli(["mask", "verify", "singer:m=13", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    table = stdout[stdout.index("k,a\n"):stdout.index("wrote ")].encode()
+    assert table == read(out / "singer_m_13_autocorr.csv").split(b"\n", 3)[3]
+    a = spectra.autocorr(masks.singer_mask(13)).tolist()
+    assert table == ("k,a\n" + "".join(f"{k},{v}\n" for k, v in enumerate(a))).encode()
 
 
 def test_mask_verify_out_past_the_matrix_limit(tmp_path, capsys):

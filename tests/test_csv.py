@@ -1,9 +1,9 @@
 """cli.write_csv against the per-cell csv.writer it replaced (csv_oracle.py).
 
-The block writer formats each distinct value of a column once per block,
-from its dtype, and each axis label of an array table once per table; these
-tests hold it to the old writer's bytes cell by cell, across block
-boundaries and through the CLI caller that streams a grid in blocks,
+The table writer formats each distinct value of a column once per table or
+block, from its dtype, and each axis label of an array table once per
+table; these tests hold it to the old writer's bytes cell by cell, across
+block boundaries and through the CLI caller that streams a grid in blocks,
 and hold a streamed block to its own rows in memory.
 """
 
@@ -23,9 +23,8 @@ CONFIG = "response closed --out 'a b'"
 
 
 def both_writers(tmp_path, header, rows):
-    """Bytes of cli.write_csv on rows as one block, then of the oracle."""
-    cli.write_csv(tmp_path / "new.csv", header, [cli._table_block(tuple(zip(*rows)))],
-                  CONFIG, 7)
+    """Bytes of cli.write_csv on rows as one table, then of the oracle."""
+    cli.write_csv(tmp_path / "new.csv", header, [cli._table(zip(*rows))], CONFIG, 7)
     oracle.write_csv(tmp_path / "old.csv", header, rows, CONFIG, 7)
     return (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
 
@@ -60,12 +59,10 @@ def test_grid_blocks_order_and_schema(monkeypatch):
     p = response.ScenarioParams(mask=masks.singer_mask(3), M=2, mu4=1.0)
     grid = response.build_grid(p, (1,), (1, 2), (0, 1))
     blocks = list(cli._array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values))
-    # a block is (prefix, last-axis label, value) pieces, one of each per row
-    assert [tuple(map(len, b)) for b in blocks] == [(3, 3, 3), (1, 1, 1)]
-    prefix, labels, values = ([piece for b in blocks for piece in b[j]] for j in range(3))
-    assert prefix == ["1,1,", "1,1,", "1,2,", "1,2,"]
-    assert labels == ["0,", "1,", "0,", "1,"]
-    assert values == ["%.11e\n" % v for v in grid.values.ravel()]
+    # a block is the text of its rows: k, l, nu, then the value
+    cells = ["%.11e" % v for v in grid.values.ravel()]
+    assert blocks == [f"1,1,0,{cells[0]}\n1,1,1,{cells[1]}\n1,2,0,{cells[2]}\n",
+                      f"1,2,1,{cells[3]}\n"]
 
 
 def _grid_rows(argv):
@@ -133,7 +130,7 @@ def tables(draw):
 @example((["text"], [np.array(["x", "", "a"], dtype=object)], [0, 1, 3, 3]))
 def test_blocks_of_repeated_values_match_the_old_writer(tmp_path_factory, table):
     kinds, columns, edges = table
-    blocks = [cli._table_block([c[a:b] for c in columns]) for a, b in zip(edges, edges[1:])]
+    blocks = [cli._table([c[a:b] for c in columns]) for a, b in zip(edges, edges[1:])]
     rows = list(zip(*(c.tolist() for c in columns)))
     tmp = tmp_path_factory.mktemp("t")
     cli.write_csv(tmp / "new.csv", kinds, blocks, CONFIG, 7)

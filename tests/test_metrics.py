@@ -76,6 +76,13 @@ def test_singer_peak_range_sidelobe_certificate(m):
     assert metrics.peak_range_sidelobe(p) == 5 * 2 ** (m - 3)
 
 
+@pytest.mark.parametrize("m_pri", [2 ** 62, 2 ** 63 - 1])
+def test_peak_range_sidelobe_past_int64_is_exact(m_pri):
+    # max R = 2 at singer:m=4, so M R is 2**63 or more, where int64 wraps
+    p = scenario(masks.singer_mask(4), m_pri, 1.32)
+    assert metrics.peak_range_sidelobe(p) == float(2 * m_pri)
+
+
 def test_avg_range_sidelobe():
     s3 = masks.singer_mask(3)
     r = spectra.cross_term_matrix(s3)[1:, 1:]
