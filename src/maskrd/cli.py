@@ -15,6 +15,8 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
+import math
 import os
 import re
 import shlex
@@ -41,11 +43,11 @@ _INDEX_ENTRY = re.compile(r"([+-]?\d+)(?:\.\.([+-]?\d+)(?::([+-]?\d+))?)?")
 
 
 def parse_index_set(text: str, check=lambda value: None) -> tuple:
-    """Expand index-set syntax: comma list of "a", "a..b" or "a..b:s".
+    """The entries of index-set syntax as ranges: comma list of "a", "a..b" or "a..b:s".
 
     A stride needs a range: any other entry, an empty one too, is refused.
-    check refuses a value off the set's axis. It sees each entry's two ends
-    before the entry is expanded: an axis is an interval.
+    check refuses a value off the set's axis. It sees each entry's two ends,
+    and no entry is expanded: an axis is an interval.
     """
     out = []
     compact = "".join(text.split())
@@ -65,7 +67,7 @@ def parse_index_set(text: str, check=lambda value: None) -> tuple:
         entry = range(a, b + 1, stride)
         check(entry[0])
         check(entry[-1])
-        out.extend(entry)
+        out.append(entry)
     return tuple(out)
 
 
@@ -231,14 +233,17 @@ def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", label).strip("_")[-240:]
 
 
-def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    return int(os.environ.get(BUDGET_ENV) or montecarlo.DEFAULT_BUDGET)
+def _resolve_budget() -> int:
+    """The Monte Carlo work budget: $MASKRD_MC_BUDGET, or the default when unset or empty."""
+    text = os.environ.get(BUDGET_ENV) or montecarlo.DEFAULT_BUDGET
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {text!r}") from None
 
 
 def _resolve_mu4(args) -> float:
-    # argparse lets through exactly one of the two; response mc/both take no --mu4
+    # argparse lets through exactly one of the two; response both takes no --mu4
     if getattr(args, "mu4", None) is not None:
         return args.mu4
     return montecarlo.make_constellation(args.constellation).mu4
@@ -290,24 +295,26 @@ def cmd_response(args) -> int:
     mask = mask_from_arg(args.mask)
     # M first: the nu axis is 0..MN-1
     params = response.ScenarioParams(mask=mask, M=args.M, mu4=_resolve_mu4(args))
-    k_set = parse_index_set(args.k, lambda k: response._check_delay("k", k, mask.n))
-    l_set = parse_index_set(args.l, lambda l: response._check_delay("l", l, mask.n))
-    nu_set = parse_index_set(args.nu, lambda nu: response._check_nu("nu", nu, params.total_bins))
+    entries = (parse_index_set(args.k, lambda k: response._check_delay("k", k, mask.n)),
+               parse_index_set(args.l, lambda l: response._check_delay("l", l, mask.n)),
+               parse_index_set(args.nu, lambda nu: response._check_nu("nu", nu, params.total_bins)))
     config = run_config(args)
 
     if args.mode == "closed":
-        grid = response.build_grid(params, k_set, l_set, nu_set)
+        grid = response.build_grid(params, *map(itertools.chain.from_iterable, entries))
         header, seed = response.GRID_HEADER_CLOSED, 0
         chunks = _array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values)
     else:
-        report = montecarlo.validate_grid(
+        budget = _resolve_budget()
+        # refused by the entries' sizes, none expanded (a range's len() stops at sys.maxsize)
+        points = math.prod(sum((e[-1] - e[0]) // e.step + 1 for e in axis) for axis in entries)
+        montecarlo.check_run(points, args.trials, args.seed, params.total_bins, budget)
+        scored = montecarlo.mc_points(
             mask, args.M, montecarlo.make_constellation(args.constellation),
-            k_set, l_set, nu_set, trials=args.trials, seed=args.seed,
-            budget=_resolve_budget(args))
-        header = montecarlo.MC_HEADER if args.mode == "mc" else montecarlo.VALIDATION_HEADER
-        names = [f.name for f in dataclasses.fields(montecarlo.McPoint)[:len(header)]]
-        chunks = [_table([tuple(getattr(p, name) for p in report.points) for name in names])]
-        seed = args.seed
+            itertools.product(*map(itertools.chain.from_iterable, entries)),
+            args.trials, args.seed, budget)
+        header, seed = montecarlo.VALIDATION_HEADER, args.seed
+        chunks = [_table(zip(*map(dataclasses.astuple, scored)))]
     _write_out(args.out, f"response_{args.mode}.csv",
                lambda path: write_csv(path, header, chunks, config, seed))
     return EXIT_OK
@@ -344,14 +351,15 @@ def cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------- selftest
 
-def _mc_oracle_case():
-    """The mask, M and (k, l, nu) triples of the mc_oracle item."""
+def _selftest_items(trials: int, seed: int, budget: int):
+    """One check per numeric backend path that the outputs rest on.
+
+    The mc_oracle item's trials, seed and work are refused here, before any
+    item runs.
+    """
+    oracle_mask, m_pri = masks.singer_mask(3), 4
     triples = ((1, 1, 0), (1, 1, 2), (2, 5, 9), (3, 3, 4), (4, 2, 0), (6, 6, 12))
-    return masks.singer_mask(3), 4, triples
-
-
-def _selftest_items(trials: int, seed: int):
-    """One check per numeric backend path that the outputs rest on."""
+    montecarlo.check_run(len(triples), trials, seed, oracle_mask.n * m_pri, budget)
     rng = np.random.Generator(np.random.Philox(key=seed))
     qam16 = montecarlo.make_constellation("qam16")
 
@@ -397,8 +405,7 @@ def _selftest_items(trials: int, seed: int):
                     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def mc_oracle():
-        mask, m_pri, triples = _mc_oracle_case()
-        pts = montecarlo.mc_points(mask, m_pri, qam16, triples, trials=trials, seed=seed)
+        pts = montecarlo.mc_points(oracle_mask, m_pri, qam16, triples, trials, seed, budget)
         bad = [p for p in pts if abs(p.z) > 4.0]
         assert not bad, f"{len(bad)} points beyond 4 standard errors"
 
@@ -421,12 +428,9 @@ def _selftest_items(trials: int, seed: int):
 
 
 def cmd_selftest(args) -> int:
-    # the mc_oracle item's trials, seed and work, refused before any item runs
-    mask, m_pri, triples = _mc_oracle_case()
-    montecarlo.check_run(len(triples), args.trials, args.seed, mask.n * m_pri)
     failures = 0
     started = time.perf_counter()
-    for name, fn in _selftest_items(args.trials, args.seed):
+    for name, fn in _selftest_items(args.trials, args.seed, _resolve_budget()):
         t0 = time.perf_counter()
         try:
             fn()
@@ -480,7 +484,7 @@ def build_parser():
 
     p_resp = sub.add_parser("response", help="expected response grids")
     modes = p_resp.add_subparsers(dest="mode", required=True)
-    for mode in ("closed", "mc", "both"):
+    for mode in ("closed", "both"):
         p = modes.add_parser(mode)
         p.add_argument("--mask", required=True)
         p.add_argument("--M", type=int, required=True,
@@ -490,14 +494,12 @@ def build_parser():
         else:
             p.add_argument("--constellation", choices=montecarlo.CONSTELLATION_NAMES,
                            required=True)
+            p.add_argument("--trials", type=int, default=10000,
+                           help=f"trials per point (points*trials*MN <= ${BUDGET_ENV})")
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--k", required=True, help="true delay index set")
         p.add_argument("--l", help="trial delay index set (default: same as --k)")
         p.add_argument("--nu", required=True, help="Doppler bin index set")
-        if mode != "closed":
-            p.add_argument("--trials", type=int, default=10000)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--budget", type=int,
-                           help=f"max points*trials*MN (or ${BUDGET_ENV})")
         p.add_argument("--out", default=".")
         p.set_defaults(func=cmd_response, parser=p)
 
@@ -520,7 +522,7 @@ def build_parser():
 
     p_self = sub.add_parser("selftest", help="run the embedded identity suite")
     p_self.add_argument("--trials", type=int, default=100000,
-                        help="Monte Carlo trials for the oracle item")
+                        help=f"Monte Carlo trials for the oracle item (capped by ${BUDGET_ENV})")
     p_self.add_argument("--seed", type=int, default=1234)
     p_self.set_defaults(func=cmd_selftest, parser=p_self)
 

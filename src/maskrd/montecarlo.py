@@ -30,9 +30,8 @@ only the bytes that the correlation reads, each once on the diagonal k = l.
 Scoring. mc_points estimates each (k, l, nu) point on its own stream and
 scores it against its closed form as an McPoint; the closed forms come
 from one response.build_grid per distinct k. validate_grid does so over
-an index box. Those rows are the one Monte Carlo output:
-`response mc` writes their first six fields (MC_HEADER), `response both`
-all eight (VALIDATION_HEADER).
+an index box. Those rows, all eight fields under VALIDATION_HEADER, are
+the one Monte Carlo output (`response both`).
 """
 
 from __future__ import annotations
@@ -64,15 +63,13 @@ __all__ = [
     "mc_points",
     "validate_grid",
     "expectation_by_double_sum",
-    "MC_HEADER",
     "VALIDATION_HEADER",
 ]
 
 MOMENT_TOL = 1e-12
 DEFAULT_BUDGET = 2_000_000_000
 CONSTELLATION_NAMES = ("qpsk", "qam16", "qam64")
-# CSV columns of response mc (the first six McPoint fields) and response both.
-MC_HEADER = ("k", "l", "nu", "value", "se", "trials")
+# CSV columns of response both: the McPoint fields.
 VALIDATION_HEADER = ("k", "l", "nu", "mc_mean", "mc_se", "trials", "closed_form", "z")
 # estimate() works on blocks of trials whose largest buffers, 16 bytes per
 # trial and correlation term, stay within _BLOCK_BYTES, and draws each

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import os
 import re
 import shlex
@@ -22,11 +23,17 @@ def read(path):
         return fh.read()
 
 
+def index_values(text):
+    return tuple(itertools.chain.from_iterable(cli.parse_index_set(text)))
+
+
 def test_parse_index_set():
-    assert cli.parse_index_set("1..5") == (1, 2, 3, 4, 5)
-    assert cli.parse_index_set("0,5,7") == (0, 5, 7)
-    assert cli.parse_index_set("0..10:5") == (0, 5, 10)
-    assert cli.parse_index_set("1..3, 9") == (1, 2, 3, 9)
+    assert index_values("1..5") == (1, 2, 3, 4, 5)
+    assert index_values("0,5,7") == (0, 5, 7)
+    assert index_values("0..10:5") == (0, 5, 10)
+    assert index_values("1..3, 9") == (1, 2, 3, 9)
+    # one range per entry, none expanded
+    assert cli.parse_index_set("0..10:5, 7") == (range(0, 11, 5), range(7, 8))
     with pytest.raises(ValueError):
         cli.parse_index_set("")
     with pytest.raises(ValueError):
@@ -85,7 +92,7 @@ RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["response", "mc", *RESPONSE, "--constellation", "qam16", "--seed", "-3"],
+    (["response", "both", *RESPONSE, "--constellation", "qam16", "--seed", "-3"],
      "seed must be non-negative"),
     (["mask", "verify", "nope.mask"],
      "mask argument 'nope.mask' is neither a family spec nor an existing file"),
@@ -115,7 +122,7 @@ def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     if argv[0] == "response":
-        trials = ["--trials", "10"] if argv[1] in ("mc", "both") else []
+        trials = ["--trials", "10"] if argv[1] == "both" else []
         argv = [*argv, *trials, "--out", str(out)]
     assert run_cli(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -131,9 +138,9 @@ def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys
     (["response", "closed", *RESPONSE, "--mu4", "1.0", "--trials", "5"], "--trials"),
     (["response", "closed", *RESPONSE, "--mu4", "1.0", "--seed", "9"], "--seed"),
     (["response", "closed", *RESPONSE, "--mu4", "1.0", "--budget", "1"], "--budget"),
-    (["response", "mc", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], "--mu4"),
     (["response", "both", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], "--mu4"),
-    (["response", "mc", *RESPONSE], "--constellation"),
+    (["response", "both", *RESPONSE, "--constellation", "qam16", "--budget", "5"], "--budget"),
+    (["response", "both", *RESPONSE], "--constellation"),
     (["response", "closed", *RESPONSE], "--mu4"),
     (["response", "closed", *RESPONSE, "--constellation", "qam16", "--mu4", "1.3"], "--mu4"),
     (["metrics", "--mask", "singer:m=3", "--M", "2", "--constellation", "qam16",
@@ -141,9 +148,9 @@ def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys
     (["bounds", "--mask", "singer:m=3", "--mu4", "1.0", "--constellation", "qpsk"], "--mu4"),
     (["compare", "--mask", "singer:m=3", "--mask", "comb:N=6,d=3", "--M", "2"], "--mu4"),
     (["bounds", "--mask", "singer:m=3"], "--mu4"),
-], ids=["show_out", "closed_trials", "closed_seed", "closed_budget", "mc_mu4", "both_mu4",
-        "mc_no_constellation", "closed_no_mu4", "closed_mu4", "metrics_mu4", "bounds_mu4",
-        "compare_no_mu4", "bounds_no_mu4"])
+], ids=["show_out", "closed_trials", "closed_seed", "closed_budget", "both_mu4",
+        "both_budget", "mc_no_constellation", "closed_no_mu4", "closed_mu4", "metrics_mu4",
+        "bounds_mu4", "compare_no_mu4", "bounds_no_mu4"])
 def test_an_option_the_action_does_not_read_is_refused(tmp_path, monkeypatch, capsys,
                                                        argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -156,6 +163,18 @@ def test_an_option_the_action_does_not_read_is_refused(tmp_path, monkeypatch, ca
     assert stderr.startswith(f"usage: maskrd {' '.join(words)} ")
     assert any(line.startswith("maskrd") and "error: " in line and flag in line
                for line in stderr.splitlines())
+    assert os.listdir(tmp_path) == []
+
+
+def test_response_mc_is_refused(tmp_path, monkeypatch, capsys):
+    # response both writes every number response mc wrote
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["response", "mc", *RESPONSE, "--constellation", "qam16",
+                    "--out", "out"]) == cli.EXIT_CONFIG
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("usage: maskrd response ")
+    assert "error: argument mode: invalid choice: 'mc'" in stderr.splitlines()[-1]
     assert os.listdir(tmp_path) == []
 
 
@@ -239,35 +258,19 @@ def test_response_closed_blind_range(tmp_path):
     assert not out.exists()
 
 
-def test_response_mc_deterministic_and_schema(tmp_path):
+def test_response_both_deterministic_and_schema(tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-    argv = ["response", "mc", "--mask", "singer:m=3", "--M", "2",
+    argv = ["response", "both", "--mask", "singer:m=3", "--M", "2",
             "--constellation", "qam16", "--k", "1,2", "--nu", "0,1",
             "--trials", "120", "--seed", "9"]
     assert run_cli(argv + ["--out", out1]) == 0
-    a = read(os.path.join(out1, "response_mc.csv"))
+    a = read(os.path.join(out1, "response_both.csv"))
     assert run_cli(argv + ["--out", out1]) == 0
-    assert read(os.path.join(out1, "response_mc.csv")) == a
+    assert read(os.path.join(out1, "response_both.csv")) == a
     assert run_cli(argv + ["--out", out2]) == 0
-    b = read(os.path.join(out2, "response_mc.csv"))
+    b = read(os.path.join(out2, "response_both.csv"))
     assert a.splitlines()[3:] == b.splitlines()[3:]
-    assert a.decode().splitlines()[3] == "k,l,nu,value,se,trials"
-
-
-def test_response_mc_is_first_six_columns_of_both(tmp_path):
-    args = ["--mask", "singer:m=3", "--M", "4", "--constellation", "qam16",
-            "--k", "1,2", "--l", "1", "--nu", "0,1,3", "--trials", "800",
-            "--seed", "12"]
-    assert run_cli(["response", "mc", *args, "--out", str(tmp_path)]) == 0
-    assert run_cli(["response", "both", *args, "--out", str(tmp_path)]) == 0
-    mc_lines = read(tmp_path / "response_mc.csv").decode().splitlines()
-    both_lines = read(tmp_path / "response_both.csv").decode().splitlines()
-    assert mc_lines[3] == "k,l,nu,value,se,trials"
-    assert len(mc_lines) == len(both_lines) == 4 + 2 * 1 * 3
-    assert mc_lines[4:] == [",".join(r.split(",")[:6]) for r in both_lines[4:]]
-    rows = [r.split(",") for r in mc_lines[4:]]
-    assert [tuple(r[:3]) for r in rows][:2] == [("1", "1", "0"), ("1", "1", "1")]
-    assert all(float(r[3]) >= 0 and float(r[4]) >= 0 and r[5] == "800" for r in rows)
+    assert a.decode().splitlines()[3] == "k,l,nu,mc_mean,mc_se,trials,closed_form,z"
 
 
 def test_response_both_z_column(tmp_path):
@@ -283,13 +286,15 @@ def test_response_both_z_column(tmp_path):
         assert row.endswith("0.00000000000e+00")
 
 
-def test_response_budget_exceeded(tmp_path, monkeypatch):
-    argv = ["response", "mc", "--mask", "singer:m=3", "--M", "2",
+def test_response_budget_exceeded(tmp_path, monkeypatch, capsys):
+    argv = ["response", "both", "--mask", "singer:m=3", "--M", "2",
             "--constellation", "qam16", "--k", "1", "--nu", "0",
             "--trials", "500", "--out", str(tmp_path)]
-    assert run_cli(argv + ["--budget", "10"]) == cli.EXIT_CONFIG
     monkeypatch.setenv(cli.BUDGET_ENV, "10")
     assert run_cli(argv) == cli.EXIT_CONFIG
+    # selftest's mc_oracle item reads the same budget, before any item runs
+    assert run_cli(["selftest", "--trials", "200"]) == cli.EXIT_CONFIG
+    assert "PASS" not in capsys.readouterr().out
     monkeypatch.setenv(cli.BUDGET_ENV, "1000000")
     assert run_cli(argv) == 0
 
@@ -407,7 +412,7 @@ def test_line_break_in_an_out_directory_is_refused(tmp_path, capsys, brk):
     for argv in (["bounds", "--mask", "singer:m=3", "--mu4", "1.0"],
                  ["compare", "--mask", "singer:m=3", "--mask", "comb:N=6,d=3",
                   "--M", "2", "--mu4", "1.0"],
-                 ["response", "mc", "--mask", "singer:m=3", "--M", "2",
+                 ["response", "both", "--mask", "singer:m=3", "--M", "2",
                   "--constellation", "qpsk", "--k", "1", "--nu", "0", "--trials", "10"],
                  ["mask", "gen", "singer:m=3"]):
         assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG, argv
@@ -479,7 +484,7 @@ def test_a_bad_nu_stops_response_both_before_any_trial(tmp_path, monkeypatch, ca
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("mode", ["mc", "both"])
+@pytest.mark.parametrize("mode", ["both"])
 @pytest.mark.parametrize("trials", ["0", "1"])
 def test_too_few_trials_are_refused_before_any_closed_form(tmp_path, monkeypatch, capsys,
                                                            mode, trials):
@@ -493,7 +498,7 @@ def test_too_few_trials_are_refused_before_any_closed_form(tmp_path, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("mode", ["mc", "both"])
+@pytest.mark.parametrize("mode", ["both"])
 @pytest.mark.parametrize("seed, error", [
     ("-1", "seed must be non-negative"),
     (str(2 ** 128), "seed must be below 2**128"),
@@ -535,7 +540,7 @@ def _traced_run(argv):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("mode", [["closed", "--mu4", "1"], ["mc", "--constellation", "qam16"]],
+@pytest.mark.parametrize("mode", [["closed", "--mu4", "1"], ["both", "--constellation", "qam16"]],
                          ids=["closed", "mc"])
 def test_an_index_range_off_its_axis_is_refused_before_it_is_expanded(tmp_path, capsys, mode):
     # 3e6 + 1 Doppler bins, of which 14 are on the axis
@@ -552,13 +557,59 @@ def test_monte_carlo_work_over_budget_is_refused_before_its_triples_are_built(
         tmp_path, monkeypatch, capsys):
     # 62 x 62 x 200 = 768800 points at the design point
     monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
-    code, peak = _traced_run(["response", "mc", "--mask", "singer:m=6", "--M", "50",
+    code, peak = _traced_run(["response", "both", "--mask", "singer:m=6", "--M", "50",
                               "--constellation", "qam16", "--k", "1..62", "--l", "1..62",
                               "--nu", "0..199", "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
         "error: points x trials x MN = 24217200000000 exceeds the budget 2000000000\n")
     assert peak < 2 ** 20
+    assert os.listdir(tmp_path) == []
+
+
+def test_monte_carlo_work_over_budget_is_refused_before_its_index_sets_are_expanded(
+        tmp_path, monkeypatch, capsys):
+    # 5e6 Doppler bins, all on the axis of MN = 7e6: counted, never listed
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    code, peak = _traced_run(["response", "both", "--mask", "singer:m=3", "--M", "1000000",
+                              "--constellation", "qpsk", "--k", "1", "--nu", "0..4999999",
+                              "--trials", "100", "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: points x trials x MN = 3500000000000000 exceeds the budget 2000000000\n")
+    assert peak < 2 ** 20
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["response", "both", *RESPONSE, "--constellation", "qam16", "--trials", "10", "--out", "out"],
+    ["selftest", "--trials", "200"],
+], ids=["response_both", "selftest"])
+def test_a_non_integer_budget_is_refused_by_its_name_before_any_work(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.BUDGET_ENV, "abc")
+    calls = []
+    monkeypatch.setattr(response, "build_grid", lambda *args: calls.append(args))
+    called = _record_selftest_items(monkeypatch)
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: MASKRD_MC_BUDGET must be an integer, got 'abc'\n")
+    assert calls == called == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+def test_an_unset_or_empty_budget_is_the_default(tmp_path, monkeypatch, capsys, value):
+    if value is None:
+        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.BUDGET_ENV, value)
+    # one point at MN = 14: one trial more than the default budget allows
+    trials = montecarlo.DEFAULT_BUDGET // 14 + 1
+    assert run_cli(["response", "both", *RESPONSE, "--constellation", "qpsk",
+                    "--trials", str(trials), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: points x trials x MN = {trials * 14} exceeds "
+                                       f"the budget {montecarlo.DEFAULT_BUDGET}\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -607,7 +658,7 @@ def test_selftest_refuses_too_few_trials_before_any_item(monkeypatch, capsys, tr
     (2 ** 128, "seed must be below 2**128"),
 ], ids=["negative", "beyond_key"])
 def test_selftest_refuses_bad_seed_before_any_item(monkeypatch, capsys, seed, error):
-    # the same message as response mc, not numpy's Philox key error
+    # the same message as response both, not numpy's Philox key error
     called = _record_selftest_items(monkeypatch)
     assert run_cli(["selftest", "--seed", str(seed)]) == cli.EXIT_CONFIG
     assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -655,15 +706,14 @@ CONFIG_LINES = [
       "--k", "1..3, 5", "--l", "2", "--nu", "0..1", "--out", "out"],
      "response closed --M 2 --k 1..3,5 --l 2 --mask singer:m=3 --mu4 1.32 --nu 0..1 "
      "--out out"),
-    (["response", "mc", "--mask", "singer:m=3", "--M", "2", "--constellation", "qpsk",
-      "--k", "1", "--l", "2..3", "--nu", "0", "--trials", "20", "--seed", "4",
-      "--budget", "100000", "--out", "out"],
-     "response mc --M 2 --budget 100000 --constellation qpsk --k 1 --l 2..3 "
+    (["response", "both", "--mask", "singer:m=3", "--M", "2", "--constellation", "qpsk",
+      "--k", "1", "--l", "2..3", "--nu", "0", "--trials", "20", "--seed", "4", "--out", "out"],
+     "response both --M 2 --constellation qpsk --k 1 --l 2..3 "
      "--mask singer:m=3 --nu 0 --out out --seed 4 --trials 20"),
     # --l defaults to --k, and --trials and --seed to their defaults
     (["response", "both", "--mask", "singer:m=3", "--M", "2", "--constellation", "qam16",
-      "--k", "1,2", "--nu", "0,1", "--budget", "100000000", "--out", "out"],
-     "response both --M 2 --budget 100000000 --constellation qam16 --k 1,2 --l 1,2 "
+      "--k", "1,2", "--nu", "0,1", "--out", "out"],
+     "response both --M 2 --constellation qam16 --k 1,2 --l 1,2 "
      "--mask singer:m=3 --nu 0,1 --out out --seed 0 --trials 10000"),
     (["metrics", "--mask", "singer:m=3", "--M", "2", "--mu4", "1.0",
       "--normalize", "by_mainlobe", "--out", "out"],
@@ -678,7 +728,7 @@ CONFIG_LINES = [
 
 
 @pytest.mark.parametrize("argv, line", CONFIG_LINES,
-                         ids=["mask_gen", "mask_verify", "response_closed", "response_mc",
+                         ids=["mask_gen", "mask_verify", "response_closed", "response_both_seeded",
                               "response_both", "metrics", "compare", "bounds"])
 def test_config_line_of_each_action(tmp_path, monkeypatch, capsys, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -761,9 +811,9 @@ GOLDEN = [
         "bounds.csv": "aa096b58664c6fe5d3f28f60a73c2a34f0ad8cb42785f1a38baf74d4193a9da6"}),
     # Monte Carlo payloads pin the random-stream layout too; their values rest
     # on libm exp and BLAS dot rounding (recorded on x86-64 with numpy 2.4.6)
-    (["response", "mc", "--mask", "singer:m=4", "--M", "3", "--constellation", "qam16",
+    (["response", "both", "--mask", "singer:m=4", "--M", "3", "--constellation", "qam16",
       "--k", "1..14", "--l", "1,2,7", "--nu", "0,1,3,6", "--trials", "50", "--seed", "5"], {
-        "response_mc.csv": "143bda9944fe99c35dcc1d085e1d57e261f50daa2352861f9336078381681449"}),
+        "response_both.csv": "c4740b86e71f586ac3f6c0ce0ba1f4c1867531d3ab9c0b92da8dabf64f1ef721"}),
     (["response", "both", "--mask", "singer:m=6", "--M", "50", "--constellation", "qam16",
       "--k", "20", "--l", "20,41", "--nu", "0,7,23,50,100", "--trials", "2000", "--seed", "1"], {
         "response_both.csv": "d21f5cb25cc3741460c81e325b32efd6474562a63de2df8871d4417a8e39d6d3"}),

@@ -7,6 +7,7 @@ block boundaries and through the CLI caller that streams a grid in blocks,
 and hold a streamed block to its own rows in memory.
 """
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -69,8 +70,8 @@ def _grid_rows(argv):
     mask = masks.from_spec(argv[argv.index("--mask") + 1])
     p = response.ScenarioParams(mask=mask, M=int(argv[argv.index("--M") + 1]),
                                 mu4=float(argv[argv.index("--mu4") + 1]))
-    sets = [cli.parse_index_set(argv[argv.index(f"--{a}") + 1]) for a in ("k", "l", "nu")]
-    grid = response.build_grid(p, *sets)
+    entries = [cli.parse_index_set(argv[argv.index(f"--{a}") + 1]) for a in ("k", "l", "nu")]
+    grid = response.build_grid(p, *map(itertools.chain.from_iterable, entries))
     return [(k, l, nu, grid.values[i, j, t])
             for i, k in enumerate(grid.k_set) for j, l in enumerate(grid.l_set)
             for t, nu in enumerate(grid.nu_set)]
