@@ -127,11 +127,12 @@ def _column_cells(column, end: str):
     A number column keys its cells by bit pattern, so -0.0 and 0.0, and
     each NaN payload, stay apart; the value at a key's first occurrence is
     formatted once as its numpy dtype says: integers and bools %d, floats
-    %.11e. Anything else is str(), left for csv.writer to quote.
+    %.11e. Anything else is str(), left for csv.writer to quote, and None
+    an empty cell, as csv.writer writes it.
     """
     cells = np.asarray(column)
     if cells.dtype.kind not in "biuf":
-        return [str(v) + end for v in column]
+        return [("" if v is None else str(v)) + end for v in column]
     spec = ("%.11e" if cells.dtype.kind == "f" else "%d") + end
     _, first, inverse = np.unique(cells.view(f"u{cells.itemsize}"),
                                   return_index=True, return_inverse=True)
@@ -326,10 +327,9 @@ def cmd_metrics(args) -> int:
     mu4 = _resolve_mu4(args)
     config = run_config(args)
     mask_list = [mask_from_arg(text) for text in args.mask]
-    rows = [metrics.report_row(metrics.metrics_report(mask, args.M, mu4, args.normalize))
-            for mask in mask_list]
+    reports = [metrics.metrics_report(mask, args.M, mu4, args.normalize) for mask in mask_list]
     _write_out(args.out, f"{args.command}.csv", lambda path: write_csv(
-        path, metrics.REPORT_HEADER, [_table(zip(*rows))], config, 0))
+        path, metrics.REPORT_HEADER, [_table(zip(*map(dataclasses.astuple, reports)))], config, 0))
     return EXIT_OK
 
 

@@ -122,8 +122,16 @@ def singer_mask(m: int) -> Mask:
     return Mask(tuple(1 - v for v in s), label=f"singer:m={m}")
 
 
+def _check_period(n: int) -> None:
+    # no comb or random mask is longer than singer:m=20, the longest Singer mask
+    if n > 2 ** 20 - 1:
+        raise ValueError(f"period must be at most 2^20 - 1 = 1048575, that of "
+                         f"singer:m=20, got N={n}")
+
+
 def comb_mask(n: int, d: int) -> Mask:
     """Mask transmitting at every d-th slot: bit set iff the index is 0 mod d."""
+    _check_period(n)
     if d < 2:
         raise ValueError(f"comb spacing must be at least 2, got {d}")
     if n % d != 0:
@@ -138,8 +146,11 @@ def random_mask(n: int, w: int, seed: int) -> Mask:
     Uses a counter-based generator keyed by the seed, so the same
     (n, w, seed) gives the same mask on every platform.
     """
+    _check_period(n)
     if not 0 < w < n:
         raise ValueError(f"weight must satisfy 0 < w < N, got w={w}, N={n}")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"random mask seed must be in 0..2^128 - 1, got seed={seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     support = rng.permutation(n)[:w]
     bits = [0] * n

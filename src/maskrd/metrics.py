@@ -31,21 +31,17 @@ from .response import ScenarioParams, check_mu4, mainlobe
 from . import spectra
 
 __all__ = [
-    "FluctuationStats",
     "DopplerSumBounds",
-    "MeanDopplerSidelobe",
     "MaskMetrics",
     "NORMALIZATIONS",
     "REPORT_HEADER",
     "mainlobe_levels",
-    "mainlobe_fluctuation",
     "peak_range_sidelobe",
     "avg_range_sidelobe",
     "doppler_sidelobe_sum",
     "worst_case_doppler_sum",
     "mean_doppler_sidelobe",
     "metrics_report",
-    "report_row",
 ]
 
 NORMALIZATIONS = ("none", "by_rho", "by_mainlobe")
@@ -55,15 +51,6 @@ REPORT_HEADER = (
     "mainlobe_min", "mainlobe_max", "ptp_ratio", "psl_range", "avg_range_sl",
     "I", "I_lower", "I_upper", "J", "worst_mean_doppler_sl",
 )
-
-
-@dataclass(frozen=True)
-class FluctuationStats:
-    """Spread of the mainlobe level over the range bins 1..N-1."""
-
-    min: float
-    max: float
-    ptp_ratio: float
 
 
 @dataclass(frozen=True)
@@ -83,28 +70,10 @@ class DopplerSumBounds:
         return self.lower_gap == 0
 
 
-@dataclass(frozen=True)
-class MeanDopplerSidelobe:
-    """Per-delay mean Doppler sidelobe level and its worst case."""
-
-    per_k: np.ndarray
-    worst: float
-
-    def __post_init__(self):
-        self.per_k.setflags(write=False)
-
-
 def mainlobe_levels(p: ScenarioParams) -> np.ndarray:
     """E{|r(k,k,0)|^2} for k = 1..N-1."""
     _, deficit, _ = _per_delay(p.mask)
     return mainlobe(p, deficit, deficit)  # S_kN(0) = w - a[k]
-
-
-def mainlobe_fluctuation(p: ScenarioParams) -> FluctuationStats:
-    """Min, max and peak-to-peak ratio of the mainlobe levels."""
-    levels = mainlobe_levels(p)
-    lo, hi = float(levels.min()), float(levels.max())
-    return FluctuationStats(min=lo, max=hi, ptp_ratio=hi / lo if lo > 0 else math.inf)
 
 
 def peak_range_sidelobe(p: ScenarioParams) -> float:
@@ -123,7 +92,7 @@ def avg_range_sidelobe(n: int, rho) -> float:
     """
     if n < 3:
         raise ValueError(f"period must be at least 3, got {n}")
-    rho = Fraction(rho) if not isinstance(rho, float) else Fraction(rho).limit_denominator(10 ** 12)
+    rho = Fraction(rho)
     val = rho * (1 - rho) * (rho * n - 1) * n * n / ((n - 1) * (n - 2))
     return float(val)
 
@@ -172,9 +141,8 @@ def worst_case_doppler_sum(mask: Mask, mu4: float) -> float:
     return float((f + (mask.n - 1) * (mu4 - 1) * deficit).max())
 
 
-def mean_doppler_sidelobe(p: ScenarioParams,
-                          normalization: str = "none") -> MeanDopplerSidelobe:
-    """Per-delay mean of E{|r(k,k,nu)|^2} over nu = 1..MN-1.
+def mean_doppler_sidelobe(p: ScenarioParams, normalization: str = "none") -> np.ndarray:
+    """Per-delay mean of E{|r(k,k,nu)|^2} over nu = 1..MN-1, for k = 1..N-1.
 
     Closed form: only the bins nu = nM carry the deterministic part, whose
     off-zero total is M^2 f(a[k]); the mu4 floor contributes at every bin.
@@ -192,55 +160,45 @@ def mean_doppler_sidelobe(p: ScenarioParams,
         main = mainlobe(p, deficit, deficit)  # mainlobe_levels(p), no second autocorr
         per_k = np.divide(per_k, main, out=np.where(per_k == 0, 0.0, np.inf),
                           where=main > 0)
-    return MeanDopplerSidelobe(per_k=per_k, worst=float(per_k.max()))
+    return per_k
 
 
 @dataclass(frozen=True)
 class MaskMetrics:
-    """One report row: identity, fluctuation, sidelobe and bound figures."""
+    """One report row: identity, fluctuation, sidelobe and bound figures.
 
-    mask_label: str
+    The fields are in the column order of REPORT_HEADER; I, I_lower, I_upper
+    and J are doppler_sum, its bounds and worst_doppler_sum.
+    """
+
+    label: str
     n: int
-    weight: int
+    w: int
     rho: Fraction
     is_cds: bool
     lam: int | None
-    fluctuation: FluctuationStats
+    mainlobe_min: float
+    mainlobe_max: float
+    ptp_ratio: float
     psl_range: float
     avg_range_sl: float
-    doppler_sum: DopplerSumBounds
+    doppler_sum: float
+    doppler_sum_lower: float
+    doppler_sum_upper: float
     worst_doppler_sum: float
-    worst_mean_doppler: float
+    worst_mean_doppler_sl: float
 
 
 def metrics_report(mask: Mask, m_pri: int, mu4: float,
                    normalization: str = "none") -> MaskMetrics:
     """Full metric set for one mask under the given scenario."""
     p = ScenarioParams(mask=mask, M=m_pri, mu4=mu4)
-    check = verify_cds(mask)
+    check, levels = verify_cds(mask), mainlobe_levels(p)
+    lo, hi = float(levels.min()), float(levels.max())
+    psl, bounds = peak_range_sidelobe(p), doppler_sidelobe_sum(mask, mu4)
     return MaskMetrics(
-        mask_label=mask.label,
-        n=mask.n,
-        weight=mask.weight,
-        rho=mask.rho,
-        is_cds=check.is_cds,
-        lam=check.lam,
-        fluctuation=mainlobe_fluctuation(p),
-        psl_range=peak_range_sidelobe(p),
-        avg_range_sl=avg_range_sidelobe(mask.n, mask.rho),
-        doppler_sum=doppler_sidelobe_sum(mask, mu4),
-        worst_doppler_sum=worst_case_doppler_sum(mask, mu4),
-        worst_mean_doppler=mean_doppler_sidelobe(p, normalization).worst,
-    )
-
-
-def report_row(m: MaskMetrics) -> tuple:
-    """Flatten a MaskMetrics into the CSV column order of REPORT_HEADER."""
-    return (
-        m.mask_label, m.n, m.weight, f"{m.rho.numerator}/{m.rho.denominator}",
-        int(m.is_cds), "" if m.lam is None else m.lam,
-        m.fluctuation.min, m.fluctuation.max, m.fluctuation.ptp_ratio,
-        m.psl_range, m.avg_range_sl,
-        m.doppler_sum.value, m.doppler_sum.lower, m.doppler_sum.upper,
-        m.worst_doppler_sum, m.worst_mean_doppler,
-    )
+        mask.label, mask.n, mask.weight, mask.rho, check.is_cds, check.lam,
+        lo, hi, hi / lo if lo > 0 else math.inf,
+        psl, avg_range_sidelobe(mask.n, mask.rho),
+        bounds.value, bounds.lower, bounds.upper, worst_case_doppler_sum(mask, mu4),
+        float(mean_doppler_sidelobe(p, normalization).max()))

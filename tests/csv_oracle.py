@@ -1,8 +1,8 @@
 """The per-cell CSV writer that cli.write_csv replaced, kept as its byte oracle.
 
 Every cell goes through format_cell (integers and bools in decimal, floats
-as %.11e, anything else str()) and every row through one csv.writer call,
-so the bytes follow the csv module's own quoting.
+as %.11e, None as an empty cell, anything else str()) and every row through
+one csv.writer call, so the bytes follow the csv module's own quoting.
 """
 
 import csv
@@ -19,6 +19,8 @@ def format_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.11e}"
+    if value is None:
+        return ""  # as csv.writer writes it
     return str(value)
 
 

@@ -553,6 +553,35 @@ def test_an_index_range_off_its_axis_is_refused_before_it_is_expanded(tmp_path, 
     assert os.listdir(tmp_path) == []
 
 
+# Family specs past the longest Singer period (singer:m=20) or the 128-bit Philox key.
+OVERSIZED_SPECS = [
+    ("comb:N=1048576,d=2", "period must be at most 2^20 - 1 = 1048575, that of "
+                           "singer:m=20, got N=1048576"),
+    ("comb:N=10000000000,d=2", "period must be at most 2^20 - 1 = 1048575, that of "
+                               "singer:m=20, got N=10000000000"),
+    ("random:N=10000000000,w=5,seed=1", "period must be at most 2^20 - 1 = 1048575, that of "
+                                        "singer:m=20, got N=10000000000"),
+    ("random:N=63,w=31,seed=-1", "random mask seed must be in 0..2^128 - 1, got seed=-1"),
+    (f"random:N=63,w=31,seed={2 ** 128}",
+     f"random mask seed must be in 0..2^128 - 1, got seed={2 ** 128}"),
+]
+
+
+@pytest.mark.parametrize("spec, error", OVERSIZED_SPECS,
+                         ids=["comb_2^20", "comb_1e10", "random_1e10", "seed_-1", "seed_2^128"])
+def test_a_family_spec_past_its_bound_is_refused_before_any_bit(capsys, spec, error):
+    code, peak = _traced_run(["mask", "gen", spec])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert peak < 2 ** 20
+
+
+def test_the_longest_comb_and_the_extreme_seeds_are_built():
+    assert masks.comb_mask(2 ** 20 - 1, 3).n == 2 ** 20 - 1
+    for seed in (0, 2 ** 128 - 1):
+        assert masks.random_mask(63, 31, seed).weight == 31
+
+
 def test_monte_carlo_work_over_budget_is_refused_before_its_triples_are_built(
         tmp_path, monkeypatch, capsys):
     # 62 x 62 x 200 = 768800 points at the design point

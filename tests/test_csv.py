@@ -48,11 +48,13 @@ def test_text_cells_quote_as_the_old_writer(tmp_path):
         ("comb:N=63,d=3", 'a,"b.mask', "", 3, "1/7"),
         ("line\nbreak", "plain", "", "", "x y"),
         ('"quoted"', "", "é,ü", 11, ""),
+        ("none", "x", "", None, "2/9"),
     ]
     header = ("mask_id", "label", "empty", "lambda", "rho")
     new, old = both_writers(tmp_path, header, rows)
     assert new == old
     assert b'\n"comb:N=63,d=3","a,""b.mask",,3,1/7\n"line\nbreak",plain,,,x y\n' in new
+    assert new.endswith(b"\nnone,x,,,2/9\n")  # None is an empty cell
 
 
 def test_grid_blocks_order_and_schema(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -26,27 +27,27 @@ def brute_doppler_sum(mask, mu4):
 
 
 def test_fluctuation_cds_is_flat():
-    stats = metrics.mainlobe_fluctuation(scenario(masks.singer_mask(6), 50, 1.32))
+    report = metrics.metrics_report(masks.singer_mask(6), 50, 1.32)
     assert metrics.doppler_sidelobe_sum(masks.singer_mask(6), 1.32).upper_gap == 0
-    assert stats.min == stats.max == pytest.approx(640256, rel=1e-12)
-    assert stats.ptp_ratio == 1
+    assert report.mainlobe_min == report.mainlobe_max == pytest.approx(640256, rel=1e-12)
+    assert report.ptp_ratio == 1
 
 
 def test_fluctuation_comb_is_extreme():
-    stats = metrics.mainlobe_fluctuation(scenario(masks.comb_mask(63, 3), 1, 1.0))
-    assert stats.min == 0
-    assert stats.max == 441  # (rho N)^2
-    assert math.isinf(stats.ptp_ratio)
+    report = metrics.metrics_report(masks.comb_mask(63, 3), 1, 1.0)
+    assert report.mainlobe_min == 0
+    assert report.mainlobe_max == 441  # (rho N)^2
+    assert math.isinf(report.ptp_ratio)
 
 
 def test_fluctuation_random_mask_positive_unless_cds():
     for m in random_mask_suite(20, seed=51, lo=8, hi=40):
-        stats = metrics.mainlobe_fluctuation(scenario(m, 2, 1.0))
+        levels = metrics.mainlobe_levels(scenario(m, 2, 1.0))
         gap = metrics.doppler_sidelobe_sum(m, 1.0).upper_gap
         if masks.verify_cds(m).is_cds:
-            assert stats.min == stats.max and gap == 0
+            assert levels.min() == levels.max() and gap == 0
         else:
-            assert stats.min < stats.max and gap > 0
+            assert levels.min() < levels.max() and gap > 0
 
 
 def test_peak_range_sidelobe():
@@ -277,14 +278,14 @@ def test_minimum_worst_case_period11_weight5():
 def test_mean_doppler_sidelobe_closed_form():
     m = masks.singer_mask(3)
     p = scenario(m, 4, 1.0)
-    out = metrics.mean_doppler_sidelobe(p)
+    per_k = metrics.mean_doppler_sidelobe(p)
     # mu4 = 1 and a CDS: only grating bins contribute, M^2 f / (MN - 1)
     want = 16 * 10 / 27
-    assert np.allclose(out.per_k, want, rtol=1e-12)
-    assert out.worst == pytest.approx(want, rel=1e-12)
+    assert per_k.shape == (6,)
+    assert np.allclose(per_k, want, rtol=1e-12)
     # brute check against pointwise closed form at one k
     vals = [response.expected_response(p, 2, 2, nu) for nu in range(1, 28)]
-    assert out.per_k[1] == pytest.approx(np.mean(vals), rel=1e-12)
+    assert per_k[1] == pytest.approx(np.mean(vals), rel=1e-12)
 
 
 def test_mean_doppler_sidelobe_huge_m_is_exact():
@@ -297,9 +298,9 @@ def test_mean_doppler_sidelobe_huge_m_is_exact():
         want = [(m_pri ** 2 * (w - int(a[k])) * (n - w + int(a[k]))
                  + (total - 1) * (Fraction(mu4) - 1) * m_pri * (w - int(a[k])))
                 / (total - 1) for k in range(1, n)]
-        got = metrics.mean_doppler_sidelobe(scenario(mask, m_pri, mu4)).per_k
+        got = metrics.mean_doppler_sidelobe(scenario(mask, m_pri, mu4))
         assert got == pytest.approx([float(v) for v in want], rel=1e-12)
-    worst = metrics.metrics_report(masks.singer_mask(6), m_pri, mu4).worst_mean_doppler
+    worst = metrics.metrics_report(masks.singer_mask(6), m_pri, mu4).worst_mean_doppler_sl
     assert f"{worst:.11e}" == "1.70565079367e+10"
 
 
@@ -308,10 +309,10 @@ def test_mean_doppler_sidelobe_normalizations():
     p = scenario(m, 5, 1.32)
     plain = metrics.mean_doppler_sidelobe(p, "none")
     byrho = metrics.mean_doppler_sidelobe(p, "by_rho")
-    assert np.allclose(byrho.per_k, plain.per_k * 3.0, rtol=1e-12)
-    assert plain.per_k[2] == 0  # blanked delay k = 3
+    assert np.allclose(byrho, plain * 3.0, rtol=1e-12)
+    assert plain[2] == 0  # blanked delay k = 3
     bymain = metrics.mean_doppler_sidelobe(p, "by_mainlobe")
-    assert bymain.per_k[2] == 0  # 0/0 convention
+    assert bymain[2] == 0  # 0/0 convention
     with pytest.raises(ValueError):
         metrics.mean_doppler_sidelobe(p, "by_magic")
 
@@ -324,19 +325,19 @@ def test_mean_doppler_by_mainlobe_zero_handling():
     plain = metrics.mean_doppler_sidelobe(p, "none")
     bymain = metrics.mean_doppler_sidelobe(p, "by_mainlobe")
     main = metrics.mainlobe_levels(p)
-    assert main[2] == 0 and bymain.per_k[2] == 0
+    assert main[2] == 0 and bymain[2] == 0
     for i in (0, 1, 3, 4):
-        assert bymain.per_k[i] == plain.per_k[i] / main[i]
-        assert np.isfinite(bymain.per_k[i])
+        assert bymain[i] == plain[i] / main[i]
+        assert np.isfinite(bymain[i])
     # the elementwise reference rule, over masks with and without blanked delays
     for m in [masks.comb_mask(63, 3), masks.comb_mask(20, 4)] + random_mask_suite(8, seed=53):
         for m_pri, mu4 in ((1, 1.0), (7, 1.32)):
             p = scenario(m, m_pri, mu4)
-            plain = metrics.mean_doppler_sidelobe(p, "none").per_k
+            plain = metrics.mean_doppler_sidelobe(p, "none")
             main = metrics.mainlobe_levels(p)
             want = [x / y if y > 0 else (0.0 if x == 0 else math.inf)
                     for x, y in zip(plain, main)]
-            got = metrics.mean_doppler_sidelobe(p, "by_mainlobe").per_k
+            got = metrics.mean_doppler_sidelobe(p, "by_mainlobe")
             assert got.tolist() == want
 
 
@@ -366,27 +367,29 @@ def test_flatness_vs_doppler_sum_tradeoff():
     # combs: minimal Doppler sum but unbounded fluctuation ratio
     for deg in (3, 4, 5):
         m = masks.singer_mask(deg)
-        stats = metrics.mainlobe_fluctuation(scenario(m, 4, 1.32))
-        assert stats.min == stats.max
+        levels = metrics.mainlobe_levels(scenario(m, 4, 1.32))
+        assert levels.min() == levels.max()
         assert metrics.doppler_sidelobe_sum(m, 1.32).upper_gap == 0
     for n, d in ((6, 3), (63, 3), (20, 4)):
         m = masks.comb_mask(n, d)
         b = metrics.doppler_sidelobe_sum(m, 1.32)
         assert b.value == b.lower
-        assert math.isinf(metrics.mainlobe_fluctuation(scenario(m, 4, 1.0)).ptp_ratio)
+        assert math.isinf(metrics.metrics_report(m, 4, 1.0).ptp_ratio)
 
 
 def test_report_rows_and_format():
+    # the record is the CSV row: its fields are the REPORT_HEADER columns, in order
+    assert len(dataclasses.fields(metrics.MaskMetrics)) == len(metrics.REPORT_HEADER)
+    row = dataclasses.astuple(metrics.metrics_report(masks.singer_mask(3), 2, 1.0))
+    assert row[:-1] == ("singer:m=3", 7, 3, Fraction(3, 7), True, 1, 16.0, 16.0, 1.0,
+                        2.0, 0.8, 60.0, 48.0, 60.0, 10.0)
+    assert row[-1] == pytest.approx(40 / 13, rel=1e-12)
     singer, rand, comb = (
         metrics.metrics_report(m, 50, 1.32)
         for m in (masks.singer_mask(6), masks.random_mask(63, 31, 7),
                   masks.comb_mask(63, 3)))
     assert singer.is_cds and singer.lam == 15
     assert not rand.is_cds and rand.lam is None
-    assert singer.doppler_sum.attains_upper()
-    assert comb.doppler_sum.value == comb.doppler_sum.lower
-    assert rand.doppler_sum.lower < rand.doppler_sum.value < rand.doppler_sum.upper
-    flat = metrics.report_row(singer)
-    assert len(flat) == len(metrics.REPORT_HEADER)
-    assert flat[3] == "31/63"
-
+    assert singer.doppler_sum == pytest.approx(singer.doppler_sum_upper, rel=1e-12)
+    assert comb.doppler_sum == comb.doppler_sum_lower
+    assert rand.doppler_sum_lower < rand.doppler_sum < rand.doppler_sum_upper
