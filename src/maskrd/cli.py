@@ -151,10 +151,11 @@ def _array_blocks(axes, values):
     """The text of an array's rows, row-major, BLOCK_ROWS rows per string.
 
     A row is each axis's label, then the value; the labels are numbers, so
-    none needs quoting. axes holds the labels of each dimension of values, formatted once per
-    table. A block reads its last-axis labels by position and joins the
-    labels of the other axes (a row prefix such as "k,l,") once for each
-    outer row it spans, so it holds O(BLOCK_ROWS) pieces whatever the shape.
+    none needs quoting. axes holds the labels of each dimension of values.
+    An axis's labels are all formatted at once, once per table, so a long
+    last axis (mask verify's N delays) costs memory in its length. A block
+    reads its last-axis labels by position and joins the labels of the other
+    axes (a row prefix such as "k,l,") once for each outer row it spans.
     """
     *outer, last = [_column_cells(ax, ",") for ax in axes]
     size = len(last)
@@ -542,7 +543,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, montecarlo.McBudgetError) as exc:
+    except ValueError as exc:  # montecarlo.McBudgetError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

@@ -147,7 +147,8 @@ def mean_doppler_sidelobe(p: ScenarioParams, normalization: str = "none") -> np.
     Closed form: only the bins nu = nM carry the deterministic part, whose
     off-zero total is M^2 f(a[k]); the mu4 floor contributes at every bin.
     Normalizations: "by_rho" divides by the duty cycle, "by_mainlobe" by the
-    per-delay mainlobe level (0/0 is reported as 0, x/0 as inf).
+    per-delay mainlobe level. That level is 0 only where w - a[k] = 0, and
+    there f and the floor are 0 too, so the mean is 0: 0/0 is reported as 0.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -158,8 +159,7 @@ def mean_doppler_sidelobe(p: ScenarioParams, normalization: str = "none") -> np.
         per_k = per_k / float(p.mask.rho)
     elif normalization == "by_mainlobe":
         main = mainlobe(p, deficit, deficit)  # mainlobe_levels(p), no second autocorr
-        per_k = np.divide(per_k, main, out=np.where(per_k == 0, 0.0, np.inf),
-                          where=main > 0)
+        per_k = np.divide(per_k, main, out=np.zeros_like(per_k), where=main > 0)
     return per_k
 
 

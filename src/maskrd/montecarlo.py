@@ -68,7 +68,6 @@ __all__ = [
 
 MOMENT_TOL = 1e-12
 DEFAULT_BUDGET = 2_000_000_000
-CONSTELLATION_NAMES = ("qpsk", "qam16", "qam64")
 # CSV columns of response both: the McPoint fields.
 VALIDATION_HEADER = ("k", "l", "nu", "mc_mean", "mc_se", "trials", "closed_form", "z")
 # estimate() works on blocks of trials whose largest buffers, 16 bytes per
@@ -79,24 +78,24 @@ VALIDATION_HEADER = ("k", "l", "nu", "mc_mean", "mc_se", "trials", "closed_form"
 _BLOCK_BYTES = 1 << 17
 
 
-class McBudgetError(RuntimeError):
+class McBudgetError(ValueError):
     """Requested simulation exceeds the configured work budget."""
 
 
 @dataclass(frozen=True)
 class Constellation:
-    """Finite symbol set with validated moments.
+    """Finite symbol set with the moments the closed forms assume.
 
-    Points have zero mean, zero pseudo-variance and unit average energy;
-    mu4 is the normalized fourth moment (1 for constant modulus) and
-    mu4_exact its rational value. The point count is a power of two of at
-    most 256, so that every random byte maps to a symbol (see the module
-    docstring).
+    Points have zero mean, zero pseudo-variance and unit average energy,
+    each within MOMENT_TOL, and mu4_exact, the rational normalized fourth
+    moment (1 for constant modulus; mu4 is its float), is at least 1; any
+    other set is refused, not rescaled. The point count is a power of two
+    of at most 256, so that every random byte maps to a symbol (see the
+    module docstring).
     """
 
     name: str
     points: np.ndarray
-    mu4: float
     mu4_exact: Fraction
 
     def __post_init__(self):
@@ -107,7 +106,21 @@ class Constellation:
         if count > 256:
             raise ValueError(f"constellation {self.name!r} has {count} points, "
                              "more than the 256 of one random byte")
+        mean, pseudo, energy = (_moment(self.points, p, q) for p, q in ((1, 0), (2, 0), (1, 1)))
+        # Written as "not within", so that NaN moments fail every check.
+        if not abs(mean) <= MOMENT_TOL:
+            raise ValueError(f"constellation {self.name!r} has nonzero mean {mean}")
+        if not abs(pseudo) <= MOMENT_TOL:
+            raise ValueError(f"constellation {self.name!r} has nonzero pseudo-variance {pseudo}")
+        if not abs(energy - 1) <= MOMENT_TOL:
+            raise ValueError(f"constellation {self.name!r} is not unit-energy: {energy.real}")
+        if not self.mu4_exact >= 1:
+            raise ValueError(f"constellation {self.name!r} has mu4 = {self.mu4} < 1")
         self.points.setflags(write=False)
+
+    @property
+    def mu4(self) -> float:
+        return float(self.mu4_exact)
 
     @property
     def bits(self) -> int:
@@ -120,49 +133,29 @@ def _moment(points: np.ndarray, p: int, q: int) -> complex:
     return complex(np.mean(points ** p * np.conj(points) ** q))
 
 
-def _validated(name: str, points: np.ndarray, mu4_exact: Fraction) -> Constellation:
-    energy = float(np.mean(np.abs(points) ** 2))
-    points = points / math.sqrt(energy)
-    mean = _moment(points, 1, 0)
-    pseudo = _moment(points, 2, 0)
-    energy = _moment(points, 1, 1).real
-    # Written as "not within", so that NaN moments fail every check.
-    if not abs(mean) <= MOMENT_TOL:
-        raise ValueError(f"constellation {name!r} has nonzero mean {mean}")
-    if not abs(pseudo) <= MOMENT_TOL:
-        raise ValueError(
-            f"constellation {name!r} has nonzero pseudo-variance {pseudo}")
-    if not abs(energy - 1.0) <= MOMENT_TOL:
-        raise ValueError(
-            f"constellation {name!r} failed unit-energy normalization")
-    mu4 = float(mu4_exact)
-    if not mu4 >= 1.0:
-        raise ValueError(f"constellation {name!r} has mu4 = {mu4} < 1")
-    return Constellation(name=name, points=points, mu4=mu4, mu4_exact=mu4_exact)
-
-
-def _square_qam(levels) -> tuple[np.ndarray, Fraction]:
-    """Square grid over the given integer levels plus its exact mu4."""
+def _square_qam(name: str, levels) -> Constellation:
+    """Square grid over the given integer levels, scaled to unit energy."""
     pts = np.array([complex(a, b) for a in levels for b in levels])
     sq = [a * a + b * b for a in levels for b in levels]
     energy = Fraction(sum(sq), len(sq))
     fourth = Fraction(sum(s * s for s in sq), len(sq))
-    return pts, fourth / (energy * energy)
+    return Constellation(name, pts / math.sqrt(energy), fourth / (energy * energy))
+
+
+_CONSTELLATIONS = {c.name: c for c in (
+    Constellation("qpsk", np.array([1, 1j, -1, -1j]), Fraction(1)),
+    _square_qam("qam16", (-3, -1, 1, 3)),
+    _square_qam("qam64", range(-7, 8, 2)),
+)}
+CONSTELLATION_NAMES = tuple(_CONSTELLATIONS)
 
 
 def make_constellation(name: str) -> Constellation:
-    """Built-in unit-energy constellation by name: qpsk, qam16 or qam64."""
-    key = name.strip().lower()
-    if key == "qpsk":
-        points = np.array([1, 1j, -1, -1j], dtype=complex)
-        return _validated("qpsk", points, Fraction(1))
-    if key == "qam16":
-        points, mu4 = _square_qam((-3, -1, 1, 3))
-        return _validated("qam16", points, mu4)
-    if key == "qam64":
-        points, mu4 = _square_qam(range(-7, 8, 2))
-        return _validated("qam64", points, mu4)
-    raise ValueError(f"unknown constellation {name!r}")
+    """Built-in unit-energy constellation by name, one of CONSTELLATION_NAMES."""
+    try:
+        return _CONSTELLATIONS[name.strip().lower()]
+    except KeyError:
+        raise ValueError(f"unknown constellation {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -284,8 +277,6 @@ class McEstimate:
 
     mean_sq: float
     se: float
-    trials: int
-    seed: int
 
 
 def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
@@ -349,7 +340,7 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
         vals[start:start + rows] = [abs(z) ** 2 for z in dots.ravel().tolist()]
     mean = float(np.mean(vals))
     se = float(math.sqrt(np.var(vals, ddof=1) / trials))
-    return McEstimate(mean_sq=mean, se=se, trials=trials, seed=seed)
+    return McEstimate(mean_sq=mean, se=se)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ limited to N <= MAX_MATRIX_N.
 
 Spectra are direct complex sums from one kernel, s_kn_table: each S_kN(nu)
 is one np.dot of the complex gate gamma_k with the phase row of bin nu, so
-an entry does not depend on what else its table holds, and s_kn, one entry,
-is the same bits. build_grid takes one table per grid.
+an entry does not depend on what else its table holds, and s_kmn at M = 1,
+one entry, is the same bits. build_grid takes one table per grid.
 
 Conventions, with m_t the mask, m_r = 1 - m_t, and all shifts cyclic mod N:
 
@@ -39,7 +39,6 @@ __all__ = [
     "cross_term_row",
     "cross_term_matrix",
     "gamma",
-    "s_kn",
     "s_kn_table",
     "s_kmn",
     "doppler_energy",
@@ -52,18 +51,15 @@ MAX_MATRIX_N = 8191
 
 @dataclass(frozen=True)
 class GammaSequence:
-    """Receive gate for delay k: gamma_k[n] = m_r[n] m_t[n-k], one period."""
+    """Receive gate for delay k: gamma_k[n] = m_r[n] m_t[n-k], one period.
 
-    k: int
+    Its values sum to w - a[k], the number of gated slots.
+    """
+
     values: np.ndarray
 
     def __post_init__(self):
         self.values.setflags(write=False)
-
-    @property
-    def total(self) -> int:
-        """Number of gated slots, w - a[k]."""
-        return int(self.values.sum())
 
 
 def autocorr(mask: Mask) -> np.ndarray:
@@ -127,36 +123,28 @@ def gamma(mask: Mask, k: int) -> GammaSequence:
     bits = mask.as_array()
     shift = mask.n - k % mask.n  # m_t[n - k] is bits rolled right by k
     values = (1 - bits) * np.concatenate((bits[shift:], bits[:shift]))
-    return GammaSequence(k=k, values=values)
-
-
-def s_kn(mask: Mask, k: int, nu: int) -> complex:
-    """Length-N spectrum of the receive gate at bin nu (reduced mod N)."""
-    return complex(s_kn_table(mask, (k,), (nu,))[0, 0])
+    return GammaSequence(values=values)
 
 
 def s_kn_table(mask: Mask, ks, bins) -> np.ndarray:
     """S_kN(bin) for each k of ks (rows) and each bin of bins (columns).
 
-    Bins are reduced mod N and may repeat. Each gamma_k is cast to complex
-    once, and the phase row exp(-2j pi bin n / N) of each distinct bin is
-    built once and dropped after use, so no more than one row is held. Each
-    entry is one np.dot (zdotu) of a gate and a row: a matrix product would
-    round differently, and an entry must not depend on what else the table
-    holds.
+    Bins are reduced mod N. Each gamma_k is cast to complex once, and the
+    phase row exp(-2j pi bin n / N) of each bin is built once and dropped
+    after use, so no more than one row is held. Each entry is one np.dot
+    (zdotu) of a gate and a row: a matrix product would round differently,
+    and an entry must not depend on what else the table holds, so a
+    repeated bin's column has the bits of its first.
     """
     n = mask.n
     bins = [int(b) % n for b in bins]
-    column = {b: j for j, b in enumerate(dict.fromkeys(bins))}
     gates = [gamma(mask, k).values.astype(complex) for k in ks]
-    table = np.empty((len(gates), len(column)), dtype=complex)
+    table = np.empty((len(gates), len(bins)), dtype=complex)
     times = np.arange(n, dtype=complex)  # cast once; each product would cast it
-    for b, j in column.items():
+    for j, b in enumerate(bins):
         row = np.exp(-2j * np.pi * b * times / n)
         for i, gate in enumerate(gates):
             table[i, j] = np.dot(gate, row)
-    if len(column) < len(bins):  # a repeated bin reads its first column
-        table = table.take([column[b] for b in bins], axis=1)
     return table
 
 
@@ -172,7 +160,7 @@ def s_kmn(mask: Mask, k: int, m_pri: int, nu: int) -> complex:
     nu = nu % total
     if nu % m_pri:
         return 0j
-    return m_pri * s_kn(mask, k, nu // m_pri)
+    return m_pri * complex(s_kn_table(mask, (k,), (nu // m_pri,))[0, 0])
 
 
 def doppler_energy(a, n: int, w: int):

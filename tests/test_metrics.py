@@ -339,6 +339,7 @@ def test_mean_doppler_by_mainlobe_zero_handling():
                     for x, y in zip(plain, main)]
             got = metrics.mean_doppler_sidelobe(p, "by_mainlobe")
             assert got.tolist() == want
+            assert np.isfinite(got).all()  # a zero mainlobe has a zero mean
 
 
 @pytest.mark.parametrize("normalization", metrics.NORMALIZATIONS)

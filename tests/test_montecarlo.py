@@ -27,21 +27,32 @@ def test_builtin_moment_table():
         assert np.mean(np.abs(pts) ** 4) == pytest.approx(c.mu4, rel=1e-12)
 
 
-def test_validated_refuses_bad_moments():
-    pts = mc._validated("x", np.array([2, 2j, -2, -2j]), Fraction(1))
-    assert np.array_equal(pts.points, [1, 1j, -1, -1j])  # scaled to unit energy
-    with pytest.raises(ValueError, match="nonzero mean"):
-        mc._validated("x", np.array([1, 1j, -1, 1j]), Fraction(1))
-    with pytest.raises(ValueError, match="nonzero pseudo-variance"):
-        mc._validated("x", np.array([1, -1], dtype=complex), Fraction(1))
-    # NaN moments fail the checks instead of passing every comparison
-    for bad in ([1, 1j, -1, complex("nan")], [1, 1j, -1, -1j, math.inf]):
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            mc._validated("x", np.array(bad, dtype=complex), Fraction(1))
-    with pytest.raises(ValueError, match="mu4"):
-        mc._validated("x", np.array([1, 1j, -1, -1j]), Fraction(1, 2))
-    with pytest.raises(ValueError):
+def test_constellation_refuses_bad_moments():
+    for points, mu4_exact, error in [
+        ([1, 1j, -1, 1j], Fraction(1), "nonzero mean"),
+        ([1, -1], Fraction(1), "nonzero pseudo-variance"),
+        # NaN moments fail the checks instead of passing every comparison
+        ([1, 1j, -1, complex("nan")], Fraction(1), "nonzero mean"),
+        ([1, 1j, -1, math.inf], Fraction(1), "nonzero mean"),
+        ([2, 2j, -2, -2j], Fraction(1), "unit-energy"),  # refused, not rescaled
+        ([1, 1j, -1, -1j], Fraction(1, 2), "mu4"),
+    ]:
+        with pytest.raises(ValueError, match=error), np.errstate(invalid="ignore"):
+            mc.Constellation(name="x", points=np.array(points, dtype=complex),
+                             mu4_exact=mu4_exact)
+
+
+def test_constellation_table():
+    assert mc.CONSTELLATION_NAMES == tuple(mc._CONSTELLATIONS) == ("qpsk", "qam16", "qam64")
+    for name in mc.CONSTELLATION_NAMES:
+        assert mc.make_constellation(f" {name.upper()} ") is mc._CONSTELLATIONS[name]
+    with pytest.raises(ValueError, match="unknown constellation"):
         mc.make_constellation("psk1024")
+    # mu4 is read from mu4_exact, not stored beside it
+    qpsk = mc.Constellation(name="x", points=QPSK.points, mu4_exact=Fraction(33, 25))
+    assert qpsk.mu4 == 1.32
+    with pytest.raises(TypeError):
+        mc.Constellation(name="x", points=QPSK.points, mu4=1.0, mu4_exact=Fraction(1))
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 6])
@@ -49,7 +60,7 @@ def test_constellation_size_must_be_a_power_of_two(count):
     # the draw maps every random byte to a symbol only for a power-of-two size
     points = np.exp(2j * np.pi * np.arange(count) / max(count, 1))
     with pytest.raises(ValueError, match="not a power of two"):
-        mc.Constellation(name="psk", points=points, mu4=1.0, mu4_exact=Fraction(1))
+        mc.Constellation(name="psk", points=points, mu4_exact=Fraction(1))
 
 
 @pytest.mark.parametrize("count", [512, 1024])
@@ -57,8 +68,8 @@ def test_constellation_size_must_fit_a_byte(count):
     # one random byte is a symbol: the 8-bit draw rejects nothing up to 256 points
     points = np.exp(2j * np.pi * np.arange(count) / count)
     with pytest.raises(ValueError, match="more than the 256 of one random byte"):
-        mc.Constellation(name="psk", points=points, mu4=1.0, mu4_exact=Fraction(1))
-    assert mc.Constellation(name="psk", points=points[::count // 256], mu4=1.0,
+        mc.Constellation(name="psk", points=points, mu4_exact=Fraction(1))
+    assert mc.Constellation(name="psk", points=points[::count // 256],
                             mu4_exact=Fraction(1)).bits == 8
 
 
@@ -192,7 +203,7 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
     assert mc.estimate(mc.EchoScenario(mask=masks.comb_mask(6, 3), M=4,
                                        constellation=const, true_delay=3,
                                        true_doppler=0, trial_doppler=2),
-                       3, 9, seed=29) == mc.McEstimate(0.0, 0.0, 9, 29)
+                       3, 9, seed=29) == mc.McEstimate(0.0, 0.0)
 
 
 def test_seed_is_a_128_bit_philox_key():
@@ -364,6 +375,9 @@ def test_validate_grid_budget():
     with pytest.raises(mc.McBudgetError):
         mc.validate_grid(m, 4, QAM16, (1,), (1,), (0,),
                          trials=100, seed=0, budget=100)
+    # a configuration error like any other
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        mc.mc_points(m, 4, QAM16, [(1, 1, 0)], trials=100, seed=0, budget=100)
 
 
 def test_deterministic_points_require_exact_match():

@@ -153,7 +153,7 @@ def test_lobe_bins_read_s_kn_only_where_hit(monkeypatch):
     lobes = response.grating_lobes(p, 5)
     assert len(lobes) == m.n
     for n in range(m.n):
-        want = 9 * abs(spectra.s_kn(m, 5, n)) ** 2 + floor
+        want = 9 * abs(spectra.s_kmn(m, 5, 1, n)) ** 2 + floor
         assert lobes[n] == pytest.approx(want, rel=1e-12)
     calls = []
     original = spectra.s_kn_table
@@ -181,7 +181,7 @@ def test_grating_lobes_hold_one_phase_row_at_a_time():
     assert peak < 4 * 2 ** 20  # all N phase rows at once would take N^2 16 B = 64 MB
     deficit = mask.weight - int(spectra.autocorr(mask)[3])
     for n in (0, 1, 1000, mask.n - 1):
-        assert lobes[n] == response.mainlobe(p, deficit, spectra.s_kn(mask, 3, n))
+        assert lobes[n] == response.mainlobe(p, deficit, spectra.s_kmn(mask, 3, 1, n))
 
 
 @st.composite

@@ -76,19 +76,19 @@ def test_gamma_properties():
     assert spectra.gamma(comb, 3).values.sum() == 0
     s3 = masks.singer_mask(3)
     g1 = spectra.gamma(s3, 1)
-    assert g1.total == 2  # w - a[1] = 3 - 1
+    assert g1.values.sum() == 2  # w - a[1] = 3 - 1
     assert spectra.gamma(s3, 0).values.sum() == 0  # blind-range gate is empty
     for m in random_mask_suite(10, seed=31):
         a = spectra.autocorr(m)
         for k in range(1, m.n):
-            assert spectra.gamma(m, k).total == m.weight - int(a[k])
+            assert spectra.gamma(m, k).values.sum() == m.weight - int(a[k])
 
 
 def test_s_kn_zero_bin_is_real_count():
     for m in random_mask_suite(10, seed=37):
         a = spectra.autocorr(m)
         for k in (1, m.n - 1):
-            v = spectra.s_kn(m, k, 0)
+            v = spectra.s_kmn(m, k, 1, 0)
             assert v.imag == 0
             assert v.real == m.weight - int(a[k])
 
@@ -98,11 +98,11 @@ def test_s_kn_matches_fft_oracle():
         for k in (1, 2):
             g = spectra.gamma(m, k).values
             oracle = np.fft.fft(g.astype(float))
-            mine = np.array([spectra.s_kn(m, k, nu) for nu in range(m.n)])
+            mine = np.array([spectra.s_kmn(m, k, 1, nu) for nu in range(m.n)])
             assert np.allclose(mine, oracle, atol=1e-9 * m.n)
             # nu is reduced mod N
             for nu in range(m.n):
-                assert spectra.s_kn(m, k, nu + m.n) == mine[nu]
+                assert spectra.s_kmn(m, k, 1, nu + m.n) == mine[nu]
 
 
 def scalar_s_kn(mask, k, nu):
@@ -136,8 +136,11 @@ def test_s_kn_table_is_the_scalar_kernel_bitwise(case):
     want = np.array([[scalar_s_kn(mask, k, nu) for nu in bins] for k in ks])
     assert table.shape == want.shape and table.dtype == want.dtype
     assert table.tobytes() == want.tobytes()
-    assert np.array([[spectra.s_kn(mask, k, nu) for nu in bins]
+    assert np.array([[spectra.s_kmn(mask, k, 1, nu) for nu in bins]
                      for k in ks]).tobytes() == want.tobytes()
+    # a bin given again, as itself and plus N: each column has its first's bits
+    again = spectra.s_kn_table(mask, ks, [bins[0], bins[0] + mask.n])
+    assert again.tobytes() == table[:, [0, 0]].tobytes()
 
 
 def test_parseval_closed_form():
@@ -145,7 +148,7 @@ def test_parseval_closed_form():
     suite += random_mask_suite(10, seed=43, lo=5, hi=40)
     for m in suite:
         for k in range(1, m.n):
-            direct = sum(abs(spectra.s_kn(m, k, nu)) ** 2
+            direct = sum(abs(spectra.s_kmn(m, k, 1, nu)) ** 2
                          for nu in range(1, m.n))
             assert abs(direct - spectra.doppler_energy_f(m, k)) <= 1e-6 * m.n ** 2
 
@@ -153,7 +156,7 @@ def test_parseval_closed_form():
 def test_parseval_singer3_value():
     s3 = masks.singer_mask(3)
     for k in range(1, 7):
-        direct = sum(abs(spectra.s_kn(s3, k, nu)) ** 2 for nu in range(1, 7))
+        direct = sum(abs(spectra.s_kmn(s3, k, 1, nu)) ** 2 for nu in range(1, 7))
         assert direct == pytest.approx(10, abs=1e-9)
         assert spectra.doppler_energy_f(s3, k) == 10
 
@@ -169,7 +172,7 @@ def test_doppler_energy_values():
 
 def test_comb_blanked_delay_has_zero_spectrum():
     comb = masks.comb_mask(6, 3)
-    assert all(spectra.s_kn(comb, 3, nu) == 0 for nu in range(6))
+    assert all(spectra.s_kmn(comb, 3, 1, nu) == 0 for nu in range(6))
     assert spectra.doppler_energy_f(comb, 3) == 0
     assert spectra.doppler_energy_f(comb, 1) == 8  # f(0) = 2*4
 
@@ -180,7 +183,7 @@ def test_s_kmn_periodicity_reduction():
     assert spectra.s_kmn(s6, 5, 50, 7) == 0
     assert spectra.s_kmn(s6, 5, 50, 73) == 0
     v = spectra.s_kmn(s6, 5, 50, 100)
-    assert v == 50 * spectra.s_kn(s6, 5, 2)
+    assert v == 50 * spectra.s_kmn(s6, 5, 1, 2)
 
 
 def test_s_kmn_matches_tiled_fft_oracle():
