@@ -388,11 +388,13 @@ def _selftest_items(trials: int, seed: int, budget: int):
             assert np.all(np.abs(direct - closed) <= 1e-6)
 
     def rng_known_answer():
-        # the symbol indices at the 15 transmit slots of trial 3 of stream 5,
-        # as numpy's Generator.integers(0, 16, dtype=np.uint8) draws them
-        got = montecarlo.draw_stream(masks.singer_mask(3), 4, qam16, 1234, trial=3, stream=5)
+        # the indices of the 8 symbols r(1, 2, 0) reads in trial 3 (W = 1) of stream
+        # 5, as numpy's Generator.integers(0, 16, dtype=np.uint8) draws them
+        scen = montecarlo.EchoScenario(mask=oracle_mask, M=m_pri, constellation=qam16,
+                                       true_delay=1, true_doppler=0, trial_doppler=0)
+        got = montecarlo.draw_stream(scen, 2, 1234, trial=3, stream=5)
         index = (got[got != 0, None] == qam16.points).argmax(axis=1).tolist()
-        assert index == [7, 0, 11, 14, 7, 8, 15, 1, 2, 5, 1, 6, 11, 14, 4], f"drew {index}"
+        assert index == [15, 10, 14, 5, 1, 15, 9, 6], f"drew {index}"
 
     def double_sum_oracle():
         mask = masks.singer_mask(3)

@@ -1,9 +1,9 @@
 """Symbol-level Monte Carlo oracle for the masked range-Doppler correlator.
 
 Streams are synthesized from the definition: i.i.d. unit-energy symbols in
-the transmit slots, zeros elsewhere, echo delayed by the true range bin and
-rotated by the Doppler difference. Nothing here reuses the closed forms, so
-estimates are an independent check of them.
+the transmit slots the correlation reads, zeros elsewhere, echo delayed by
+the true range bin and rotated by the Doppler difference. Nothing here
+reuses the closed forms, so estimates are an independent check of them.
 
 Symbol indexing. The correlator touches x_(n-k) for n = 0..MN-1 and
 k, l = 1..N-1, so a stream covers the index range -(N-1)..MN-1. Indices
@@ -16,16 +16,17 @@ Generator(Philox(key=seed, counter=s << 192)).integers(0, K, dtype=np.uint8)
 draws for K points: its raw 64-bit outputs split into bytes, low byte
 first, whatever the byte order of the machine. A constellation has
 K = 2**b <= 256 points, for which that 8-bit bounded draw (Lemire's method)
-rejects no byte and maps byte x to x >> (8 - b), its top b bits. Only the
-T transmit slots of -(N-1)..MN-1 take a symbol: with W = ceil(T / 8),
-trial t reads the outputs tW..tW+W-1 of its stream, and byte j of them is
-the symbol index of its j-th transmit slot. Trial and stream numbers are
+rejects no byte and maps byte x to x >> (8 - b), its top b bits. A point
+(k, l) draws only the U symbols its correlation reads, x_(n-k) and x_(n-l)
+over its active slots n: with W = ceil(U / 8), trial t reads the outputs
+tW..tW+W-1 of its stream, and byte j of them is the symbol index of the
+j-th read position in ascending order. Trial and stream numbers are
 below 2**64, so a stream's trials never reach the next stream. Any
 (trial, stream) is reached directly (_stream), results do not depend on
 evaluation order, and they are reproducible across platforms. draw_stream()
 draws with that Generator.integers call itself; estimate() positions its
-stream once per point, draws its blocks of trials in order, and gathers
-only the bytes that the correlation reads, each once on the diagonal k = l.
+stream once per point and draws its blocks of trials in order, and on the
+diagonal k = l uses the bytes as drawn.
 
 Scoring. mc_points estimates each (k, l, nu) point on its own stream and
 scores it against its closed form as an McPoint; the closed forms come
@@ -87,9 +88,9 @@ class Constellation:
     """Finite symbol set with the moments the closed forms assume.
 
     Points have zero mean, zero pseudo-variance and unit average energy,
-    each within MOMENT_TOL, and mu4_exact, the rational normalized fourth
-    moment (1 for constant modulus; mu4 is its float), is at least 1; any
-    other set is refused, not rescaled. The point count is a power of two
+    and mu4_exact is the rational normalized fourth moment E|x|^4 (1 for
+    constant modulus; mu4 is its float), each within MOMENT_TOL; any other
+    set is refused, not rescaled. The point count is a power of two
     of at most 256, so that every random byte maps to a symbol (see the
     module docstring).
     """
@@ -106,7 +107,8 @@ class Constellation:
         if count > 256:
             raise ValueError(f"constellation {self.name!r} has {count} points, "
                              "more than the 256 of one random byte")
-        mean, pseudo, energy = (_moment(self.points, p, q) for p, q in ((1, 0), (2, 0), (1, 1)))
+        mean, pseudo, energy, fourth = (_moment(self.points, p, q)
+                                        for p, q in ((1, 0), (2, 0), (1, 1), (2, 2)))
         # Written as "not within", so that NaN moments fail every check.
         if not abs(mean) <= MOMENT_TOL:
             raise ValueError(f"constellation {self.name!r} has nonzero mean {mean}")
@@ -114,8 +116,10 @@ class Constellation:
             raise ValueError(f"constellation {self.name!r} has nonzero pseudo-variance {pseudo}")
         if not abs(energy - 1) <= MOMENT_TOL:
             raise ValueError(f"constellation {self.name!r} is not unit-energy: {energy.real}")
-        if not self.mu4_exact >= 1:
-            raise ValueError(f"constellation {self.name!r} has mu4 = {self.mu4} < 1")
+        # E|x|^4 >= (E|x|^2)^2 = 1, so this refuses a mu4 below 1 too
+        if not abs(fourth - self.mu4) <= MOMENT_TOL:
+            raise ValueError(f"constellation {self.name!r} has mu4 = {self.mu4}, "
+                             f"not its fourth moment {fourth.real}")
         self.points.setflags(write=False)
 
     @property
@@ -219,34 +223,6 @@ def _symbol_index(data: np.ndarray, bits: int) -> np.ndarray:
     return data >> (8 - bits)
 
 
-def _transmit_gate(mask: Mask, m_pri: int):
-    """The 0/1 gate over stream positions -(N-1)..MN-1, and W = ceil(T / 8).
-
-    T is the number of transmit slots, W the 64-bit outputs of one trial.
-    """
-    n = mask.n
-    gate = mask.as_array()[(np.arange(m_pri * n + n - 1) - (n - 1)) % n]
-    return gate, -(-int(gate.sum()) // 8)
-
-
-def draw_stream(mask: Mask, m_pri: int, constellation: Constellation,
-                seed: int, trial: int = 0, stream: int = 0) -> np.ndarray:
-    """Masked symbol stream over indices -(N-1)..MN-1.
-
-    Position j of the result holds the symbol with index j - (N - 1).
-    Transmit slots hold i.i.d. uniform constellation points, listen slots
-    hold exact zeros. Deterministic in (seed, trial, stream).
-    """
-    trial = _check_stream_index("trial", trial)
-    stream = _check_stream_index("stream", stream)
-    gate, words = _transmit_gate(mask, m_pri)
-    slots = np.flatnonzero(gate)
-    rng = np.random.Generator(_stream(seed, stream, trial * words))
-    index = np.zeros(len(gate), dtype=np.uint8)
-    index[slots] = rng.integers(0, len(constellation.points), size=len(slots), dtype=np.uint8)
-    return constellation.points[index] * gate.astype(np.complex128)
-
-
 def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):
     """Gather indices of x_(n-k) and x_(n-l), and the phases, of one correlation.
 
@@ -261,6 +237,39 @@ def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):
     ns = (np.arange(0, total, n)[:, None] + residues).ravel()
     phase = np.exp(-2j * np.pi * nu * ns / total)
     return ns - k + n - 1, ns - l + n - 1, phase
+
+
+def _reads(scenario: EchoScenario, l: int):
+    """Where r(k0, l, nu_t - nu_0) reads the stream, and one trial's outputs.
+
+    Returns the U read positions (idx_k and idx_l of _kernel merged in
+    ascending order), gather (idx_k, then idx_l, as numbers of reads), the
+    phases, and W = ceil(U / 8).
+    """
+    response._check_delay("l", l, scenario.mask.n)
+    idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
+                                  l, scenario.doppler_difference)
+    reads, gather = np.unique(np.concatenate([idx_k, idx_l]), return_inverse=True)
+    return reads, gather, phase, -(-len(reads) // 8)
+
+
+def draw_stream(scenario: EchoScenario, l: int, seed: int,
+                trial: int = 0, stream: int = 0) -> np.ndarray:
+    """The symbols r(k0, l, nu_t - nu_0) reads, in a stream over -(N-1)..MN-1.
+
+    Position j of the result holds the symbol with index j - (N - 1). The
+    read positions (all of them transmit slots) hold i.i.d. uniform
+    constellation points, every other position an exact zero. Deterministic
+    in (seed, trial, stream).
+    """
+    trial = _check_stream_index("trial", trial)
+    stream = _check_stream_index("stream", stream)
+    reads, _, _, words = _reads(scenario, l)
+    points = scenario.constellation.points
+    rng = np.random.Generator(_stream(seed, stream, trial * words))
+    out = np.zeros((scenario.M + 1) * scenario.mask.n - 1, dtype=np.complex128)
+    out[reads] = points[rng.integers(0, len(points), size=len(reads), dtype=np.uint8)]
+    return out
 
 
 def correlate(scenario: EchoScenario, stream: np.ndarray, l: int) -> complex:
@@ -287,39 +296,27 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     so any execution order or partition over workers yields the same
     per-trial values. Each |r|^2 equals correlate() on draw_stream() bit for
     bit. The stream is positioned once; each block of consecutive trials is
-    its next draw of raw outputs, viewed as one row of bytes per trial, and
-    one take() gathers, in C order, the bytes of the transmit slots that the
-    correlation reads (each once on the diagonal k = l, where x_(n-k) and
-    x_(n-l) are the same symbol). The products are the same complex
-    products, looked up in a table by symbol index (a byte's top bits), and
-    a block's sums are one np.matmul, which takes each trial's 1 x 1 output
-    with the BLAS dot of np.dot over a contiguous row.
+    its next draw of raw outputs, viewed as one row of bytes per trial. On
+    the diagonal k = l the reads are idx_k in order and x_(n-k) = x_(n-l),
+    so a row's first U bytes are the terms' symbols as drawn; off it, one
+    take() gathers, in C order, the bytes of idx_k and idx_l. The products
+    are the same complex products, looked up in a table by symbol index (a
+    byte's top bits), and a block's sums are one np.matmul, which takes each
+    trial's 1 x 1 output with the BLAS dot of np.dot over a contiguous row.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     stream = _check_stream_index("stream", stream)
-    n = scenario.mask.n
-    response._check_delay("l", l, n)
-    idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
-                                  l, scenario.doppler_difference)
-    gate, words = _transmit_gate(scenario.mask, scenario.M)
-    # a stream position's rank among the transmit slots: its byte in the trial
-    rank = np.cumsum(gate) - 1
+    _, gather, phase, words = _reads(scenario, l)
     points = scenario.constellation.points
     bits = scenario.constellation.bits
-    # The stream's value at a transmit slot: the point times a gate of 1 + 0j.
-    gated = points * np.ones(len(points), dtype=np.complex128)
-    # pair[(i << bits) | j] = gated[i] conj(gated[j]): 64 KiB for qam64.
-    pair = np.repeat(gated, len(points)) * np.conj(np.tile(gated, len(points)))
+    # pair[(i << bits) | j] = points[i] conj(points[j]): 64 KiB for qam64.
+    pair = np.repeat(points, len(points)) * np.conj(np.tile(points, len(points)))
     width = len(phase)
     diagonal = scenario.true_delay == l
     if diagonal:
-        # x_(n-k) and x_(n-l) are one symbol i: gather it once, and read
-        # pair[i (K + 1)] straight from its byte x, with i = x >> (8 - bits).
-        gather = rank[idx_k]
+        # read pair[i (K + 1)] straight from the byte x of symbol i = x >> (8 - bits)
         pair = pair[::len(points) + 1][_symbol_index(np.arange(256, dtype=np.uint8), bits)]
-    else:
-        gather = rank[np.concatenate([idx_k, idx_l])]
     block = min(trials, max(1, _BLOCK_BYTES // (16 * max(width, 1))))
     bg = _stream(seed, stream)
     vals = np.empty(trials, dtype=np.float64)
@@ -328,14 +325,14 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
         # each 64-bit output as 8 bytes, low byte first: one row per trial
         raw = bg.random_raw(rows * words).astype("<u8", copy=False)
         data = raw.view(np.uint8).reshape(rows, 8 * words)
-        # take() fills a C-ordered result; data[:, gather] would be F-ordered,
-        # and BLAS sums a strided row in another order.
-        index = data.take(gather, axis=1)
+        index = data[:, :width]  # on the diagonal, the symbols as drawn
         if not diagonal:
-            index = _symbol_index(index, bits)
+            # take() fills a C-ordered result; data[:, gather] would be F-ordered,
+            # and BLAS sums a strided row in another order.
+            index = _symbol_index(data.take(gather, axis=1), bits)
             index = (index[:, :width].astype(np.uint16) << bits) | index[:, width:]
         # take(), not pair[index]: fancy indexing by a uint8 or uint16 array
-        # measured 1.5-2.5x slower
+        # measured 1.5-2.5x slower; take() fills a C-ordered result from any index
         dots = np.matmul(pair.take(index)[:, None, :], phase[:, None])
         vals[start:start + rows] = [abs(z) ** 2 for z in dots.ravel().tolist()]
     mean = float(np.mean(vals))

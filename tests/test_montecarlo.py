@@ -36,10 +36,13 @@ def test_constellation_refuses_bad_moments():
         ([1, 1j, -1, math.inf], Fraction(1), "nonzero mean"),
         ([2, 2j, -2, -2j], Fraction(1), "unit-energy"),  # refused, not rescaled
         ([1, 1j, -1, -1j], Fraction(1, 2), "mu4"),
+        ([1, 1j, -1, -1j], Fraction(33, 25), "mu4"),  # not the points' fourth moment
     ]:
         with pytest.raises(ValueError, match=error), np.errstate(invalid="ignore"):
             mc.Constellation(name="x", points=np.array(points, dtype=complex),
                              mu4_exact=mu4_exact)
+    for c in (QPSK, QAM16, QAM64):  # each built-in's mu4_exact is its fourth moment
+        assert mc.Constellation(name=c.name, points=c.points, mu4_exact=c.mu4_exact) == c
 
 
 def test_constellation_table():
@@ -49,8 +52,8 @@ def test_constellation_table():
     with pytest.raises(ValueError, match="unknown constellation"):
         mc.make_constellation("psk1024")
     # mu4 is read from mu4_exact, not stored beside it
-    qpsk = mc.Constellation(name="x", points=QPSK.points, mu4_exact=Fraction(33, 25))
-    assert qpsk.mu4 == 1.32
+    qam16 = mc.Constellation(name="x", points=QAM16.points, mu4_exact=Fraction(33, 25))
+    assert qam16.mu4 == 1.32
     with pytest.raises(TypeError):
         mc.Constellation(name="x", points=QPSK.points, mu4=1.0, mu4_exact=Fraction(1))
 
@@ -73,20 +76,34 @@ def test_constellation_size_must_fit_a_byte(count):
                             mu4_exact=Fraction(1)).bits == 8
 
 
+def _scenario(mask, m_pri, const, k, nu=0):
+    return mc.EchoScenario(mask=mask, M=m_pri, constellation=const,
+                           true_delay=k, true_doppler=0, trial_doppler=nu)
+
+
+def _read_positions(mask, m_pri, k, l):
+    # the stream positions of x_(n-k) and x_(n-l) over the active slots n,
+    # found slot by slot, in ascending order
+    n, bits = mask.n, mask.as_array()
+    active = [s for s in range(m_pri * n)
+              if not bits[s % n] and bits[(s - k) % n] and bits[(s - l) % n]]
+    return sorted({s - d + n - 1 for s in active for d in (k, l)})
+
+
 def test_draw_stream_layout_and_determinism():
     m = masks.singer_mask(3)
-    st = mc.draw_stream(m, 4, QAM16, seed=5)
-    assert len(st) == 4 * 7 + 6
     gate = m.as_array()
-    for j, v in enumerate(st):
-        i = j - 6
-        if gate[i % 7] == 0:
-            assert v == 0
-        else:
-            assert v != 0
-    assert np.array_equal(st, mc.draw_stream(m, 4, QAM16, seed=5))
-    assert not np.array_equal(st, mc.draw_stream(m, 4, QAM16, seed=6))
-    assert not np.array_equal(st, mc.draw_stream(m, 4, QAM16, seed=5, trial=1))
+    for k, l in ((1, 1), (2, 5), (4, 1)):
+        scen = _scenario(m, 4, QAM16, k)
+        st = mc.draw_stream(scen, l, seed=5)
+        assert len(st) == 4 * 7 + 6
+        # a symbol sits exactly on the read positions, all of them transmit slots
+        reads = _read_positions(m, 4, k, l)
+        assert np.flatnonzero(st).tolist() == reads
+        assert all(gate[(j - 6) % 7] for j in reads)
+        assert np.array_equal(st, mc.draw_stream(scen, l, seed=5))
+        assert not np.array_equal(st, mc.draw_stream(scen, l, seed=6))
+        assert not np.array_equal(st, mc.draw_stream(scen, l, seed=5, trial=1))
 
 
 def _uint8_draw(seed, stream, first, count, k):
@@ -102,25 +119,25 @@ def _uint8_draw(seed, stream, first, count, k):
                                            (2 ** 64 - 1, 2 ** 64 - 1)])
 def test_draw_stream_counter_layout(trial, stream):
     # stream s is the uint8 draw of Generator.integers from the counter
-    # s << 192; trial t takes W = ceil(T / 8) outputs of it, from output t W,
-    # and byte j is the index of its j-th transmit slot
+    # s << 192; trial t takes W = ceil(U / 8) outputs of it, from output t W,
+    # and byte j is the index of the j-th of the U positions the correlation reads
     m, seed = masks.random_mask(11, 4, seed=2), 1234
-    n = m.n
-    gate = m.as_array()[(np.arange(3 * n + n - 1) - (n - 1)) % n]
-    slots = np.flatnonzero(gate)
-    words = -(-len(slots) // 8)
-    for const in (QPSK, QAM16, QAM64):
-        k = len(const.points)
-        picks = _uint8_draw(seed, stream, trial * words, len(slots), k)
-        if trial < 8:  # the same bytes, drawn from the start of the stream
-            whole = np.random.Generator(np.random.Philox(key=seed, counter=stream << 192))
-            start = 8 * words * trial
-            drawn = whole.integers(0, k, size=start + len(slots), dtype=np.uint8)
-            assert np.array_equal(drawn[start:], picks)
-        want = np.zeros(len(gate), dtype=complex)
-        want[slots] = const.points[picks]
-        got = mc.draw_stream(m, 3, const, seed=seed, trial=trial, stream=stream)
-        assert np.array_equal(got, want)
+    for k, l, words in ((3, 3, 2), (3, 4, 2), (3, 7, 1)):  # U = 9, 9, 6
+        reads = _read_positions(m, 3, k, l)
+        assert -(-len(reads) // 8) == words
+        for const in (QPSK, QAM16, QAM64):
+            size = len(const.points)
+            picks = _uint8_draw(seed, stream, trial * words, len(reads), size)
+            if trial < 8:  # the same bytes, drawn from the start of the stream
+                whole = np.random.Generator(np.random.Philox(key=seed, counter=stream << 192))
+                start = 8 * words * trial
+                drawn = whole.integers(0, size, size=start + len(reads), dtype=np.uint8)
+                assert np.array_equal(drawn[start:], picks)
+            want = np.zeros(3 * 11 + 10, dtype=complex)
+            want[reads] = const.points[picks]
+            got = mc.draw_stream(_scenario(m, 3, const, k), l, seed=seed,
+                                 trial=trial, stream=stream)
+            assert np.array_equal(got, want)
 
 
 def test_trial_and_stream_must_fit_a_counter_word():
@@ -131,7 +148,7 @@ def test_trial_and_stream_must_fit_a_counter_word():
         name, value = ("trial", trial) if trial else ("stream", stream)
         error = rf"^{name} must be in 0\.\.2\*\*64 - 1, got {value}$"
         with pytest.raises(ValueError, match=error):
-            mc.draw_stream(m, 2, QPSK, seed=1, trial=trial, stream=stream)
+            mc.draw_stream(scen, 1, seed=1, trial=trial, stream=stream)
         if name == "stream":
             with pytest.raises(ValueError, match=error):
                 mc.estimate(scen, 1, 2, seed=1, stream=stream)
@@ -170,8 +187,7 @@ def test_shift_map_matches_lemire_for_every_power_of_two():
 
 def _definition_estimate(scen, l, trials, seed, stream):
     vals = np.array([abs(mc.correlate(scen, mc.draw_stream(
-        scen.mask, scen.M, scen.constellation, seed, trial=t, stream=stream), l)) ** 2
-        for t in range(trials)])
+        scen, l, seed, trial=t, stream=stream), l)) ** 2 for t in range(trials)])
     return float(np.mean(vals)), float(math.sqrt(np.var(vals, ddof=1) / trials))
 
 
@@ -200,20 +216,31 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
         est = mc.estimate(scen, l, trials, seed=29, stream=stream)
         assert (est.mean_sq, est.se) == _definition_estimate(scen, l, trials, 29, stream)
     assert est.se > 0
-    assert mc.estimate(mc.EchoScenario(mask=masks.comb_mask(6, 3), M=4,
-                                       constellation=const, true_delay=3,
-                                       true_doppler=0, trial_doppler=2),
-                       3, 9, seed=29) == mc.McEstimate(0.0, 0.0)
+    # the empty kernel reads no position, so it draws no output
+    drawn, real = [], mc._stream
+
+    def spy(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(mc, "_stream", spy)
+    empty = _scenario(masks.comb_mask(6, 3), 4, const, 3, nu=2)
+    assert mc.estimate(empty, 3, 9, seed=29) == mc.McEstimate(0.0, 0.0)
+    assert not mc.draw_stream(empty, 3, seed=29, trial=5).any()
+    assert len(drawn) == 2
+    for bg in drawn:  # the next output is still the stream's first
+        assert bg.random_raw() == np.random.Philox(key=29, counter=0).random_raw()
 
 
 def test_seed_is_a_128_bit_philox_key():
     m = masks.singer_mask(3)
-    assert np.array_equal(mc.draw_stream(m, 2, QPSK, seed=2 ** 128 - 1),
-                          mc.draw_stream(m, 2, QPSK, seed=2 ** 128 - 1))
+    scen = _scenario(m, 2, QPSK, 1)
+    assert np.array_equal(mc.draw_stream(scen, 2, seed=2 ** 128 - 1),
+                          mc.draw_stream(scen, 2, seed=2 ** 128 - 1))
     for seed, error in ((-1, "^seed must be non-negative$"),
                         (2 ** 128, r"^seed must be below 2\*\*128$")):
         with pytest.raises(ValueError, match=error):
-            mc.draw_stream(m, 2, QPSK, seed=seed)
+            mc.draw_stream(scen, 2, seed=seed)
         with pytest.raises(ValueError, match=error):
             mc.mc_points(m, 2, QPSK, [(1, 2, 0)], trials=2, seed=seed)
 
@@ -238,12 +265,12 @@ def test_kernel_is_one_period_tiled(mask, m_pri):
 
 def test_draw_stream_energy_law_of_large_numbers():
     m = masks.singer_mask(5)
+    reads = _read_positions(m, 8, 3, 10)
     vals = []
     for t in range(40):
-        st = mc.draw_stream(m, 8, QAM16, seed=11, trial=t)
-        nz = st[st != 0]
-        vals.append(np.mean(np.abs(nz) ** 2))
-    n_sym = 40 * len(nz)
+        st = mc.draw_stream(_scenario(m, 8, QAM16, 3), 10, seed=11, trial=t)
+        vals.append(np.mean(np.abs(st[reads]) ** 2))
+    n_sym = 40 * len(reads)
     assert abs(np.mean(vals) - 1) <= 3 / math.sqrt(n_sym)
 
 
@@ -252,7 +279,7 @@ def test_qpsk_mainlobe_correlation_is_deterministic_count():
     scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK,
                            true_delay=1, true_doppler=0, trial_doppler=0)
     for t in range(5):
-        st = mc.draw_stream(m, 4, QPSK, seed=3, trial=t)
+        st = mc.draw_stream(scen, 1, seed=3, trial=t)
         r = mc.correlate(scen, st, 1)
         assert r == 4 * (3 - 1)  # M (w - a[k]), exactly
 
@@ -261,13 +288,13 @@ def test_comb_blanked_echo_correlates_to_zero():
     comb = masks.comb_mask(6, 3)
     scen = mc.EchoScenario(mask=comb, M=4, constellation=QAM16,
                            true_delay=3, true_doppler=2, trial_doppler=2)
-    st = mc.draw_stream(comb, 4, QAM16, seed=8)
+    st = mc.draw_stream(scen, 3, seed=8)
     assert mc.correlate(scen, st, 3) == 0
 
 
 def test_doppler_difference_only_dependence_bitwise():
     m = masks.singer_mask(4)
-    st = mc.draw_stream(m, 3, QAM16, seed=21)
+    st = mc.draw_stream(_scenario(m, 3, QAM16, 2), 5, seed=21)
     outs = []
     for shift in (0, 5, 11):
         scen = mc.EchoScenario(mask=m, M=3, constellation=QAM16,
@@ -294,7 +321,7 @@ def test_scenario_validation():
                         true_delay=1, true_doppler=0, trial_doppler=-1)
     scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK,
                            true_delay=1, true_doppler=0, trial_doppler=1)
-    st = mc.draw_stream(m, 4, QPSK, seed=1)
+    st = mc.draw_stream(scen, 1, seed=1)
     with pytest.raises(ValueError, match="^l=0 is the blind range$"):
         mc.correlate(scen, st, 0)
     with pytest.raises(ValueError, match=r"^l must be in 1\.\.6, got 7$"):
