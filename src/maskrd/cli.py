@@ -6,7 +6,7 @@ that configuration reproduces the numeric payload byte for byte. Every file
 goes to its --out directory through _write_out.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric contract failure,
-4 I/O error.
+4 I/O error, 141 (128 + SIGPIPE) a closed standard output.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+EXIT_PIPE = 141  # what a shell reports for a process that SIGPIPE ended
 
 BUDGET_ENV = "MASKRD_MC_BUDGET"
 # selftest fails if its items together take longer than this many seconds
@@ -150,23 +151,19 @@ def _table(columns) -> str:
 def _array_blocks(axes, values):
     """The text of an array's rows, row-major, BLOCK_ROWS rows per string.
 
-    A row is each axis's label, then the value; the labels are numbers, so
-    none needs quoting. axes holds the labels of each dimension of values.
-    An axis's labels are all formatted at once, once per table, so a long
-    last axis (mask verify's N delays) costs memory in its length. A block
-    reads its last-axis labels by position and joins the labels of the other
-    axes (a row prefix such as "k,l,") once for each outer row it spans.
+    A row is each axis's label, then the value. axes holds the integer
+    labels of each dimension of values, each formatted "%d" once per table
+    (no numpy dtype: any size keeps its digits). A long last axis (mask
+    verify's N delays) costs memory in its length. A block reads its
+    last-axis labels by position and joins the labels of the other axes
+    (a row prefix such as "k,l,") once for each outer row it spans.
     """
-    *outer, last = [_column_cells(ax, ",") for ax in axes]
+    *outer, last = [["%d," % v for v in ax] for ax in axes]
     size = len(last)
-    inner = values.size // max(len(values), 1)  # cells per index of the first axis
-    for start in range(0, values.size, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, values.size)
-        # the value column is a slice of the flat cells of the first-axis rows
-        # it spans: a view of a C-ordered array, a small copy of any other
-        first = start // inner
-        cells = values[first:(stop - 1) // inner + 1].reshape(-1)
-        value_text = _column_cells(cells[start - first * inner:stop - first * inner], "\n")
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, flat.size)
+        value_text = _column_cells(flat[start:stop], "\n")
         head = last[start % size:start % size + stop - start]
         rest = stop - start - len(head)
         columns = [head + last * (rest // size) + last[:rest % size], value_text]
@@ -192,14 +189,20 @@ def write_csv(path, header, chunks, config_str: str, seed) -> None:
     chunks is an iterable of rows as text, as _table and _array_blocks give
     them. Each distinct value of a number column is formatted once per
     chunk (a closed-form grid repeats a few values many times: its range
-    sidelobes do not depend on nu) and each axis label once per table; the
-    bytes are those of a csv.writer with lineterminator "\n" over the same
-    cells, formatted as _column_cells says.
+    sidelobes do not depend on nu) and each axis label, an integer, once
+    per table; the bytes are those of a csv.writer with lineterminator
+    "\n" over the same cells, formatted as _column_cells says.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"# {line}\n" for line in _header_lines(config_str, seed)))
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(chunks)
+
+
+def _print_fields(names, values) -> None:
+    """Print a "name: value" line for each pair, the value as its CSV cell."""
+    for name, v in zip(names, values):
+        print(f"{name}: {_column_cells([v], '')[0]}")
 
 
 def _write_out(out_dir: str, name: str, write) -> None:
@@ -268,12 +271,8 @@ def cmd_mask(args) -> int:
     check = masks.verify_cds(mask)
     if args.action == "show":
         print(masks.serialize_mask(mask))
-    print(f"label: {mask.label}")
-    print(f"N: {mask.n}")
-    print(f"weight: {mask.weight}")
-    print(f"rho: {mask.rho.numerator}/{mask.rho.denominator}")
-    print(f"is_cds: {int(check.is_cds)}")
-    print(f"lambda: {'' if check.lam is None else check.lam}")
+    _print_fields(("label", "N", "weight", "rho", "is_cds", "lambda"),
+                  (mask.label, mask.n, mask.weight, mask.rho, check.is_cds, check.lam))
     if args.action == "verify":
         spacing = masks.comb_spacing(mask)
         if spacing is not None:
@@ -340,10 +339,8 @@ def cmd_bounds(args) -> int:
     mask = mask_from_arg(args.mask)
     b = metrics.doppler_sidelobe_sum(mask, mu4)
     header = ("mask_id", "I", "I_lower", "I_upper", "attains_upper", "attains_lower")
-    row = (mask.label, b.value, b.lower, b.upper, int(b.attains_upper()), int(b.attains_lower()))
-    print(f"mask: {mask.label}")
-    for name, v in zip(header[1:], row[1:]):
-        print(f"{name}: {v:.11e}" if isinstance(v, float) else f"{name}: {v}")
+    row = (mask.label, b.value, b.lower, b.upper, b.attains_upper(), b.attains_lower())
+    _print_fields(("mask", *header[1:]), row)
     if args.out:
         _write_out(args.out, "bounds.csv", lambda path: write_csv(
             path, header, [_table(zip(row))], config, 0))
@@ -544,7 +541,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:  # the reader stopped early (| head): no message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # nor at exit
+        return EXIT_PIPE
     except ValueError as exc:  # montecarlo.McBudgetError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -558,7 +560,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -151,12 +151,12 @@ def build_grid(p: ScenarioParams, k_set, l_set, nu_set) -> ResponseGrid:
     for nu in nu_set:
         _check_nu("nu", nu, p.total_bins)
 
-    ls, nus = np.array(l_set), np.array(nu_set)
+    ls = np.array(l_set)
     diagonal = [k for k in k_set if k in l_set]
-    lobes = nus % p.M == 0
+    lobes = [t for t, nu in enumerate(nu_set) if nu % p.M == 0]  # in exact integers
     s = np.zeros((len(diagonal), len(nu_set)), dtype=complex)
     if diagonal:
-        s[:, lobes] = spectra.s_kn_table(p.mask, diagonal, nus[lobes] // p.M)
+        s[:, lobes] = spectra.s_kn_table(p.mask, diagonal, [nu_set[t] // p.M for t in lobes])
     lobe_rows = iter(s)
     values = np.empty((len(k_set), len(l_set), len(nu_set)), dtype=np.float64)
     for i, k in enumerate(k_set):

@@ -662,6 +662,16 @@ def test_bounds_output(tmp_path, capsys):
     assert out[-2:] == ["attains_upper: 0", "attains_lower: 0"]
 
 
+@pytest.mark.parametrize("spec", ["singer:m=5", "comb:N=63,d=3", "random:N=40,w=13,seed=9"])
+def test_bounds_prints_the_row_it_writes(tmp_path, capsys, spec):
+    assert run_cli(["bounds", "--mask", spec, "--mu4", "1.32", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    header, row = csv.reader(read(tmp_path / "bounds.csv").decode().splitlines()[3:])
+    assert printed[:-1] == [f"mask: {spec}"] + [
+        f"{name}: {cell}" for name, cell in zip(header[1:], row[1:])]
+    assert row[0] == spec and printed[-1] == f"wrote {tmp_path / 'bounds.csv'}"
+
+
 def _record_selftest_items(monkeypatch):
     """Replace each selftest item by one that records its name; return the record."""
     called = []
@@ -778,6 +788,23 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == masks.serialize_mask(masks.singer_mask(4))
+
+
+@pytest.mark.parametrize("argv", [["mask", "verify", "singer:m=16"], ["mask", "show", "singer:m=3"]],
+                         ids=["verify_in_the_table", "show_at_the_flush"])
+def test_a_closed_stdout_exits_141_and_says_nothing(argv):
+    # the reader is gone before the first write; with stdout block-buffered,
+    # the long table fails as it is written and the short output only when
+    # flushed, which must not wait for the interpreter's exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: v for key, v in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "maskrd", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b"")
 
 
 def test_help_exits_zero():

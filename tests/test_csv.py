@@ -158,6 +158,23 @@ def test_array_blocks_of_signed_zeros_and_nans_match_the_old_writer(
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("block_rows", [1, 4, 64])
+def test_array_blocks_of_int_labels_past_int64_match_the_old_writer(
+        monkeypatch, tmp_path, block_rows):
+    # Python-int labels as parse_index_set gives them; numpy would type the
+    # first axis float64 and the second object
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    axes = ((1, 2 ** 63 + 1), (-(2 ** 63) - 1, 0, 2 ** 64 + 7))
+    values = np.arange(6.0).reshape(2, 3) / 4
+    header = ("k", "nu", "value")
+    cli.write_csv(tmp_path / "new.csv", header, cli._array_blocks(axes, values), CONFIG, 7)
+    rows = [(k, nu, values[i, j]) for i, k in enumerate(axes[0]) for j, nu in enumerate(axes[1])]
+    oracle.write_csv(tmp_path / "old.csv", header, rows, CONFIG, 7)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b"\n9223372036854775809,18446744073709551623,1.25000000000e+00\n" in new
+
+
 LABELS = ("i8", "u64", "bool")
 VALUES = {"f64": np.array(POOLS["f64"]),
           "i64": np.array([-2 ** 63, -1, 0, 7, 2 ** 63 - 1], dtype=np.int64)}

@@ -169,6 +169,18 @@ def test_lobe_bins_read_s_kn_only_where_hit(monkeypatch):
     assert np.all(grid.values[0, 0, [0, 3, 4]] == lobes[[0, 1, 2]])
 
 
+def test_lobe_bins_are_exact_integers_past_int64():
+    # one nu on each side of 2**63: 2**63 + 1 leaves 2**62 - 2 mod M, so it
+    # is no grating lobe and reads the floor, as it does in a set of its own
+    mask = masks.singer_mask(3)
+    p = scenario(mask, 2 ** 62 + 3, 1.32)
+    grid = response.build_grid(p, (1,), (1,), (1, 2 ** 63 + 1))
+    alone = response.build_grid(p, (1,), (1,), (2 ** 63 + 1,))
+    floor = response.mainlobe(p, mask.weight - int(spectra.autocorr(mask)[1]), 0)
+    assert grid.values[0, 0].tolist() == [floor, alone.values[0, 0, 0]] == [floor, floor]
+    assert grid.nu_set == (1, 2 ** 63 + 1)
+
+
 def test_grating_lobes_hold_one_phase_row_at_a_time():
     mask = masks.singer_mask(11)  # N = 2047
     p = scenario(mask, 4, 1.32)
