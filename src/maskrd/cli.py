@@ -155,27 +155,21 @@ def _array_blocks(axes, values):
     labels of each dimension of values, each formatted "%d" once per table
     (no numpy dtype: any size keeps its digits). A long last axis (mask
     verify's N delays) costs memory in its length. A block reads its
-    last-axis labels by position and joins the labels of the other axes
-    (a row prefix such as "k,l,") once for each outer row it spans.
+    last-axis labels by position and its row prefixes (such as "k,l,") in
+    row order from one lazy iterator, joined once per outer row.
     """
     *outer, last = [["%d," % v for v in ax] for ax in axes]
     size = len(last)
     flat = values.reshape(-1)
+    prefixes = itertools.chain.from_iterable(
+        itertools.repeat("".join(p), size) for p in itertools.product(*outer))
     for start in range(0, flat.size, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, flat.size)
-        value_text = _column_cells(flat[start:stop], "\n")
-        head = last[start % size:start % size + stop - start]
-        rest = stop - start - len(head)
+        value_text = _column_cells(flat[start:start + BLOCK_ROWS], "\n")
+        head = last[start % size:start % size + len(value_text)]
+        rest = len(value_text) - len(head)
         columns = [head + last * (rest // size) + last[:rest % size], value_text]
         if outer:
-            rows = range(start // size, (stop - 1) // size + 1)  # the outer rows it spans
-            index = np.unravel_index(np.arange(rows.start, rows.stop), values.shape[:-1])
-            parts = [map(text.__getitem__, i.tolist()) for text, i in zip(outer, index)]
-            prefixes = np.array(list(map("".join, zip(*parts))), dtype=object)
-            counts = np.full(len(rows), size)  # rows of the block in each outer row
-            counts[0] -= start - rows.start * size
-            counts[-1] -= rows.stop * size - stop
-            columns.insert(0, prefixes.repeat(counts).tolist())
+            columns.insert(0, list(itertools.islice(prefixes, len(value_text))))
         # a row is its pieces read across the columns
         pieces = [None] * (len(columns) * len(value_text))
         for j, column in enumerate(columns):

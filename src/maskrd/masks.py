@@ -41,6 +41,7 @@ __all__ = [
 class Mask:
     """One period of an N-periodic 0/1 transmission mask.
 
+    bits may be any 0/1 sequence and are kept as a tuple of Python ints.
     Two masks compare equal iff their bit patterns agree; the label, which
     names the family, is bookkeeping only.
     """
@@ -49,10 +50,11 @@ class Mask:
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        bits = tuple(self.bits)
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("mask bits must be 0 or 1")
-        n = len(self.bits)
-        w = sum(self.bits)
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
+        n, w = len(self.bits), sum(self.bits)
         if not 0 < w < n:
             raise ValueError(
                 f"mask weight must satisfy 0 < w < N, got w={w}, N={n}")
@@ -153,15 +155,14 @@ def random_mask(n: int, w: int, seed: int) -> Mask:
         raise ValueError(f"random mask seed must be in 0..2^128 - 1, got seed={seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     support = rng.permutation(n)[:w]
-    bits = [0] * n
-    for i in support:
-        bits[i] = 1
-    return Mask(tuple(bits), label=f"random:N={n},w={w},seed={seed}")
+    bits = np.zeros(n, dtype=np.int64)
+    bits[support] = 1
+    return Mask(bits.tolist(), label=f"random:N={n},w={w},seed={seed}")
 
 
 def custom_mask(bits, label: str = "") -> Mask:
     """Mask from an explicit 0/1 sequence."""
-    return Mask(tuple(int(b) for b in bits), label=label)
+    return Mask(bits, label=label)
 
 
 def cyclic_shift(mask: Mask, s: int) -> Mask:
@@ -216,7 +217,7 @@ def parse_mask(text: str, label: str = "") -> Mask:
     bad = set(line) - {"0", "1"}
     if bad:
         raise ValueError(f"illegal character {bad.pop()!r} in mask text")
-    return Mask(tuple(int(c) for c in line), label=label)
+    return Mask(map(int, line), label=label)
 
 
 def serialize_mask(mask: Mask) -> str:

@@ -174,8 +174,7 @@ class EchoScenario:
     trial_doppler: int
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError(f"M must be positive, got {self.M}")
+        response._check_M(self.M)
         response._check_delay("true_delay", self.true_delay, self.mask.n)
         for name in ("true_doppler", "trial_doppler"):
             response._check_nu(name, getattr(self, name), self.M * self.mask.n)
@@ -446,6 +445,7 @@ def expectation_by_double_sum(mask: Mask, m_pri: int,
     factorization. Intended as a desk-scale oracle for the closed forms.
     """
     n = mask.n
+    response._check_M(m_pri)
     response._check_delay("k", k, n)
     response._check_delay("l", l, n)
     total = m_pri * n

@@ -11,8 +11,8 @@ Both use one period's counting quantities only. build_grid is the one
 evaluator and the only code that picks a branch; expected_response,
 moderate_slice and grating_lobes read a grid with one k and l = k. Delay 0
 is the blind range and is rejected rather than reported as zero.
-_check_delay and _check_nu are the one range check of (k, l, nu), here and
-in the Monte Carlo oracle.
+_check_M, _check_delay and _check_nu are the one range check of M and of
+(k, l, nu), here and in the Monte Carlo oracle.
 """
 
 from __future__ import annotations
@@ -56,16 +56,20 @@ class ScenarioParams:
     mu4: float
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M}")
-        if self.M >= 1 << 63:  # M goes into numpy integer arithmetic as an int64
-            raise ValueError(f"M must be below 2**63, got {self.M}")
+        _check_M(self.M)
         check_mu4(self.mu4)
 
     @property
     def total_bins(self) -> int:
         """Doppler bin count M*N of the coherent window."""
         return self.M * self.mask.n
+
+
+def _check_M(M: int) -> None:
+    if M < 1:
+        raise ValueError(f"M must be a positive integer, got {M}")
+    if M >= 1 << 63:  # M goes into numpy integer arithmetic as an int64
+        raise ValueError(f"M must be below 2**63, got {M}")
 
 
 def _check_delay(name: str, value: int, n: int) -> None:

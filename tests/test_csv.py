@@ -193,8 +193,8 @@ VIEWS = {
 
 @st.composite
 def arrays(draw):
-    """Labelled arrays of 1 to 3 axes of pool values, and a BLOCK_ROWS."""
-    shape = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    """Labelled arrays of 1 to 4 axes of pool values, and a BLOCK_ROWS."""
+    shape = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
     kinds = draw(st.lists(st.sampled_from(LABELS), min_size=len(shape), max_size=len(shape)))
     axes = [np.array(draw(st.lists(st.sampled_from(POOLS[k]), min_size=s, max_size=s)),
                      dtype=DTYPES[k]) for k, s in zip(kinds, shape)]

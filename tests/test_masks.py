@@ -1,5 +1,7 @@
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from maskrd import masks
@@ -119,6 +121,27 @@ def test_parse_serialize_round_trip():
     assert masks.serialize_mask(m) == text
     again = masks.parse_mask(masks.serialize_mask(m))
     assert again == m
+
+
+@pytest.mark.parametrize("bits, ints", [
+    ((1.0, 0.0, 0.0), (1, 0, 0)),
+    ((True, False, False, True), (1, 0, 0, 1)),
+    (np.array([0, 1, 1, 0, 1, 0, 0]), (0, 1, 1, 0, 1, 0, 0)),
+    ((b for b in (0, 1, 1)), (0, 1, 1)),
+], ids=["floats", "bools", "ndarray", "generator"])
+def test_a_mask_keeps_any_0_1_sequence_as_python_ints(bits, ints):
+    m, expected = masks.Mask(bits), masks.Mask(ints)
+    assert m.bits == ints and all(type(b) is int for b in m.bits)
+    assert m == expected and hash(m) == hash(expected)
+    assert (m.label, m.rho) == (expected.label, Fraction(sum(ints), len(ints)))
+    assert masks.serialize_mask(m) == "".join(map(str, ints))
+    assert masks.parse_mask(masks.serialize_mask(m)) == m
+
+
+def test_a_bit_that_is_not_0_or_1_is_refused_not_truncated():
+    for make in (masks.Mask, masks.custom_mask):
+        with pytest.raises(ValueError, match="^mask bits must be 0 or 1$"):
+            make((1.5, 0, 1))
 
 
 def test_parse_accepts_comments():

@@ -307,7 +307,7 @@ def test_doppler_difference_only_dependence_bitwise():
 def test_scenario_validation():
     # the range checks, and their wording, are those of response.build_grid
     m = masks.singer_mask(3)
-    with pytest.raises(ValueError, match="^M must be positive, got 0$"):
+    with pytest.raises(ValueError, match="^M must be a positive integer, got 0$"):
         mc.EchoScenario(mask=m, M=0, constellation=QPSK,
                         true_delay=1, true_doppler=0, trial_doppler=0)
     with pytest.raises(ValueError, match="^true_delay=0 is the blind range$"):
@@ -332,6 +332,20 @@ def test_scenario_validation():
         mc.expectation_by_double_sum(m, 4, QPSK, 7, 1, 0)
     with pytest.raises(ValueError, match="^index sets must be non-empty$"):
         mc.validate_grid(m, 4, QPSK, (), (1,), (0,), trials=10, seed=1)
+
+
+def test_every_monte_carlo_entry_point_takes_M_by_the_rule_of_scenario_params():
+    # 1 <= M < 2**63: an M past int64 would leave _kernel no active slot, and
+    # so a silent zero estimate; a non-positive M a zero double sum
+    m = masks.singer_mask(3)
+    with pytest.raises(ValueError, match=r"^M must be below 2\*\*63, got 9223372036854775808$"):
+        mc.EchoScenario(mask=m, M=2 ** 63, constellation=QPSK,
+                        true_delay=1, true_doppler=0, trial_doppler=0)
+    for M in (0, -3):
+        with pytest.raises(ValueError, match=f"^M must be a positive integer, got {M}$"):
+            mc.expectation_by_double_sum(m, M, QPSK, 1, 1, 0)
+    with pytest.raises(ValueError, match=r"^M must be below 2\*\*63"):
+        mc.expectation_by_double_sum(m, 2 ** 63, QPSK, 1, 1, 0)
 
 
 def test_qpsk_local_sidelobe_estimate_is_zero_with_zero_se():
