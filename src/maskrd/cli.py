@@ -76,7 +76,7 @@ def mask_from_arg(text: str) -> masks.Mask:
     head = text.partition(":")[0].strip().lower()
     if head in masks.SPECS:
         return masks.from_spec(text)
-    if os.path.exists(text):
+    if os.path.exists(text) and not os.path.isdir(text):  # /dev/stdin is a mask file
         return masks.load_mask(text)
     raise ValueError(
         f"mask argument {text!r} is neither a family spec nor an existing file")
@@ -268,14 +268,16 @@ def cmd_mask(args) -> int:
     _print_fields(("label", "N", "weight", "rho", "is_cds", "lambda"),
                   (mask.label, mask.n, mask.weight, mask.rho, check.is_cds, check.lam))
     if args.action == "verify":
-        spacing = masks.comb_spacing(mask)
-        if spacing is not None:
-            print(f"structure: comb (d={spacing})")
+        a = spectra.autocorr(mask)
+        # a[k] = w iff the shift k maps the support onto itself; those k form a
+        # subgroup, and the support is one coset of it iff no 0 < a[k] < w: a comb
+        if ((a[1:] == 0) | (a[1:] == mask.weight)).all():
+            print(f"structure: comb (d={mask.n // mask.weight})")
         elif check.is_cds:
             print("structure: cyclic difference set")
         else:
             print("structure: irregular")
-        table = list(_array_blocks((range(mask.n),), spectra.autocorr(mask)))
+        table = list(_array_blocks((range(mask.n),), a))
         print("k,a")
         sys.stdout.writelines(table)
         if args.out:

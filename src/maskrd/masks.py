@@ -28,7 +28,6 @@ __all__ = [
     "custom_mask",
     "cyclic_shift",
     "verify_cds",
-    "comb_spacing",
     "parse_mask",
     "serialize_mask",
     "load_mask",
@@ -170,19 +169,6 @@ def cyclic_shift(mask: Mask, s: int) -> Mask:
     n = mask.n
     bits = tuple(mask.bits[(i - s) % n] for i in range(n))
     return Mask(bits, label=f"{mask.label}<<{s % n}" if s % n else mask.label)
-
-
-def comb_spacing(mask: Mask) -> int | None:
-    """Spacing d if the mask is a (possibly shifted) comb, else None."""
-    supp = mask.support
-    n, w = mask.n, mask.weight
-    if n % w != 0:
-        return None
-    d = n // w
-    if w == 1:
-        return d
-    gaps = {(supp[(i + 1) % w] - supp[i]) % n for i in range(w)}
-    return d if gaps == {d} else None
 
 
 def verify_cds(mask: Mask) -> CdsCheck:

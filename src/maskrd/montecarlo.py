@@ -38,6 +38,7 @@ the one Monte Carlo output (`response both`).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,8 +175,9 @@ class EchoScenario:
     trial_doppler: int
 
     def __post_init__(self):
-        response._check_M(self.M)
-        response._check_delay("true_delay", self.true_delay, self.mask.n)
+        object.__setattr__(self, "M", response._check_M(self.M))
+        object.__setattr__(self, "true_delay", response._check_delay(
+            "true_delay", self.true_delay, self.mask.n))
         for name in ("true_doppler", "trial_doppler"):
             response._check_nu(name, getattr(self, name), self.M * self.mask.n)
 
@@ -184,17 +186,19 @@ class EchoScenario:
         return self.trial_doppler - self.true_doppler
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int) -> int:
     # the seed is the 128-bit Philox key
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
     if seed >= 1 << 128:
         raise ValueError("seed must be below 2**128")
+    return seed
 
 
 def _check_stream_index(name: str, value: int) -> int:
     # trial and stream each fill at most one 64-bit word of the Philox counter
-    value = int(value)
+    value = operator.index(value)
     if not 0 <= value < 1 << 64:
         raise ValueError(f"{name} must be in 0..2**64 - 1, got {value}")
     return value
@@ -208,8 +212,7 @@ def _stream(seed: int, stream: int, first: int = 0) -> np.random.Philox:
     Philox buffers what a draw leaves of a step, so draws in order read the
     outputs in order.
     """
-    _check_seed(seed)
-    bg = np.random.Philox(key=seed, counter=(stream << 192) + first // 4)
+    bg = np.random.Philox(key=_check_seed(seed), counter=(stream << 192) + first // 4)
     bg.random_raw(first % 4)
     return bg
 
@@ -245,7 +248,7 @@ def _reads(scenario: EchoScenario, l: int):
     ascending order), gather (idx_k, then idx_l, as numbers of reads), the
     phases, and W = ceil(U / 8).
     """
-    response._check_delay("l", l, scenario.mask.n)
+    l = response._check_delay("l", l, scenario.mask.n)
     idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
                                   l, scenario.doppler_difference)
     reads, gather = np.unique(np.concatenate([idx_k, idx_l]), return_inverse=True)
@@ -273,7 +276,7 @@ def draw_stream(scenario: EchoScenario, l: int, seed: int,
 
 def correlate(scenario: EchoScenario, stream: np.ndarray, l: int) -> complex:
     """r(k0, l, nu_t - nu_0) evaluated directly from its defining sum."""
-    response._check_delay("l", l, scenario.mask.n)
+    l = response._check_delay("l", l, scenario.mask.n)
     idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
                                   l, scenario.doppler_difference)
     return complex(np.dot(stream[idx_k] * np.conj(stream[idx_l]), phase))
@@ -399,7 +402,7 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
     forms come first, one response.build_grid per distinct k over the l and
     nu values of its triples: they check every triple before the first trial.
     """
-    triples = [(int(k), int(l), int(nu)) for k, l, nu in triples]
+    triples = [tuple(map(operator.index, (k, l, nu))) for k, l, nu in triples]
     check_run(len(triples), trials, seed, mask.n * m_pri, budget)
     params = response.ScenarioParams(mask=mask, M=m_pri, mu4=constellation.mu4)
     # k -> ({l: its grid position}, {nu: its grid position})
@@ -445,9 +448,8 @@ def expectation_by_double_sum(mask: Mask, m_pri: int,
     factorization. Intended as a desk-scale oracle for the closed forms.
     """
     n = mask.n
-    response._check_M(m_pri)
-    response._check_delay("k", k, n)
-    response._check_delay("l", l, n)
+    m_pri = response._check_M(m_pri)
+    k, l = response._check_delay("k", k, n), response._check_delay("l", l, n)
     total = m_pri * n
     bits = mask.as_array()
     ns = np.arange(total)

@@ -12,12 +12,14 @@ evaluator and the only code that picks a branch; expected_response,
 moderate_slice and grating_lobes read a grid with one k and l = k. Delay 0
 is the blind range and is rejected rather than reported as zero.
 _check_M, _check_delay and _check_nu are the one range check of M and of
-(k, l, nu), here and in the Monte Carlo oracle.
+(k, l, nu), here and in the Monte Carlo oracle. The first two return the
+value through operator.index: a numpy integer as a Python int, a float refused.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +58,7 @@ class ScenarioParams:
     mu4: float
 
     def __post_init__(self):
-        _check_M(self.M)
+        object.__setattr__(self, "M", _check_M(self.M))
         check_mu4(self.mu4)
 
     @property
@@ -65,18 +67,22 @@ class ScenarioParams:
         return self.M * self.mask.n
 
 
-def _check_M(M: int) -> None:
+def _check_M(M: int) -> int:
+    M = operator.index(M)
     if M < 1:
         raise ValueError(f"M must be a positive integer, got {M}")
     if M >= 1 << 63:  # M goes into numpy integer arithmetic as an int64
         raise ValueError(f"M must be below 2**63, got {M}")
+    return M
 
 
-def _check_delay(name: str, value: int, n: int) -> None:
+def _check_delay(name: str, value: int, n: int) -> int:
+    value = operator.index(value)
     if value == 0:
         raise ValueError(f"{name}=0 is the blind range")
     if not 1 <= value <= n - 1:
         raise ValueError(f"{name} must be in 1..{n - 1}, got {value}")
+    return value
 
 
 def _check_nu(name: str, value: int, total: int) -> None:
@@ -142,9 +148,9 @@ def build_grid(p: ScenarioParams, k_set, l_set, nu_set) -> ResponseGrid:
     read S_kN from one spectra.s_kn_table over the grid's diagonal k and
     the grating-lobe bins nu = nM of the nu set, and are 0 elsewhere.
     """
-    k_set = tuple(int(k) for k in k_set)
-    l_set = tuple(int(l) for l in l_set)
-    nu_set = tuple(int(v) for v in nu_set)
+    k_set = tuple(map(operator.index, k_set))
+    l_set = tuple(map(operator.index, l_set))
+    nu_set = tuple(map(operator.index, nu_set))
     if not k_set or not l_set or not nu_set:
         raise ValueError("index sets must be non-empty")
     n = p.mask.n

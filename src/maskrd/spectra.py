@@ -27,6 +27,7 @@ evaluates that reduction instead of materializing MN-point sums.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,7 @@ def s_kn_table(mask: Mask, ks, bins) -> np.ndarray:
     repeated bin's column has the bits of its first.
     """
     n = mask.n
-    bins = [int(b) % n for b in bins]
+    bins = [operator.index(b) % n for b in bins]
     gates = [gamma(mask, k).values.astype(complex) for k in ks]
     table = np.empty((len(gates), len(bins)), dtype=complex)
     times = np.arange(n, dtype=complex)  # cast once; each product would cast it

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from maskrd import cli, masks, montecarlo, response, spectra
-from conftest import qr_mask
+from conftest import qr_mask, random_mask_suite
 
 
 def run_cli(argv):
@@ -80,6 +80,28 @@ def test_mask_verify_output(capsys):
     assert "structure: cyclic difference set" in capsys.readouterr().out
 
 
+def verify_structure(capsys, spec):
+    assert run_cli(["mask", "verify", spec]) == 0
+    return re.search(r"^structure: (.*)$", capsys.readouterr().out, re.M).group(1)
+
+
+def test_mask_verify_names_a_comb_from_its_autocorrelation(tmp_path, capsys):
+    for name, bits in (("shifted", masks.cyclic_shift(masks.comb_mask(63, 3), 17).bits),
+                       ("pair", (1, 1, 0, 0, 0, 0)), ("pulse", (0, 1, 0, 0))):
+        masks.save_mask(masks.custom_mask(bits), tmp_path / f"{name}.mask")
+    assert verify_structure(capsys, "comb:N=63,d=3") == "comb (d=3)"
+    assert verify_structure(capsys, str(tmp_path / "shifted.mask")) == "comb (d=3)"
+    assert verify_structure(capsys, "singer:m=3") == "cyclic difference set"
+    assert verify_structure(capsys, str(tmp_path / "pair.mask")) == "irregular"
+    # a lone pulse is a comb of spacing N, and a CDS with lambda = 0 too
+    assert verify_structure(capsys, str(tmp_path / "pulse.mask")) == "comb (d=4)"
+    for m in random_mask_suite(20, seed=77):
+        d = m.n // m.weight
+        comb = m.n % m.weight == 0 and m == masks.cyclic_shift(
+            masks.comb_mask(m.n, d), m.support[0])
+        assert (verify_structure(capsys, m.label) == f"comb (d={d})") == comb, m.label
+
+
 def test_mask_show_output(capsys):
     assert run_cli(["mask", "show", "random:N=12,w=5,seed=3"]) == 0
     assert capsys.readouterr().out == (
@@ -96,6 +118,10 @@ RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
      "seed must be non-negative"),
     (["mask", "verify", "nope.mask"],
      "mask argument 'nope.mask' is neither a family spec nor an existing file"),
+    # a directory is no mask file: exit 2, not an I/O error on reading it
+    (["mask", "show", "."], "mask argument '.' is neither a family spec nor an existing file"),
+    (["bounds", "--mask", ".", "--mu4", "1"],
+     "mask argument '.' is neither a family spec nor an existing file"),
     (["mask", "verify", "singer:m"], "malformed mask spec 'singer:m'"),
     (["mask", "show", "comb:N=6,d=x"], "non-integer value 'x' in mask spec 'comb:N=6,d=x'"),
     (["mask", "gen", "singer:m=3,m=4"], "mask spec 'singer:m=3,m=4' repeats key 'm'"),
@@ -114,7 +140,8 @@ RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
      f"M must be below 2**63, got {2 ** 63}"),
     (["compare", "--mask", "singer:m=3", "--mask", "singer:m=4", "--mu4", "1.0",
       "--M", str(2 ** 64)], f"M must be below 2**63, got {2 ** 64}"),
-], ids=["mc_negative_seed", "neither_spec_nor_file", "spec_without_value",
+], ids=["mc_negative_seed", "neither_spec_nor_file", "show_directory",
+        "bounds_directory", "spec_without_value",
         "spec_non_integer", "spec_repeated_key", "stride_without_range",
         "empty_entry", "empty_l", "closed_M_past_int64", "metrics_M_past_int64",
         "compare_M_past_int64"])
@@ -788,6 +815,11 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == masks.serialize_mask(masks.singer_mask(4))
+    # a pipe is a mask file: only a directory is refused as none
+    proc = subprocess.run([sys.executable, "-m", "maskrd", "mask", "show", "/dev/stdin"],
+                          input=proc.stdout, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "\nis_cds: 1\n" in proc.stdout
 
 
 @pytest.mark.parametrize("argv", [["mask", "verify", "singer:m=16"], ["mask", "show", "singer:m=3"]],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maskrd import masks
-from conftest import brute_autocorr, random_mask_suite
+from conftest import brute_autocorr
 
 
 def test_singer3_support_and_parameters():
@@ -92,19 +92,6 @@ def test_cyclic_shift():
     assert masks.serialize_mask(masks.cyclic_shift(m, 1)) == "010010"
     s = masks.singer_mask(4)
     assert masks.cyclic_shift(s, 5).weight == s.weight
-
-
-def test_comb_spacing_detection():
-    assert masks.comb_spacing(masks.comb_mask(63, 3)) == 3
-    assert masks.comb_spacing(masks.cyclic_shift(masks.comb_mask(63, 3), 17)) == 3
-    assert masks.comb_spacing(masks.singer_mask(3)) is None
-    assert masks.comb_spacing(masks.custom_mask([1, 1, 0, 0, 0, 0])) is None
-    assert masks.comb_spacing(masks.custom_mask([0, 1, 0, 0])) == 4  # lone pulse
-    for m in random_mask_suite(20, seed=77):
-        d = masks.comb_spacing(m)
-        if d is not None:
-            assert m.bits == masks.cyclic_shift(
-                masks.comb_mask(m.n, d), m.support[0]).bits
 
 
 def test_verify_cds_cases():

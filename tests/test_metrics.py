@@ -84,6 +84,14 @@ def test_peak_range_sidelobe_past_int64_is_exact(m_pri):
     assert metrics.peak_range_sidelobe(p) == float(2 * m_pri)
 
 
+@pytest.mark.parametrize("spec", ["singer:m=3", "singer:m=4"])
+def test_a_numpy_integer_M_reports_as_the_python_int(spec):
+    # as an int64, M N and M R wrap past 2**63
+    mask = masks.from_spec(spec)
+    want = metrics.metrics_report(mask, 2 ** 62, 1.32)
+    assert metrics.metrics_report(mask, np.int64(2 ** 62), 1.32) == want
+
+
 def test_avg_range_sidelobe():
     s3 = masks.singer_mask(3)
     r = spectra.cross_term_matrix(s3)[1:, 1:]
@@ -203,6 +211,23 @@ def test_bound_equality_iff_structure():
             b = metrics.doppler_sidelobe_sum(m, mu4)
             assert b.attains_upper() == masks.verify_cds(m).is_cds, m.label
             assert b.attains_lower() == polarized(m), m.label
+
+
+def test_bound_equality_iff_structure_for_every_small_mask():
+    # every mask with slot 0 set and 3 <= N <= 12 (4082 masks; a shift keeps
+    # a[k]): the lower bound holds with equality for the combs alone, the
+    # upper one for the difference sets alone
+    for n in range(3, 13):
+        for tail in itertools.product((0, 1), repeat=n - 1):
+            if all(tail):
+                continue
+            m = masks.custom_mask((1, *tail))
+            d = n // m.weight
+            comb = n % m.weight == 0 and m == masks.cyclic_shift(
+                masks.comb_mask(n, d), m.support[0])
+            b = metrics.doppler_sidelobe_sum(m, 1.0)
+            assert b.attains_lower() == comb, m.bits
+            assert b.attains_upper() == masks.verify_cds(m).is_cds, m.bits
 
 
 def test_jensen_step_constant_profile_never_decreases_sum():

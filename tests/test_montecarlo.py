@@ -348,6 +348,29 @@ def test_every_monte_carlo_entry_point_takes_M_by_the_rule_of_scenario_params():
         mc.expectation_by_double_sum(m, 2 ** 63, QPSK, 1, 1, 0)
 
 
+def test_monte_carlo_integers_are_taken_as_python_ints_not_truncated():
+    # M, delays, seeds and trial and stream numbers go through operator.index; the
+    # dopplers stay real-valued
+    m = masks.singer_mask(3)
+    scen = mc.EchoScenario(mask=m, M=np.int64(2 ** 62), constellation=QPSK,
+                           true_delay=np.int64(1), true_doppler=0, trial_doppler=0.5)
+    assert (type(scen.M), type(scen.true_delay), scen.trial_doppler) == (int, int, 0.5)
+    scen = mc.EchoScenario(mask=m, M=2, constellation=QPSK,
+                           true_delay=1, true_doppler=0, trial_doppler=1)
+    for call in (lambda: mc.EchoScenario(mask=m, M=2.0, constellation=QPSK, true_delay=1,
+                                         true_doppler=0, trial_doppler=0),
+                 lambda: mc.EchoScenario(mask=m, M=2, constellation=QPSK, true_delay=1.0,
+                                         true_doppler=0, trial_doppler=0),
+                 lambda: mc.estimate(scen, 1, 10, seed=1.5),
+                 lambda: mc.estimate(scen, 1, 10, seed=1, stream=1.5),
+                 lambda: mc.draw_stream(scen, 1, 1, trial=1.5),
+                 lambda: mc.correlate(scen, mc.draw_stream(scen, 1, 1), 1.0),
+                 lambda: mc.mc_points(m, 2, QPSK, [(1, 1, 2.5)], 10, 1),
+                 lambda: mc.expectation_by_double_sum(m, 2.0, QPSK, 1, 1, 0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+
+
 def test_qpsk_local_sidelobe_estimate_is_zero_with_zero_se():
     m = masks.singer_mask(3)
     scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK,

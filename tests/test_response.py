@@ -22,6 +22,22 @@ def test_params_validation():
     assert scenario(s3, 4, 1.0).total_bins == 28
 
 
+def test_integer_inputs_are_taken_as_python_ints_not_truncated():
+    # M, k, l and nu go through operator.index: a numpy integer becomes a
+    # Python int, and a float, even a whole one, is refused
+    s3 = masks.singer_mask(3)
+    p = scenario(s3, np.int64(2), 1.32)
+    assert type(p.M) is int and p.total_bins == 14
+    grid = response.build_grid(p, np.arange(1, 3), [np.int64(1)], np.arange(2))
+    assert all(type(v) is int for v in grid.k_set + grid.l_set + grid.nu_set)
+    for call in (lambda: scenario(s3, 2.5, 1.32), lambda: scenario(s3, 2.0, 1.32),
+                 lambda: response.expected_response(p, 1, 1, 2.5),
+                 lambda: response.build_grid(p, [1.7], [1], [0]),
+                 lambda: spectra.s_kn_table(s3, [1], [1.5])):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+
+
 def test_blind_range_rejected():
     p = scenario(masks.singer_mask(3), 4, 1.32)
     with pytest.raises(ValueError):

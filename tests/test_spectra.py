@@ -153,6 +153,17 @@ def test_parseval_closed_form():
             assert abs(direct - spectra.doppler_energy_f(m, k)) <= 1e-6 * m.n ** 2
 
 
+@given(st.lists(st.integers(0, 1), min_size=2, max_size=40).filter(
+    lambda bits: 0 < sum(bits) < len(bits)))
+def test_parseval_holds_for_any_mask(bits):
+    # sum over nu = 1..N-1 of |S_kN(nu)|^2 is f(a[k]) at every delay k
+    mask = masks.custom_mask(bits)
+    lags = range(1, mask.n)
+    direct = (np.abs(spectra.s_kn_table(mask, lags, lags)) ** 2).sum(axis=1)
+    closed = spectra.doppler_energy(spectra.autocorr(mask)[1:], mask.n, mask.weight)
+    assert np.all(np.abs(direct - closed) <= 1e-9 * mask.n ** 2)
+
+
 def test_parseval_singer3_value():
     s3 = masks.singer_mask(3)
     for k in range(1, 7):
