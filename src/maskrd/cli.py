@@ -33,7 +33,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 EXIT_PIPE = 141  # what a shell reports for a process that SIGPIPE ended
 
-BUDGET_ENV = "MASKRD_MC_BUDGET"
 # selftest fails if its items together take longer than this many seconds
 SELFTEST_TIME_BUDGET = 120.0
 
@@ -232,15 +231,6 @@ def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", label).strip("_")[-240:]
 
 
-def _resolve_budget() -> int:
-    """The Monte Carlo work budget: $MASKRD_MC_BUDGET, or the default when unset or empty."""
-    text = os.environ.get(BUDGET_ENV) or montecarlo.DEFAULT_BUDGET
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {text!r}") from None
-
-
 def _resolve_mu4(args) -> float:
     # argparse lets through exactly one of the two; response both takes no --mu4
     if getattr(args, "mu4", None) is not None:
@@ -302,14 +292,13 @@ def cmd_response(args) -> int:
         header, seed = response.GRID_HEADER_CLOSED, 0
         chunks = _array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values)
     else:
-        budget = _resolve_budget()
         # refused by the entries' sizes, none expanded (a range's len() stops at sys.maxsize)
         points = math.prod(sum((e[-1] - e[0]) // e.step + 1 for e in axis) for axis in entries)
-        montecarlo.check_run(points, args.trials, args.seed, params.total_bins, budget)
+        montecarlo.check_run(points, args.trials, args.seed, params.total_bins)
         scored = montecarlo.mc_points(
             mask, args.M, montecarlo.make_constellation(args.constellation),
             itertools.product(*map(itertools.chain.from_iterable, entries)),
-            args.trials, args.seed, budget)
+            args.trials, args.seed)
         header, seed = montecarlo.VALIDATION_HEADER, args.seed
         chunks = [_table(zip(*map(dataclasses.astuple, scored)))]
     _write_out(args.out, f"response_{args.mode}.csv",
@@ -345,7 +334,7 @@ def cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------- selftest
 
-def _selftest_items(trials: int, seed: int, budget: int):
+def _selftest_items(trials: int, seed: int):
     """One check per numeric backend path that the outputs rest on.
 
     The mc_oracle item's trials, seed and work are refused here, before any
@@ -353,7 +342,7 @@ def _selftest_items(trials: int, seed: int, budget: int):
     """
     oracle_mask, m_pri = masks.singer_mask(3), 4
     triples = ((1, 1, 0), (1, 1, 2), (2, 5, 9), (3, 3, 4), (4, 2, 0), (6, 6, 12))
-    montecarlo.check_run(len(triples), trials, seed, oracle_mask.n * m_pri, budget)
+    montecarlo.check_run(len(triples), trials, seed, oracle_mask.n * m_pri)
     rng = np.random.Generator(np.random.Philox(key=seed))
     qam16 = montecarlo.make_constellation("qam16")
 
@@ -401,7 +390,7 @@ def _selftest_items(trials: int, seed: int, budget: int):
                     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def mc_oracle():
-        pts = montecarlo.mc_points(oracle_mask, m_pri, qam16, triples, trials, seed, budget)
+        pts = montecarlo.mc_points(oracle_mask, m_pri, qam16, triples, trials, seed)
         bad = [p for p in pts if abs(p.z) > 4.0]
         assert not bad, f"{len(bad)} points beyond 4 standard errors"
 
@@ -409,8 +398,9 @@ def _selftest_items(trials: int, seed: int, budget: int):
         scen = montecarlo.EchoScenario(mask=masks.singer_mask(3), M=4, constellation=qam16,
                                        true_delay=2, true_doppler=0,
                                        trial_doppler=5)
-        first = montecarlo.estimate(scen, 2, 200, seed)
-        second = montecarlo.estimate(scen, 2, 200, seed)
+        # one point of at most mc_oracle's trials: within the budget checked above
+        first = montecarlo.estimate(scen, 2, min(trials, 200), seed)
+        second = montecarlo.estimate(scen, 2, min(trials, 200), seed)
         assert first == second
 
     return [
@@ -426,7 +416,7 @@ def _selftest_items(trials: int, seed: int, budget: int):
 def cmd_selftest(args) -> int:
     failures = 0
     started = time.perf_counter()
-    for name, fn in _selftest_items(args.trials, args.seed, _resolve_budget()):
+    for name, fn in _selftest_items(args.trials, args.seed):
         t0 = time.perf_counter()
         try:
             fn()
@@ -491,7 +481,7 @@ def build_parser():
             p.add_argument("--constellation", choices=montecarlo.CONSTELLATION_NAMES,
                            required=True)
             p.add_argument("--trials", type=int, default=10000,
-                           help=f"trials per point (points*trials*MN <= ${BUDGET_ENV})")
+                           help=f"trials per point (points*trials*MN <= ${montecarlo.BUDGET_ENV})")
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--k", required=True, help="true delay index set")
         p.add_argument("--l", help="trial delay index set (default: same as --k)")
@@ -518,7 +508,8 @@ def build_parser():
 
     p_self = sub.add_parser("selftest", help="run the embedded identity suite")
     p_self.add_argument("--trials", type=int, default=100000,
-                        help=f"Monte Carlo trials for the oracle item (capped by ${BUDGET_ENV})")
+                        help="Monte Carlo trials for the oracle item "
+                             f"(capped by ${montecarlo.BUDGET_ENV})")
     p_self.add_argument("--seed", type=int, default=1234)
     p_self.set_defaults(func=cmd_selftest, parser=p_self)
 

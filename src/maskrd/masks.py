@@ -179,10 +179,9 @@ def verify_cds(mask: Mask) -> CdsCheck:
     """
     from .spectra import autocorr
 
-    a = autocorr(mask)
-    off = set(int(v) for v in a[1:])
-    if len(off) == 1:
-        return CdsCheck(True, off.pop())
+    off = autocorr(mask)[1:]
+    if (off == off[0]).all():
+        return CdsCheck(True, int(off[0]))
     return CdsCheck(False, None)
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,7 @@ __all__ = [
     "ValidationReport",
     "McBudgetError",
     "DEFAULT_BUDGET",
+    "BUDGET_ENV",
     "CONSTELLATION_NAMES",
     "make_constellation",
     "draw_stream",
@@ -70,6 +72,7 @@ __all__ = [
 
 MOMENT_TOL = 1e-12
 DEFAULT_BUDGET = 2_000_000_000
+BUDGET_ENV = "MASKRD_MC_BUDGET"
 # CSV columns of response both: the McPoint fields.
 VALIDATION_HEADER = ("k", "l", "nu", "mc_mean", "mc_se", "trials", "closed_form", "z")
 # estimate() works on blocks of trials whose largest buffers, 16 bytes per
@@ -306,8 +309,7 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     byte's top bits), and a block's sums are one np.matmul, which takes each
     trial's 1 x 1 output with the BLAS dot of np.dot over a contiguous row.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+    check_run(1, trials, seed, scenario.M * scenario.mask.n)
     stream = _check_stream_index("stream", stream)
     _, gather, phase, words = _reads(scenario, l)
     points = scenario.constellation.points
@@ -378,12 +380,18 @@ def _z_score(mc_mean: float, se: float, closed: float) -> float:
     return math.inf
 
 
-def check_run(points: int, trials: int, seed: int, total_bins: int,
-              budget: int = DEFAULT_BUDGET) -> None:
-    """Refuse a Monte Carlo run before any work: fewer than 2 trials, a seed
-    outside the Philox key, or points x trials x MN (MN = total_bins) above
-    budget.
+def check_run(points: int, trials: int, seed: int, total_bins: int) -> None:
+    """Refuse a Monte Carlo run before any work: a budget that is not an
+    integer, fewer than 2 trials, a seed outside the Philox key, or points x
+    trials x MN (MN = total_bins) above the budget, $MASKRD_MC_BUDGET
+    (DEFAULT_BUDGET when unset or empty).
     """
+    text = os.environ.get(BUDGET_ENV) or DEFAULT_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {text!r}") from None
+    points, trials = operator.index(points), operator.index(trials)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     _check_seed(seed)
@@ -393,8 +401,7 @@ def check_run(points: int, trials: int, seed: int, total_bins: int,
 
 
 def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
-              triples, trials: int, seed: int,
-              budget: int = DEFAULT_BUDGET):
+              triples, trials: int, seed: int):
     """Estimate and score an explicit list of (k, l, nu) triples.
 
     Point i uses the disjoint generator stream i, so the set of estimates is
@@ -403,7 +410,7 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
     nu values of its triples: they check every triple before the first trial.
     """
     triples = [tuple(map(operator.index, (k, l, nu))) for k, l, nu in triples]
-    check_run(len(triples), trials, seed, mask.n * m_pri, budget)
+    check_run(len(triples), trials, seed, mask.n * m_pri)
     params = response.ScenarioParams(mask=mask, M=m_pri, mu4=constellation.mu4)
     # k -> ({l: its grid position}, {nu: its grid position})
     axes = {}
@@ -425,15 +432,14 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
 
 
 def validate_grid(mask: Mask, m_pri: int, constellation: Constellation,
-                  k_set, l_set, nu_set, trials: int, seed: int,
-                  budget: int = DEFAULT_BUDGET) -> ValidationReport:
+                  k_set, l_set, nu_set, trials: int, seed: int) -> ValidationReport:
     """Monte Carlo vs closed form over the cross product of the index sets."""
     # refused by its size, before the triples are built
-    check_run(len(k_set) * len(l_set) * len(nu_set), trials, seed, mask.n * m_pri, budget)
+    check_run(len(k_set) * len(l_set) * len(nu_set), trials, seed, mask.n * m_pri)
     triples = [(k, l, nu) for k in k_set for l in l_set for nu in nu_set]
     if not triples:
         raise ValueError("index sets must be non-empty")
-    pts = mc_points(mask, m_pri, constellation, triples, trials, seed, budget)
+    pts = mc_points(mask, m_pri, constellation, triples, trials, seed)
     return ValidationReport(points=tuple(pts))
 
 

@@ -155,6 +155,7 @@ def s_kmn(mask: Mask, k: int, m_pri: int, nu: int) -> complex:
     Evaluated through the periodicity reduction: exactly 0 off multiples of
     M, and M times the length-N spectrum on them. Never forms MN-point sums.
     """
+    m_pri, nu = operator.index(m_pri), operator.index(nu)
     if m_pri < 1:
         raise ValueError(f"the PRI count must be positive, got {m_pri}")
     total = m_pri * mask.n

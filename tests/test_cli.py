@@ -317,12 +317,12 @@ def test_response_budget_exceeded(tmp_path, monkeypatch, capsys):
     argv = ["response", "both", "--mask", "singer:m=3", "--M", "2",
             "--constellation", "qam16", "--k", "1", "--nu", "0",
             "--trials", "500", "--out", str(tmp_path)]
-    monkeypatch.setenv(cli.BUDGET_ENV, "10")
+    monkeypatch.setenv(montecarlo.BUDGET_ENV, "10")
     assert run_cli(argv) == cli.EXIT_CONFIG
     # selftest's mc_oracle item reads the same budget, before any item runs
     assert run_cli(["selftest", "--trials", "200"]) == cli.EXIT_CONFIG
     assert "PASS" not in capsys.readouterr().out
-    monkeypatch.setenv(cli.BUDGET_ENV, "1000000")
+    monkeypatch.setenv(montecarlo.BUDGET_ENV, "1000000")
     assert run_cli(argv) == 0
 
 
@@ -612,7 +612,7 @@ def test_the_longest_comb_and_the_extreme_seeds_are_built():
 def test_monte_carlo_work_over_budget_is_refused_before_its_triples_are_built(
         tmp_path, monkeypatch, capsys):
     # 62 x 62 x 200 = 768800 points at the design point
-    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    monkeypatch.delenv(montecarlo.BUDGET_ENV, raising=False)
     code, peak = _traced_run(["response", "both", "--mask", "singer:m=6", "--M", "50",
                               "--constellation", "qam16", "--k", "1..62", "--l", "1..62",
                               "--nu", "0..199", "--out", str(tmp_path / "o")])
@@ -626,7 +626,7 @@ def test_monte_carlo_work_over_budget_is_refused_before_its_triples_are_built(
 def test_monte_carlo_work_over_budget_is_refused_before_its_index_sets_are_expanded(
         tmp_path, monkeypatch, capsys):
     # 5e6 Doppler bins, all on the axis of MN = 7e6: counted, never listed
-    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    monkeypatch.delenv(montecarlo.BUDGET_ENV, raising=False)
     code, peak = _traced_run(["response", "both", "--mask", "singer:m=3", "--M", "1000000",
                               "--constellation", "qpsk", "--k", "1", "--nu", "0..4999999",
                               "--trials", "100", "--out", str(tmp_path / "o")])
@@ -644,7 +644,7 @@ def test_monte_carlo_work_over_budget_is_refused_before_its_index_sets_are_expan
 def test_a_non_integer_budget_is_refused_by_its_name_before_any_work(
         tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv(cli.BUDGET_ENV, "abc")
+    monkeypatch.setenv(montecarlo.BUDGET_ENV, "abc")
     calls = []
     monkeypatch.setattr(response, "build_grid", lambda *args: calls.append(args))
     called = _record_selftest_items(monkeypatch)
@@ -657,9 +657,9 @@ def test_a_non_integer_budget_is_refused_by_its_name_before_any_work(
 @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
 def test_an_unset_or_empty_budget_is_the_default(tmp_path, monkeypatch, capsys, value):
     if value is None:
-        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+        monkeypatch.delenv(montecarlo.BUDGET_ENV, raising=False)
     else:
-        monkeypatch.setenv(cli.BUDGET_ENV, value)
+        monkeypatch.setenv(montecarlo.BUDGET_ENV, value)
     # one point at MN = 14: one trial more than the default budget allows
     trials = montecarlo.DEFAULT_BUDGET // 14 + 1
     assert run_cli(["response", "both", *RESPONSE, "--constellation", "qpsk",
@@ -738,6 +738,15 @@ def test_selftest_refuses_work_over_budget_before_any_item(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: points x trials x MN = 16800000000 exceeds "
                                        f"the budget {montecarlo.DEFAULT_BUDGET}\n")
     assert called == []
+
+
+def test_selftest_within_the_budget_of_its_oracle_item_runs_every_item(monkeypatch, capsys):
+    # 6 points x 2 trials x MN = 28: the determinism item's estimates fit too
+    monkeypatch.setenv(montecarlo.BUDGET_ENV, "336")
+    run_cli(["selftest", "--trials", "2"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "PASS determinism" in out
 
 
 def test_selftest_quick(capsys):

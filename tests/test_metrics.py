@@ -213,21 +213,46 @@ def test_bound_equality_iff_structure():
             assert b.attains_lower() == polarized(m), m.label
 
 
-def test_bound_equality_iff_structure_for_every_small_mask():
-    # every mask with slot 0 set and 3 <= N <= 12 (4082 masks; a shift keeps
-    # a[k]): the lower bound holds with equality for the combs alone, the
-    # upper one for the difference sets alone
+def _every_small_mask():
+    """Every mask with slot 0 set and 3 <= N <= 12: 4082 masks, and a shift keeps a[k]."""
     for n in range(3, 13):
         for tail in itertools.product((0, 1), repeat=n - 1):
-            if all(tail):
-                continue
-            m = masks.custom_mask((1, *tail))
-            d = n // m.weight
-            comb = n % m.weight == 0 and m == masks.cyclic_shift(
-                masks.comb_mask(n, d), m.support[0])
-            b = metrics.doppler_sidelobe_sum(m, 1.0)
-            assert b.attains_lower() == comb, m.bits
-            assert b.attains_upper() == masks.verify_cds(m).is_cds, m.bits
+            if not all(tail):
+                yield masks.custom_mask((1, *tail))
+
+
+def test_bound_equality_iff_structure_for_every_small_mask():
+    # the lower bound holds with equality for the combs alone, the upper one
+    # for the difference sets alone
+    for m in _every_small_mask():
+        n = m.n
+        comb = n % m.weight == 0 and m == masks.cyclic_shift(
+            masks.comb_mask(n, n // m.weight), m.support[0])
+        b = metrics.doppler_sidelobe_sum(m, 1.0)
+        assert b.attains_lower() == comb, m.bits
+        assert b.attains_upper() == masks.verify_cds(m).is_cds, m.bits
+
+
+def test_worst_case_doppler_facts_for_every_small_mask():
+    # With q, r = divmod(w (w - 1), N - 1) and g(x) = f(x) + (N-1)(mu4-1)(w - x),
+    # concave and decreasing over the feasible a[k]: J = g(min a) >= g(q), with
+    # equality iff every a[k] >= q, and sum a^2 >= (N-1-r) q^2 + r (q+1)^2, with
+    # equality iff every a[k] is q or q + 1.
+    def g(x, n, w, mu4):  # in worst_case_doppler_sum's order of operations
+        return (w - x) * (n - w + x) + (n - 1) * (mu4 - 1) * (w - x)
+
+    for m in _every_small_mask():
+        n, w = m.n, m.weight
+        a = spectra.autocorr(m)[1:].tolist()
+        q, r = divmod(w * (w - 1), n - 1)
+        squares, least = sum(v * v for v in a), (n - 1 - r) * q * q + r * (q + 1) ** 2
+        assert squares >= least, m.bits
+        assert (squares == least) == all(v in (q, q + 1) for v in a), m.bits
+        for mu4 in (1.0, 1.32, 2.0):
+            j = metrics.worst_case_doppler_sum(m, mu4)
+            assert j == g(min(a), n, w, mu4), (m.bits, mu4)
+            assert j >= g(q, n, w, mu4), (m.bits, mu4)
+            assert (j == g(q, n, w, mu4)) == (min(a) >= q), (m.bits, mu4)
 
 
 def test_jensen_step_constant_profile_never_decreases_sum():

@@ -362,6 +362,8 @@ def test_monte_carlo_integers_are_taken_as_python_ints_not_truncated():
                  lambda: mc.EchoScenario(mask=m, M=2, constellation=QPSK, true_delay=1.0,
                                          true_doppler=0, trial_doppler=0),
                  lambda: mc.estimate(scen, 1, 10, seed=1.5),
+                 lambda: mc.estimate(scen, 1, 10.5, 1),
+                 lambda: mc.check_run(1.5, 10, 1, 14),
                  lambda: mc.estimate(scen, 1, 10, seed=1, stream=1.5),
                  lambda: mc.draw_stream(scen, 1, 1, trial=1.5),
                  lambda: mc.correlate(scen, mc.draw_stream(scen, 1, 1), 1.0),
@@ -434,14 +436,31 @@ def test_validate_grid_points_and_determinism():
         assert est.se == rep.points[i].mc_se
 
 
-def test_validate_grid_budget():
+def test_validate_grid_budget(monkeypatch):
+    # the library reads the budget from its variable, as the CLI does
+    monkeypatch.setenv(mc.BUDGET_ENV, "10")
     m = masks.singer_mask(3)
-    with pytest.raises(mc.McBudgetError):
-        mc.validate_grid(m, 4, QAM16, (1,), (1,), (0,),
-                         trials=100, seed=0, budget=100)
-    # a configuration error like any other
-    with pytest.raises(ValueError, match="exceeds the budget"):
-        mc.mc_points(m, 4, QAM16, [(1, 1, 0)], trials=100, seed=0, budget=100)
+    scen = mc.EchoScenario(mask=m, M=4, constellation=QAM16,
+                           true_delay=1, true_doppler=0, trial_doppler=0)
+    for call in (lambda: mc.validate_grid(m, 4, QAM16, (1,), (1,), (0,), trials=100, seed=0),
+                 lambda: mc.mc_points(m, 4, QAM16, [(1, 1, 0)], trials=100, seed=0),
+                 lambda: mc.estimate(scen, 1, 100, 0)):
+        with pytest.raises(mc.McBudgetError,
+                           match="^points x trials x MN = 2800 exceeds the budget 10$"):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc.check_run(1, 10, 1, 14),
+    # read before trials and seed are checked
+    lambda: mc.check_run(1, 1, -1, 14),
+    lambda: mc.estimate(mc.EchoScenario(mask=masks.singer_mask(3), M=2, constellation=QPSK,
+                                        true_delay=1, true_doppler=0, trial_doppler=0), 1, 10, 1),
+], ids=["check_run", "check_run_first", "estimate"])
+def test_a_non_integer_budget_is_refused_by_the_library(monkeypatch, call):
+    monkeypatch.setenv(mc.BUDGET_ENV, "abc")
+    with pytest.raises(ValueError, match="^MASKRD_MC_BUDGET must be an integer, got 'abc'$"):
+        call()
 
 
 def test_deterministic_points_require_exact_match():

@@ -197,6 +197,22 @@ def test_s_kmn_periodicity_reduction():
     assert v == 50 * spectra.s_kmn(s6, 5, 1, 2)
 
 
+def test_s_kmn_takes_m_and_nu_as_python_ints():
+    # a numpy M would wrap M N in int64: at M = nu = 2**62 it gave the nu = 0 value
+    s3 = masks.singer_mask(3)
+    big = 2 ** 62
+    want = big * spectra.s_kmn(s3, 1, 1, 1)
+    assert spectra.s_kmn(s3, 1, np.int64(big), np.int64(big)) == want
+    assert spectra.s_kmn(s3, 1, big, big) == want
+    assert spectra.s_kmn(s3, 1, big, 3 * big) == big * spectra.s_kmn(s3, 1, 1, 3)
+    # a float is refused on a grating lobe and off one alike
+    for m_pri, nu in ((2, 3.0), (1, 2.0), (2.0, 4)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            spectra.s_kmn(s3, 1, m_pri, nu)
+    with pytest.raises(ValueError, match="must be positive"):
+        spectra.s_kmn(s3, 1, 0, 0)
+
+
 def test_s_kmn_matches_tiled_fft_oracle():
     cases = [(masks.singer_mask(3), 4), (masks.comb_mask(6, 3), 5),
              (masks.random_mask(16, 5, 7), 8), (masks.singer_mask(5), 8)]
