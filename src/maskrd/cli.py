@@ -252,13 +252,13 @@ def cmd_mask(args) -> int:
         return EXIT_OK
 
     mask = mask_from_arg(args.spec)
-    check = masks.verify_cds(mask)
+    a = spectra.autocorr(mask)
+    check = masks._cds_check(a)
     if args.action == "show":
         print(masks.serialize_mask(mask))
     _print_fields(("label", "N", "weight", "rho", "is_cds", "lambda"),
                   (mask.label, mask.n, mask.weight, mask.rho, check.is_cds, check.lam))
     if args.action == "verify":
-        a = spectra.autocorr(mask)
         # a[k] = w iff the shift k maps the support onto itself; those k form a
         # subgroup, and the support is one coset of it iff no 0 < a[k] < w: a comb
         if ((a[1:] == 0) | (a[1:] == mask.weight)).all():

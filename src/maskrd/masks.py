@@ -179,7 +179,12 @@ def verify_cds(mask: Mask) -> CdsCheck:
     """
     from .spectra import autocorr
 
-    off = autocorr(mask)[1:]
+    return _cds_check(autocorr(mask))
+
+
+def _cds_check(a: np.ndarray) -> CdsCheck:
+    """verify_cds from the mask's cyclic autocorrelation a."""
+    off = a[1:]
     if (off == off[0]).all():
         return CdsCheck(True, int(off[0]))
     return CdsCheck(False, None)

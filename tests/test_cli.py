@@ -219,6 +219,30 @@ def test_an_unread_word_is_reported_under_the_usage_where_it_was_given(capsys, a
     assert stderr.splitlines()[-1].endswith(f"error: unrecognized arguments: {unread}")
 
 
+def test_mask_show_and_verify_compute_the_autocorrelation_once(tmp_path, monkeypatch, capsys):
+    argvs = (["mask", "show", "singer:m=10"], ["mask", "verify", "singer:m=10"],
+             ["mask", "verify", "singer:m=10", "--out", str(tmp_path)])
+    expected = []
+    for argv in argvs:
+        assert run_cli(argv) == 0
+        expected.append(capsys.readouterr().out)
+    table = read(tmp_path / "singer_m_10_autocorr.csv")
+    calls = []
+    real = spectra.autocorr
+
+    def counting(mask):
+        calls.append(mask.label)
+        return real(mask)
+
+    monkeypatch.setattr(spectra, "autocorr", counting)
+    for argv, out in zip(argvs, expected):
+        calls.clear()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == out
+        assert len(calls) == 1, argv
+    assert read(tmp_path / "singer_m_10_autocorr.csv") == table
+
+
 def test_mask_verify_table_export(tmp_path):
     out = str(tmp_path)
     assert run_cli(["mask", "verify", "singer:m=3", "--out", out]) == 0

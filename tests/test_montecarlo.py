@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -194,8 +196,10 @@ def _definition_estimate(scen, l, trials, seed, stream):
 @pytest.mark.parametrize("const", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
 @pytest.mark.parametrize("block_bytes", [
     mc._BLOCK_BYTES,   # as shipped
+    1 << 17,           # a smaller block, several trials a block at the design point
     1,                 # one trial per block
     16 * 7 * 8,        # uneven blocks
+    1 << 24,           # one block holds all trials
 ])
 def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
     monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
@@ -230,6 +234,104 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
     assert len(drawn) == 2
     for bg in drawn:  # the next output is still the stream's first
         assert bg.random_raw() == np.random.Philox(key=29, counter=0).random_raw()
+
+
+def _wide_and_narrow_points(const):
+    # (scenario, l, trials, stream): the design point on and off the
+    # diagonal, and a narrow point between
+    wide = [(_scenario(masks.singer_mask(6), 50, const, 20, nu=7), l, 30, s)
+            for s, l in enumerate((20, 41))]
+    narrow = [(_scenario(masks.singer_mask(3), 4, const, 2, nu=1), l, 23, s)
+              for s, l in enumerate((2, 5))]
+    return wide + narrow + wide
+
+
+def _in_new_thread(fn):
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+@pytest.mark.parametrize("const", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+def test_estimate_is_bitwise_after_its_work_arrays_grow_and_are_reused(const):
+    # a fresh thread starts with no work arrays: the wide points grow them,
+    # the narrow points reuse a prefix, and the wide points reuse them again
+    points = _wide_and_narrow_points(const)
+
+    def run():
+        return [mc.estimate(scen, l, trials, seed=29, stream=stream)
+                for scen, l, trials, stream in points], vars(mc._arena)
+
+    estimates, kept = _in_new_thread(run)
+    for (scen, l, trials, stream), est in zip(points, estimates):
+        assert (est.mean_sq, est.se) == _definition_estimate(scen, l, trials, 29, stream)
+    assert set(kept) == {"symbols", "pairs", "products", "dots"}
+    assert all(buf.nbytes <= mc._BLOCK_BYTES for buf in kept.values())
+
+
+def test_a_trial_wider_than_a_block_keeps_no_work_array(monkeypatch):
+    # 16 bytes x 800 terms of the design point's diagonal exceed the block
+    monkeypatch.setattr(mc, "_BLOCK_BYTES", 1 << 13)
+    scen = _scenario(masks.singer_mask(6), 50, QAM16, 20, nu=7)
+
+    def run():
+        return mc.estimate(scen, 20, 5, seed=3), vars(mc._arena)
+
+    est, kept = _in_new_thread(run)
+    assert (est.mean_sq, est.se) == _definition_estimate(scen, 20, 5, 3, 0)
+    assert "products" not in kept and kept["dots"].nbytes == 16
+
+
+def test_threads_running_estimate_at_once_match_the_sequential_results():
+    points = _wide_and_narrow_points(QAM16)
+    sequential = [mc.estimate(scen, l, trials, seed=5, stream=stream)
+                  for scen, l, trials, stream in points]
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def run(slot, order):
+        start.wait()
+        results[slot] = {i: mc.estimate(points[i][0], points[i][1], points[i][2],
+                                        seed=5, stream=points[i][3]) for i in order}
+
+    # one thread in order, the other in reverse, so their block shapes differ
+    workers = [threading.Thread(target=run, args=(0, range(len(points)))),
+               threading.Thread(target=run, args=(1, reversed(range(len(points)))))]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    for got in results:
+        assert [got[i] for i in range(len(points))] == sequential
+
+
+@pytest.mark.parametrize("const", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+def test_product_tables_are_read_by_byte_and_by_index_pair(const):
+    # the products as the definition forms them, one array multiply
+    points, count = const.points, len(const.points)
+    pair = np.repeat(points, count) * np.conj(np.tile(points, count))
+    wide = const._wide_table
+    assert len(wide) == count << 8
+    i, j = np.divmod(np.arange(count * count), count)
+    assert wide[(i << 8) | j].tolist() == pair.tolist()
+    diagonal = const._diagonal_table
+    assert len(diagonal) == 256
+    i = np.arange(256) >> (8 - const.bits)
+    assert diagonal.tolist() == pair[i * (count + 1)].tolist()
+    # built once per constellation
+    assert const._wide_table is wide and const._diagonal_table is diagonal
+
+
+@pytest.mark.parametrize("l, name", [(20, "_diagonal_table"), (41, "_wide_table")])
+def test_a_table_too_short_for_its_indices_is_refused(l, name):
+    # the takes skip numpy's per-element bounds check; estimate checks once
+    const = mc.Constellation("qam16", QAM16.points, QAM16.mu4_exact)
+    const.__dict__[name] = getattr(const, name)[:-1]
+    scen = _scenario(masks.singer_mask(6), 50, const, 20)
+    with pytest.raises(RuntimeError, match="index out of range"):
+        mc.estimate(scen, l, 10, seed=1)
 
 
 def test_seed_is_a_128_bit_philox_key():
@@ -448,6 +550,23 @@ def test_validate_grid_budget(monkeypatch):
         with pytest.raises(mc.McBudgetError,
                            match="^points x trials x MN = 2800 exceeds the budget 10$"):
             call()
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, m_pri: mc.mc_points(m, m_pri, QAM16, [(1, 1, 0)], trials=10, seed=0),
+    lambda m, m_pri: mc.validate_grid(m, m_pri, QAM16, (1,), (1,), (0,), trials=10, seed=0),
+], ids=["mc_points", "validate_grid"])
+def test_a_numpy_M_is_checked_before_the_run_is_sized(monkeypatch, run):
+    # 7 x 2**62 wraps in int64: M is taken as a Python int before MN is formed
+    def no_grid(*args):
+        raise AssertionError("closed forms built for a refused run")
+
+    monkeypatch.setattr(response, "build_grid", no_grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(mc.McBudgetError, match=f"= {10 * 7 * 2 ** 62} exceeds"):
+            run(masks.singer_mask(3), np.int64(2 ** 62))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("call", [
