@@ -41,10 +41,8 @@ import math
 import operator
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -79,12 +77,12 @@ BUDGET_ENV = "MASKRD_MC_BUDGET"
 VALIDATION_HEADER = ("k", "l", "nu", "mc_mean", "mc_se", "trials", "closed_form", "z")
 # estimate() works on blocks of trials whose largest buffers, 16 bytes per
 # trial and correlation term, stay within _BLOCK_BYTES, and draws each
-# block's random bytes with one call. With the work arrays reused, the
-# perfbench wall_s medians of 5 runs (2 vCPUs, 4 s runs) at 128 KiB,
-# 256 KiB, 512 KiB and 1 MiB were 0.085, 0.076, 0.073 and 0.074 s on
-# mc_design_point and 0.115, 0.102, 0.099 and 0.106 s on mc_sweep; 1 MiB
-# added 1.0-1.3 MB of peak RSS over 512 KiB. One trial a block measured
-# 3-4x slower.
+# block's random bytes with one call. The perfbench wall_s medians of 10
+# alternating runs (2 vCPUs, 4 s runs) at 128 KiB, 256 KiB, 512 KiB and
+# 1 MiB were 0.085, 0.075, 0.072 and 0.074 s on mc_design_point and 0.110,
+# 0.104, 0.102 and 0.109 s on mc_sweep, and no size beat 512 KiB in more
+# than 6 of 10 pairs; mc_design_point peak RSS was 40.7, 40.8, 41.1 and
+# 42.2 MB. One trial a block measured 3-4x slower.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -139,23 +137,6 @@ class Constellation:
     def bits(self) -> int:
         """b with 2**b points: the bits of one symbol index."""
         return len(self.points).bit_length() - 1
-
-    @cached_property
-    def _diagonal_table(self) -> np.ndarray:
-        """|x_i|^2 = x_i conj(x_i) at the raw byte of symbol i (256 entries)."""
-        table = (self.points * np.conj(self.points))[
-            _symbol_index(np.arange(256, dtype=np.uint8), self.bits)]
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def _wide_table(self) -> np.ndarray:
-        """x_i conj(x_j) at (i << 8) | j: K 256 entries, 256 KiB for qam64."""
-        count = len(self.points)
-        table = np.zeros(count << 8, dtype=np.complex128)
-        table.reshape(count, 256)[:, :count] = self.points[:, None] * np.conj(self.points)
-        table.setflags(write=False)
-        return table
 
 
 def _moment(points: np.ndarray, p: int, q: int) -> complex:
@@ -242,32 +223,12 @@ def _stream(seed: int, stream: int, first: int = 0) -> np.random.Philox:
     return bg
 
 
-def _symbol_index(data: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
+def _symbol_index(data: np.ndarray, bits: int) -> np.ndarray:
     """Lemire's 8-bit map (x K) >> 8 of bytes to indices in range(K = 2**bits).
 
     For a power-of-two K it is the top bits of each byte, in uint8.
     """
-    return np.right_shift(data, 8 - bits, out=out)
-
-
-_arena = threading.local()
-
-
-def _work_array(name: str, dtype, shape) -> np.ndarray:
-    """A C-contiguous work array of this thread, grown on demand and reused.
-
-    Fresh arrays of a block's size page-faulted on every block (~45 000
-    minor faults a pass of the mc_sweep workload, against none when reused)
-    and doubled its time. A thread keeps the largest of each up to
-    _BLOCK_BYTES; one trial wider than a block gets an array it does not keep.
-    """
-    count = math.prod(shape)
-    buf = getattr(_arena, name, None)
-    if buf is None or len(buf) < count:
-        buf = np.empty(count, dtype=dtype)
-        if buf.nbytes <= _BLOCK_BYTES:
-            setattr(_arena, name, buf)
-    return buf[:count].reshape(shape)
+    return data >> (8 - bits)
 
 
 def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):
@@ -345,35 +306,24 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     bit. The stream is positioned once; each block of consecutive trials is
     its next draw of raw outputs, viewed as one row of bytes per trial. On
     the diagonal k = l the reads are idx_k in order and x_(n-k) = x_(n-l),
-    so a row's first U bytes look the terms' products up in the
-    constellation's 256-entry table as drawn. Off it the row is shifted to
-    symbol indices once, and one take() gathers, in C order, the bytes of
-    x_(n-l) and x_(n-k) interleaved, so that each little-endian pair of
-    bytes is the index (i << 8) | j of x_i conj(x_j) in the wide table.
-    The products are the same complex products, and a block's sums are one
-    np.matmul, which takes each trial's 1 x 1 output with the BLAS dot of
-    np.dot over a contiguous row. The work arrays are this thread's, reused
-    by every block of every call.
+    so a row's first U bytes are the terms' symbols as drawn; off it, one
+    take() gathers, in C order, the bytes of idx_k and idx_l. The products
+    are the same complex products, looked up in a table by symbol index (a
+    byte's top bits), and a block's sums are one np.matmul, which takes each
+    trial's 1 x 1 output with the BLAS dot of np.dot over a contiguous row.
     """
     check_run(1, trials, seed, scenario.M * scenario.mask.n)
     stream = _check_stream_index("stream", stream)
     _, gather, phase, words = _reads(scenario, l)
-    constellation = scenario.constellation
+    points = scenario.constellation.points
+    bits = scenario.constellation.bits
+    # pair[(i << bits) | j] = points[i] conj(points[j]): 64 KiB for qam64.
+    pair = np.repeat(points, len(points)) * np.conj(np.tile(points, len(points)))
     width = len(phase)
     diagonal = scenario.true_delay == l
     if diagonal:
-        table = constellation._diagonal_table
-        in_range = len(table) == 256  # a uint8 reads any of 256 entries
-    else:
-        table = constellation._wide_table
-        # (x_(n-l) byte, x_(n-k) byte) per term: the uint16 (i << 8) | j
-        inter = np.stack([gather[width:], gather[:width]], axis=1).ravel()
-        # i, j < K, and gather numbers the U <= 8W reads
-        in_range = (len(table) == len(constellation.points) << 8
-                    and (width == 0 or int(inter.max()) < 8 * words))
-    # the takes below use mode="clip", which checks no index, so check once here
-    if not in_range:
-        raise RuntimeError("Monte Carlo table or gather index out of range")
+        # read pair[i (K + 1)] straight from the byte x of symbol i = x >> (8 - bits)
+        pair = pair[::len(points) + 1][_symbol_index(np.arange(256, dtype=np.uint8), bits)]
     block = min(trials, max(1, _BLOCK_BYTES // (16 * max(width, 1))))
     bg = _stream(seed, stream)
     vals = np.empty(trials, dtype=np.float64)
@@ -382,21 +332,15 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
         # each 64-bit output as 8 bytes, low byte first: one row per trial
         raw = bg.random_raw(rows * words).astype("<u8", copy=False)
         data = raw.view(np.uint8).reshape(rows, 8 * words)
-        index = data[:, :width]  # on the diagonal, the bytes as drawn
+        index = data[:, :width]  # on the diagonal, the symbols as drawn
         if not diagonal:
-            symbols = _symbol_index(data, constellation.bits,
-                                    out=_work_array("symbols", np.uint8, data.shape))
-            # take() fills a C-ordered result; data[:, inter] would be F-ordered,
-            # and BLAS sums a strided row in another order. With out=,
-            # mode="raise" would buffer the whole result first.
-            pairs = _work_array("pairs", np.uint8, (rows, 2 * width))
-            index = symbols.take(inter, axis=1, out=pairs, mode="clip").view("<u2")
-        # take(), not table[index]: fancy indexing by a uint8 or uint16 array
+            # take() fills a C-ordered result; data[:, gather] would be F-ordered,
+            # and BLAS sums a strided row in another order.
+            index = _symbol_index(data.take(gather, axis=1), bits)
+            index = (index[:, :width].astype(np.uint16) << bits) | index[:, width:]
+        # take(), not pair[index]: fancy indexing by a uint8 or uint16 array
         # measured 1.5-2.5x slower; take() fills a C-ordered result from any index
-        products = table.take(index, out=_work_array("products", np.complex128, (rows, width)),
-                              mode="clip")
-        dots = np.matmul(products[:, None, :], phase[:, None],
-                         out=_work_array("dots", np.complex128, (rows, 1, 1)))
+        dots = np.matmul(pair.take(index)[:, None, :], phase[:, None])
         vals[start:start + rows] = [abs(z) ** 2 for z in dots.ravel().tolist()]
     mean = float(np.mean(vals))
     se = float(math.sqrt(np.var(vals, ddof=1) / trials))

@@ -195,14 +195,20 @@ def _definition_estimate(scen, l, trials, seed, stream):
 
 @pytest.mark.parametrize("const", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
 @pytest.mark.parametrize("block_bytes", [
-    mc._BLOCK_BYTES,   # as shipped
-    1 << 17,           # a smaller block, several trials a block at the design point
-    1,                 # one trial per block
-    16 * 7 * 8,        # uneven blocks
-    1 << 24,           # one block holds all trials
+    pytest.param(mc._BLOCK_BYTES, id="shipped"),
+    # a smaller block, several trials a block at the design point
+    pytest.param(1 << 17, id="131072"),
+    pytest.param(1, id="1"),                # one trial per block
+    pytest.param(16 * 7 * 8, id="896"),     # uneven blocks
+    pytest.param(1 << 24, id="16777216"),   # one block holds all trials
 ])
 def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
-    monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
+    design = masks.singer_mask(6)
+
+    def two_and_a_half_shipped_blocks(l):
+        terms = len(mc._kernel(design, 50, 20, l, 0)[2])
+        return 5 * (mc._BLOCK_BYTES // (16 * terms)) // 2
+
     cases = [
         (masks.singer_mask(3), 4, 2, 2, 1, 0, 23),
         (masks.singer_mask(4), 2, 3, 7, 5, 1, 31),
@@ -210,10 +216,11 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
         (masks.comb_mask(6, 3), 4, 3, 3, 2, 0, 9),           # empty kernel
         (masks.random_mask(20, 8, seed=3), 5, 5, 5, 7, 3, 41),
         (masks.random_mask(20, 8, seed=3), 1, 6, 11, 13, 4, 17),
-        # the design point: wide rows, several trials per shipped block
-        (masks.singer_mask(6), 50, 20, 20, 50, 0, 30),
-        (masks.singer_mask(6), 50, 20, 41, 7, 1, 30),
+        # the design point: wide rows, two full shipped blocks and a partial one
+        (design, 50, 20, 20, 50, 0, two_and_a_half_shipped_blocks(20)),
+        (design, 50, 20, 41, 7, 1, two_and_a_half_shipped_blocks(41)),
     ]
+    monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
     for mask, m_pri, k, l, nu, stream, trials in cases:
         scen = mc.EchoScenario(mask=mask, M=m_pri, constellation=const,
                                true_delay=k, true_doppler=0, trial_doppler=nu)
@@ -246,44 +253,6 @@ def _wide_and_narrow_points(const):
     return wide + narrow + wide
 
 
-def _in_new_thread(fn):
-    out = []
-    worker = threading.Thread(target=lambda: out.append(fn()))
-    worker.start()
-    worker.join()
-    return out[0]
-
-
-@pytest.mark.parametrize("const", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
-def test_estimate_is_bitwise_after_its_work_arrays_grow_and_are_reused(const):
-    # a fresh thread starts with no work arrays: the wide points grow them,
-    # the narrow points reuse a prefix, and the wide points reuse them again
-    points = _wide_and_narrow_points(const)
-
-    def run():
-        return [mc.estimate(scen, l, trials, seed=29, stream=stream)
-                for scen, l, trials, stream in points], vars(mc._arena)
-
-    estimates, kept = _in_new_thread(run)
-    for (scen, l, trials, stream), est in zip(points, estimates):
-        assert (est.mean_sq, est.se) == _definition_estimate(scen, l, trials, 29, stream)
-    assert set(kept) == {"symbols", "pairs", "products", "dots"}
-    assert all(buf.nbytes <= mc._BLOCK_BYTES for buf in kept.values())
-
-
-def test_a_trial_wider_than_a_block_keeps_no_work_array(monkeypatch):
-    # 16 bytes x 800 terms of the design point's diagonal exceed the block
-    monkeypatch.setattr(mc, "_BLOCK_BYTES", 1 << 13)
-    scen = _scenario(masks.singer_mask(6), 50, QAM16, 20, nu=7)
-
-    def run():
-        return mc.estimate(scen, 20, 5, seed=3), vars(mc._arena)
-
-    est, kept = _in_new_thread(run)
-    assert (est.mean_sq, est.se) == _definition_estimate(scen, 20, 5, 3, 0)
-    assert "products" not in kept and kept["dots"].nbytes == 16
-
-
 def test_threads_running_estimate_at_once_match_the_sequential_results():
     points = _wide_and_narrow_points(QAM16)
     sequential = [mc.estimate(scen, l, trials, seed=5, stream=stream)
@@ -305,33 +274,6 @@ def test_threads_running_estimate_at_once_match_the_sequential_results():
         w.join()
     for got in results:
         assert [got[i] for i in range(len(points))] == sequential
-
-
-@pytest.mark.parametrize("const", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
-def test_product_tables_are_read_by_byte_and_by_index_pair(const):
-    # the products as the definition forms them, one array multiply
-    points, count = const.points, len(const.points)
-    pair = np.repeat(points, count) * np.conj(np.tile(points, count))
-    wide = const._wide_table
-    assert len(wide) == count << 8
-    i, j = np.divmod(np.arange(count * count), count)
-    assert wide[(i << 8) | j].tolist() == pair.tolist()
-    diagonal = const._diagonal_table
-    assert len(diagonal) == 256
-    i = np.arange(256) >> (8 - const.bits)
-    assert diagonal.tolist() == pair[i * (count + 1)].tolist()
-    # built once per constellation
-    assert const._wide_table is wide and const._diagonal_table is diagonal
-
-
-@pytest.mark.parametrize("l, name", [(20, "_diagonal_table"), (41, "_wide_table")])
-def test_a_table_too_short_for_its_indices_is_refused(l, name):
-    # the takes skip numpy's per-element bounds check; estimate checks once
-    const = mc.Constellation("qam16", QAM16.points, QAM16.mu4_exact)
-    const.__dict__[name] = getattr(const, name)[:-1]
-    scen = _scenario(masks.singer_mask(6), 50, const, 20)
-    with pytest.raises(RuntimeError, match="index out of range"):
-        mc.estimate(scen, l, 10, seed=1)
 
 
 def test_seed_is_a_128_bit_philox_key():
