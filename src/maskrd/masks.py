@@ -10,6 +10,7 @@ gf2's table, seeded by gf2.trace_seeds; no GF(2^m) arithmetic is involved.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -132,6 +133,7 @@ def _check_period(n: int) -> None:
 
 def comb_mask(n: int, d: int) -> Mask:
     """Mask transmitting at every d-th slot: bit set iff the index is 0 mod d."""
+    n, d = operator.index(n), operator.index(d)
     _check_period(n)
     if d < 2:
         raise ValueError(f"comb spacing must be at least 2, got {d}")
@@ -147,6 +149,7 @@ def random_mask(n: int, w: int, seed: int) -> Mask:
     Uses a counter-based generator keyed by the seed, so the same
     (n, w, seed) gives the same mask on every platform.
     """
+    n, w, seed = operator.index(n), operator.index(w), operator.index(seed)
     _check_period(n)
     if not 0 < w < n:
         raise ValueError(f"weight must satisfy 0 < w < N, got w={w}, N={n}")

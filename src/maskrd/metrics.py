@@ -21,6 +21,7 @@ mu4-part by M to land on coherent-window units.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,6 +91,7 @@ def avg_range_sidelobe(n: int, rho) -> float:
 
     rho(1-rho)(rho N - 1) N^2 / ((N-1)(N-2)), exact for rational rho.
     """
+    n = operator.index(n)
     if n < 3:
         raise ValueError(f"period must be at least 3, got {n}")
     rho = Fraction(rho)

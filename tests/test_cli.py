@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from maskrd import cli, masks, montecarlo, response, spectra
+from maskrd import __version__, cli, masks, montecarlo, response, spectra
 from conftest import qr_mask, random_mask_suite
 
 
@@ -136,7 +136,7 @@ RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
     (["response", "closed", "--mask", "singer:m=3", "--M", str(2 ** 63), "--mu4", "1.0",
       "--k", "1", "--nu", "0"],
      f"M must be below 2**63, got {2 ** 63}"),
-    (["metrics", "--mask", "singer:m=3", "--mu4", "1.0", "--M", str(2 ** 63)],
+    (["metrics", "--mask", "singer:m=3", "--mu4", "1.0", "--M", str(2 ** 63), "--out", "out"],
      f"M must be below 2**63, got {2 ** 63}"),
     (["compare", "--mask", "singer:m=3", "--mask", "singer:m=4", "--mu4", "1.0",
       "--M", str(2 ** 64)], f"M must be below 2**63, got {2 ** 64}"),
@@ -156,10 +156,10 @@ def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys
     assert os.listdir(tmp_path) == []
 
 
-# Each action's sub-parser declares only the options the action reads, and
-# that exactly one of --mu4 and --constellation gives mu4: any other use is an
-# argparse error with the action's own usage, raised before anything is read
-# or written.
+# Each action's sub-parser declares only the options the action reads, that
+# exactly one of --mu4 and --constellation gives mu4, and that --constellation
+# is a name of the built-in table: any other use is an argparse error with the
+# action's own usage, raised before anything is read or written.
 @pytest.mark.parametrize("argv, flag", [
     (["mask", "show", "singer:m=3", "--out", "out"], "--out"),
     (["response", "closed", *RESPONSE, "--mu4", "1.0", "--trials", "5"], "--trials"),
@@ -175,9 +175,10 @@ def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys
     (["bounds", "--mask", "singer:m=3", "--mu4", "1.0", "--constellation", "qpsk"], "--mu4"),
     (["compare", "--mask", "singer:m=3", "--mask", "comb:N=6,d=3", "--M", "2"], "--mu4"),
     (["bounds", "--mask", "singer:m=3"], "--mu4"),
+    (["bounds", "--mask", "singer:m=3", "--constellation", "psk8"], "--constellation"),
 ], ids=["show_out", "closed_trials", "closed_seed", "closed_budget", "both_mu4",
         "both_budget", "mc_no_constellation", "closed_no_mu4", "closed_mu4", "metrics_mu4",
-        "bounds_mu4", "compare_no_mu4", "bounds_no_mu4"])
+        "bounds_mu4", "compare_no_mu4", "bounds_no_mu4", "bounds_psk8"])
 def test_an_option_the_action_does_not_read_is_refused(tmp_path, monkeypatch, capsys,
                                                        argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -369,6 +370,7 @@ def test_metrics_and_compare_csv(tmp_path):
     assert [r[0] for r in rows] == [
         "singer:m=6", "random:N=63,w=31,seed=7", "comb:N=63,d=3"]
     assert [r[4] for r in rows] == ["1", "0", "0"]  # CDS flag column
+    assert [r[5] for r in rows] == ["15", "", ""]  # no lambda but for the CDS
 
 
 def test_compare_needs_two_masks(tmp_path):
@@ -713,9 +715,14 @@ def test_bounds_output(tmp_path, capsys):
     assert out[-2:] == ["attains_upper: 0", "attains_lower: 0"]
 
 
-@pytest.mark.parametrize("spec", ["singer:m=5", "comb:N=63,d=3", "random:N=40,w=13,seed=9"])
-def test_bounds_prints_the_row_it_writes(tmp_path, capsys, spec):
-    assert run_cli(["bounds", "--mask", spec, "--mu4", "1.32", "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("spec, mu", [
+    ("singer:m=5", ["--mu4", "1.32"]),
+    ("comb:N=63,d=3", ["--mu4", "1.32"]),
+    ("random:N=40,w=13,seed=9", ["--mu4", "1.32"]),
+    ("singer:m=3", ["--constellation", "qam64"]),
+], ids=["singer:m=5", "comb:N=63,d=3", "random:N=40,w=13,seed=9", "singer:m=3,qam64"])
+def test_bounds_prints_the_row_it_writes(tmp_path, capsys, spec, mu):
+    assert run_cli(["bounds", "--mask", spec, *mu, "--out", str(tmp_path)]) == 0
     printed = capsys.readouterr().out.splitlines()
     header, row = csv.reader(read(tmp_path / "bounds.csv").decode().splitlines()[3:])
     assert printed[:-1] == [f"mask: {spec}"] + [
@@ -843,6 +850,9 @@ def test_config_line_of_each_action(tmp_path, monkeypatch, capsys, argv, line):
 
 
 def test_console_entry_point(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "maskrd", "--version"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, f"maskrd {__version__}\n")
     proc = subprocess.run(
         [sys.executable, "-m", "maskrd", "mask", "gen", "singer:m=4"],
         capture_output=True, text=True)
@@ -938,6 +948,12 @@ GOLDEN = [
     (["response", "both", "--mask", "singer:m=6", "--M", "50", "--constellation", "qam16",
       "--k", "20", "--l", "20,41", "--nu", "0,7,23,50,100", "--trials", "2000", "--seed", "1"], {
         "response_both.csv": "6ec3dae88f3f65794de9fb19fec5c82e8e883b99050fbae4d4941e4450d349fb"}),
+    # a nu set across 2**63 keeps integer labels, and 2**63 + 1 is no lobe of
+    # M = 2**62 + 3: both rows hold the mu4 floor (mu4 - 1) M (w - a[1]),
+    # 2.95147905179e+18
+    (["response", "closed", "--mask", "singer:m=3", "--M", str(2 ** 62 + 3), "--mu4", "1.32",
+      "--k", "1", "--nu", f"1,{2 ** 63 + 1}"], {
+        "response_closed.csv": "285e152afb2969839eefb331fc783540e30ffae24fa9f328e39003ec3d93d85c"}),
 ]
 
 
@@ -946,7 +962,7 @@ GOLDEN = [
                               "closed_comb63", "closed_random40", "closed_singer7_blocks",
                               "closed_random63_lobes", "compare63", "metrics40",
                               "bounds_singer6", "bounds_comb63", "bounds_random63",
-                              "mc_singer4", "both_design_point"])
+                              "mc_singer4", "both_design_point", "closed_nu_past_int64"])
 def test_golden_payloads(tmp_path, argv, hashes):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 0
     assert sorted(os.listdir(tmp_path)) == sorted(hashes)

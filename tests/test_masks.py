@@ -66,6 +66,10 @@ def test_comb_errors():
         masks.comb_mask(63, 4)
     with pytest.raises(ValueError):
         masks.comb_mask(6, 1)
+    # a float would pass the divisor check (10 % 2.5 == 0) and build another comb
+    for n, d in ((10, 2.5), (10.0, 2), (6, 3.0)):
+        with pytest.raises(TypeError):
+            masks.comb_mask(n, d)
 
 
 def test_random_mask_weight_and_determinism():
@@ -83,6 +87,12 @@ def test_random_mask_errors():
         masks.random_mask(7, 0, seed=1)
     with pytest.raises(ValueError):
         masks.random_mask(7, 7, seed=1)
+    # Philox would truncate a float seed that the label keeps as given
+    for n, w, seed in ((10, 3, 1.5), (10.0, 3, 1), (10, 3.0, 1)):
+        with pytest.raises(TypeError):
+            masks.random_mask(n, w, seed)
+    m = masks.random_mask(np.int64(10), np.int64(3), np.int64(1))
+    assert (m, m.label) == (masks.random_mask(10, 3, 1), "random:N=10,w=3,seed=1")
 
 
 def test_cyclic_shift():

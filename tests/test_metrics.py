@@ -105,6 +105,8 @@ def test_avg_range_sidelobe():
         metrics.avg_range_sidelobe(63, masks.random_mask(63, 31, 5).rho)
     with pytest.raises(ValueError):
         metrics.avg_range_sidelobe(2, 0.5)
+    with pytest.raises(TypeError):
+        metrics.avg_range_sidelobe(3.5, Fraction(1, 2))
 
 
 def test_doppler_sum_singer3_equals_upper():
