@@ -373,7 +373,7 @@ def _selftest_items(trials: int, seed: int):
         # the indices of the 8 symbols r(1, 2, 0) reads in trial 3 (W = 1) of stream
         # 5, as numpy's Generator.integers(0, 16, dtype=np.uint8) draws them
         scen = montecarlo.EchoScenario(mask=oracle_mask, M=m_pri, constellation=qam16,
-                                       true_delay=1, true_doppler=0, trial_doppler=0)
+                                       true_delay=1, nu=0)
         got = montecarlo.draw_stream(scen, 2, 1234, trial=3, stream=5)
         index = (got[got != 0, None] == qam16.points).argmax(axis=1).tolist()
         assert index == [15, 10, 14, 5, 1, 15, 9, 6], f"drew {index}"
@@ -396,8 +396,7 @@ def _selftest_items(trials: int, seed: int):
 
     def determinism():
         scen = montecarlo.EchoScenario(mask=masks.singer_mask(3), M=4, constellation=qam16,
-                                       true_delay=2, true_doppler=0,
-                                       trial_doppler=5)
+                                       true_delay=2, nu=5)
         # one point of at most mc_oracle's trials: within the budget checked above
         first = montecarlo.estimate(scen, 2, min(trials, 200), seed)
         second = montecarlo.estimate(scen, 2, min(trials, 200), seed)

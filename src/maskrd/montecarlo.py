@@ -2,7 +2,7 @@
 
 Streams are synthesized from the definition: i.i.d. unit-energy symbols in
 the transmit slots the correlation reads, zeros elsewhere, echo delayed by
-the true range bin and rotated by the Doppler difference. Nothing here
+the true range bin and rotated by the Doppler mismatch nu. Nothing here
 reuses the closed forms, so estimates are an independent check of them.
 
 Symbol indexing. The correlator touches x_(n-k) for n = 0..MN-1 and
@@ -31,8 +31,8 @@ diagonal k = l uses the bytes as drawn.
 Scoring. mc_points estimates each (k, l, nu) point on its own stream and
 scores it against its closed form as an McPoint; the closed forms come
 from one response.build_grid per distinct k. validate_grid does so over
-an index box. Those rows, all eight fields under VALIDATION_HEADER, are
-the one Monte Carlo output (`response both`).
+an index box and returns the McPoints. Those rows, all eight fields under
+VALIDATION_HEADER, are the one Monte Carlo output (`response both`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "EchoScenario",
     "McEstimate",
     "McPoint",
-    "ValidationReport",
     "McBudgetError",
     "DEFAULT_BUDGET",
     "BUDGET_ENV",
@@ -73,8 +72,6 @@ __all__ = [
 MOMENT_TOL = 1e-12
 DEFAULT_BUDGET = 2_000_000_000
 BUDGET_ENV = "MASKRD_MC_BUDGET"
-# CSV columns of response both: the McPoint fields.
-VALIDATION_HEADER = ("k", "l", "nu", "mc_mean", "mc_se", "trials", "closed_form", "z")
 # estimate() works on blocks of trials whose largest buffers, 16 bytes per
 # trial and correlation term, stay within _BLOCK_BYTES, and draws each
 # block's random bytes with one call. The perfbench wall_s medians of 10
@@ -171,25 +168,19 @@ def make_constellation(name: str) -> Constellation:
 
 @dataclass(frozen=True)
 class EchoScenario:
-    """Single-target echo setup: who transmitted what, and which shift."""
+    """Single-target echo: who transmitted what, the delay, the Doppler mismatch nu."""
 
     mask: Mask
     M: int
     constellation: Constellation
     true_delay: int
-    true_doppler: int
-    trial_doppler: int
+    nu: int
 
     def __post_init__(self):
         object.__setattr__(self, "M", response._check_M(self.M))
         object.__setattr__(self, "true_delay", response._check_delay(
             "true_delay", self.true_delay, self.mask.n))
-        for name in ("true_doppler", "trial_doppler"):
-            response._check_nu(name, getattr(self, name), self.M * self.mask.n)
-
-    @property
-    def doppler_difference(self) -> int:
-        return self.trial_doppler - self.true_doppler
+        response._check_nu("nu", self.nu, self.M * self.mask.n)
 
 
 def _check_seed(seed: int) -> int:
@@ -248,7 +239,7 @@ def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):
 
 
 def _reads(scenario: EchoScenario, l: int):
-    """Where r(k0, l, nu_t - nu_0) reads the stream, and one trial's outputs.
+    """Where r(k0, l, nu) reads the stream, and one trial's outputs.
 
     Returns the U read positions (idx_k and idx_l of _kernel merged in
     ascending order), gather (idx_k, then idx_l, as numbers of reads), the
@@ -256,14 +247,14 @@ def _reads(scenario: EchoScenario, l: int):
     """
     l = response._check_delay("l", l, scenario.mask.n)
     idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
-                                  l, scenario.doppler_difference)
+                                  l, scenario.nu)
     reads, gather = np.unique(np.concatenate([idx_k, idx_l]), return_inverse=True)
     return reads, gather, phase, -(-len(reads) // 8)
 
 
 def draw_stream(scenario: EchoScenario, l: int, seed: int,
                 trial: int = 0, stream: int = 0) -> np.ndarray:
-    """The symbols r(k0, l, nu_t - nu_0) reads, in a stream over -(N-1)..MN-1.
+    """The symbols r(k0, l, nu) reads, in a stream over -(N-1)..MN-1.
 
     Position j of the result holds the symbol with index j - (N - 1). The
     read positions (all of them transmit slots) hold i.i.d. uniform
@@ -281,10 +272,10 @@ def draw_stream(scenario: EchoScenario, l: int, seed: int,
 
 
 def correlate(scenario: EchoScenario, stream: np.ndarray, l: int) -> complex:
-    """r(k0, l, nu_t - nu_0) evaluated directly from its defining sum."""
+    """r(k0, l, nu) evaluated directly from its defining sum."""
     l = response._check_delay("l", l, scenario.mask.n)
     idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
-                                  l, scenario.doppler_difference)
+                                  l, scenario.nu)
     return complex(np.dot(stream[idx_k] * np.conj(stream[idx_l]), phase))
 
 
@@ -349,10 +340,7 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
 
 @dataclass(frozen=True)
 class McPoint:
-    """One validated grid point: estimate, closed form and z-score.
-
-    The fields are in the column order of VALIDATION_HEADER.
-    """
+    """One validated grid point: estimate, closed form and z-score."""
 
     k: int
     l: int
@@ -364,11 +352,8 @@ class McPoint:
     z: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Scored McPoints of a grid, in (k, l, nu) row-major order."""
-
-    points: tuple
+# CSV columns of response both: the McPoint fields.
+VALIDATION_HEADER = tuple(f.name for f in fields(McPoint))
 
 
 def _z_score(mc_mean: float, se: float, closed: float) -> float:
@@ -428,7 +413,7 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
     out = []
     for i, ((k, l, nu), cf) in enumerate(zip(triples, closed)):
         scen = EchoScenario(mask=mask, M=m_pri, constellation=constellation,
-                            true_delay=k, true_doppler=0, trial_doppler=nu)
+                            true_delay=k, nu=nu)
         est = estimate(scen, l, trials, seed, stream=i)
         out.append(McPoint(k=k, l=l, nu=nu, mc_mean=est.mean_sq, mc_se=est.se, trials=trials,
                            closed_form=cf, z=_z_score(est.mean_sq, est.se, cf)))
@@ -436,16 +421,16 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
 
 
 def validate_grid(mask: Mask, m_pri: int, constellation: Constellation,
-                  k_set, l_set, nu_set, trials: int, seed: int) -> ValidationReport:
-    """Monte Carlo vs closed form over the cross product of the index sets."""
+                  k_set, l_set, nu_set, trials: int, seed: int) -> tuple:
+    """Monte Carlo vs closed form over the cross product of the index sets:
+    the McPoints in (k, l, nu) row-major order."""
     # refused by its size, before the triples are built
     check_run(len(k_set) * len(l_set) * len(nu_set), trials, seed,
               mask.n * response._check_M(m_pri))
     triples = [(k, l, nu) for k in k_set for l in l_set for nu in nu_set]
     if not triples:
         raise ValueError("index sets must be non-empty")
-    pts = mc_points(mask, m_pri, constellation, triples, trials, seed)
-    return ValidationReport(points=tuple(pts))
+    return tuple(mc_points(mask, m_pri, constellation, triples, trials, seed))
 
 
 def expectation_by_double_sum(mask: Mask, m_pri: int,
@@ -462,6 +447,7 @@ def expectation_by_double_sum(mask: Mask, m_pri: int,
     m_pri = response._check_M(m_pri)
     k, l = response._check_delay("k", k, n), response._check_delay("l", l, n)
     total = m_pri * n
+    response._check_nu("nu", nu, total)
     bits = mask.as_array()
     ns = np.arange(total)
     u = (1 - bits[ns % n]) * bits[(ns - k) % n] * bits[(ns - l) % n]

@@ -20,6 +20,8 @@ Conventions, with m_t the mask, m_r = 1 - m_t, and all shifts cyclic mod N:
   gamma_k[n]  = m_r[n] m_t[n-k]                    (received-echo gate)
   S_kN(nu)    = sum_n gamma_k[n] e^(-2j pi nu n / N)
 
+gamma returns gamma_k itself, a read-only int64 array of one period.
+
 The length-MN spectrum of the M-fold tiled gate is nonzero only at
 multiples of M, where it equals M times the length-N spectrum; s_kmn
 evaluates that reduction instead of materializing MN-point sums.
@@ -28,14 +30,12 @@ evaluates that reduction instead of materializing MN-point sums.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .masks import Mask
 
 __all__ = [
-    "GammaSequence",
     "autocorr",
     "cross_term_row",
     "cross_term_matrix",
@@ -48,19 +48,6 @@ __all__ = [
 
 # Largest N for the N x N cross terms: Singer m = 13, ~1 GB (m = 14 needs ~4 GB).
 MAX_MATRIX_N = 8191
-
-
-@dataclass(frozen=True)
-class GammaSequence:
-    """Receive gate for delay k: gamma_k[n] = m_r[n] m_t[n-k], one period.
-
-    Its values sum to w - a[k], the number of gated slots.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
 
 def autocorr(mask: Mask) -> np.ndarray:
@@ -86,7 +73,7 @@ def cross_term_row(mask: Mask, k: int) -> np.ndarray:
     n, w = mask.n, mask.weight
     if k % n == 0:
         raise ValueError("delay 0 is the blind range; R is undefined there")
-    g = gamma(mask, k).values
+    g = gamma(mask, k)
     spec = np.fft.rfft(g) * np.conj(np.fft.rfft(mask.as_array()))
     row = np.rint(np.fft.irfft(spec, n)).astype(np.int64)
     deficit = int(g.sum())
@@ -119,12 +106,16 @@ def cross_term_matrix(mask: Mask) -> np.ndarray:
     return r
 
 
-def gamma(mask: Mask, k: int) -> GammaSequence:
-    """Receive gate gamma_k over one period; k is reduced mod N."""
+def gamma(mask: Mask, k: int) -> np.ndarray:
+    """Receive gate gamma_k[n] = m_r[n] m_t[n-k] over one period, read-only.
+
+    k is reduced mod N. The gate sums to w - a[k], the number of gated slots.
+    """
     bits = mask.as_array()
     shift = mask.n - k % mask.n  # m_t[n - k] is bits rolled right by k
     values = (1 - bits) * np.concatenate((bits[shift:], bits[:shift]))
-    return GammaSequence(values=values)
+    values.setflags(write=False)
+    return values
 
 
 def s_kn_table(mask: Mask, ks, bins) -> np.ndarray:
@@ -139,7 +130,7 @@ def s_kn_table(mask: Mask, ks, bins) -> np.ndarray:
     """
     n = mask.n
     bins = [operator.index(b) % n for b in bins]
-    gates = [gamma(mask, k).values.astype(complex) for k in ks]
+    gates = [gamma(mask, k).astype(complex) for k in ks]
     table = np.empty((len(gates), len(bins)), dtype=complex)
     times = np.arange(n, dtype=complex)  # cast once; each product would cast it
     for j, b in enumerate(bins):

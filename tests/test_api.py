@@ -2,12 +2,18 @@
 
 import importlib
 import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import maskrd
 
 MODULES = ("gf2", "masks", "spectra", "response", "montecarlo", "metrics")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -29,3 +35,15 @@ def test_package_root_holds_only_its_version_and_submodules():
             if not n.startswith("__") and not inspect.ismodule(obj)]
     assert held == []
     assert isinstance(maskrd.__version__, str)
+
+
+def test_the_readme_python_examples_run():
+    # each python block of README.md, run as written against this checkout's source
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for code in blocks:
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -780,6 +780,17 @@ def test_selftest_within_the_budget_of_its_oracle_item_runs_every_item(monkeypat
     assert "PASS determinism" in out
 
 
+def test_selftest_over_its_time_budget_fails(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_selftest_items", lambda trials, seed: [("noop", lambda: None)])
+    monkeypatch.setattr(cli, "SELFTEST_TIME_BUDGET", -1.0)
+    assert run_cli(["selftest"]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 3 and lines[0].startswith("PASS noop (")
+    assert re.fullmatch(r"FAIL time_budget: \d+\.\ds > -1\.0s", lines[1])
+    assert lines[2] == "selftest: 1 failure(s)"
+
+
 def test_selftest_quick(capsys):
     assert run_cli(["selftest", "--trials", "1500"]) == 0
     out = capsys.readouterr().out

@@ -116,6 +116,7 @@ def test_parse_serialize_round_trip():
     m = masks.parse_mask(text)
     assert m.n == 6 and m.weight == 2
     assert masks.serialize_mask(m) == text
+    assert str(m) == masks.serialize_mask(m)
     again = masks.parse_mask(masks.serialize_mask(m))
     assert again == m
 

@@ -79,8 +79,7 @@ def test_constellation_size_must_fit_a_byte(count):
 
 
 def _scenario(mask, m_pri, const, k, nu=0):
-    return mc.EchoScenario(mask=mask, M=m_pri, constellation=const,
-                           true_delay=k, true_doppler=0, trial_doppler=nu)
+    return mc.EchoScenario(mask=mask, M=m_pri, constellation=const, true_delay=k, nu=nu)
 
 
 def _read_positions(mask, m_pri, k, l):
@@ -144,8 +143,7 @@ def test_draw_stream_counter_layout(trial, stream):
 
 def test_trial_and_stream_must_fit_a_counter_word():
     m = masks.singer_mask(3)
-    scen = mc.EchoScenario(mask=m, M=2, constellation=QPSK,
-                           true_delay=1, true_doppler=0, trial_doppler=0)
+    scen = mc.EchoScenario(mask=m, M=2, constellation=QPSK, true_delay=1, nu=0)
     for trial, stream in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)):
         name, value = ("trial", trial) if trial else ("stream", stream)
         error = rf"^{name} must be in 0\.\.2\*\*64 - 1, got {value}$"
@@ -222,8 +220,7 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
     ]
     monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
     for mask, m_pri, k, l, nu, stream, trials in cases:
-        scen = mc.EchoScenario(mask=mask, M=m_pri, constellation=const,
-                               true_delay=k, true_doppler=0, trial_doppler=nu)
+        scen = mc.EchoScenario(mask=mask, M=m_pri, constellation=const, true_delay=k, nu=nu)
         est = mc.estimate(scen, l, trials, seed=29, stream=stream)
         assert (est.mean_sq, est.se) == _definition_estimate(scen, l, trials, 29, stream)
     assert est.se > 0
@@ -320,8 +317,7 @@ def test_draw_stream_energy_law_of_large_numbers():
 
 def test_qpsk_mainlobe_correlation_is_deterministic_count():
     m = masks.singer_mask(3)
-    scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK,
-                           true_delay=1, true_doppler=0, trial_doppler=0)
+    scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK, true_delay=1, nu=0)
     for t in range(5):
         st = mc.draw_stream(scen, 1, seed=3, trial=t)
         r = mc.correlate(scen, st, 1)
@@ -330,41 +326,22 @@ def test_qpsk_mainlobe_correlation_is_deterministic_count():
 
 def test_comb_blanked_echo_correlates_to_zero():
     comb = masks.comb_mask(6, 3)
-    scen = mc.EchoScenario(mask=comb, M=4, constellation=QAM16,
-                           true_delay=3, true_doppler=2, trial_doppler=2)
+    scen = mc.EchoScenario(mask=comb, M=4, constellation=QAM16, true_delay=3, nu=0)
     st = mc.draw_stream(scen, 3, seed=8)
     assert mc.correlate(scen, st, 3) == 0
-
-
-def test_doppler_difference_only_dependence_bitwise():
-    m = masks.singer_mask(4)
-    st = mc.draw_stream(_scenario(m, 3, QAM16, 2), 5, seed=21)
-    outs = []
-    for shift in (0, 5, 11):
-        scen = mc.EchoScenario(mask=m, M=3, constellation=QAM16,
-                               true_delay=2, true_doppler=3 + shift,
-                               trial_doppler=9 + shift)
-        outs.append(mc.correlate(scen, st, 5))
-    assert outs[0] == outs[1] == outs[2]
 
 
 def test_scenario_validation():
     # the range checks, and their wording, are those of response.build_grid
     m = masks.singer_mask(3)
     with pytest.raises(ValueError, match="^M must be a positive integer, got 0$"):
-        mc.EchoScenario(mask=m, M=0, constellation=QPSK,
-                        true_delay=1, true_doppler=0, trial_doppler=0)
+        mc.EchoScenario(mask=m, M=0, constellation=QPSK, true_delay=1, nu=0)
     with pytest.raises(ValueError, match="^true_delay=0 is the blind range$"):
-        mc.EchoScenario(mask=m, M=4, constellation=QPSK,
-                        true_delay=0, true_doppler=0, trial_doppler=0)
-    with pytest.raises(ValueError, match=r"^true_doppler must be in 0\.\.27, got 28$"):
-        mc.EchoScenario(mask=m, M=4, constellation=QPSK,
-                        true_delay=1, true_doppler=28, trial_doppler=0)
-    with pytest.raises(ValueError, match=r"^trial_doppler must be in 0\.\.27, got -1$"):
-        mc.EchoScenario(mask=m, M=4, constellation=QPSK,
-                        true_delay=1, true_doppler=0, trial_doppler=-1)
-    scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK,
-                           true_delay=1, true_doppler=0, trial_doppler=1)
+        mc.EchoScenario(mask=m, M=4, constellation=QPSK, true_delay=0, nu=0)
+    for nu in (28, -1):
+        with pytest.raises(ValueError, match=rf"^nu must be in 0\.\.27, got {nu}$"):
+            mc.EchoScenario(mask=m, M=4, constellation=QPSK, true_delay=1, nu=nu)
+    scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK, true_delay=1, nu=1)
     st = mc.draw_stream(scen, 1, seed=1)
     with pytest.raises(ValueError, match="^l=0 is the blind range$"):
         mc.correlate(scen, st, 0)
@@ -383,8 +360,7 @@ def test_every_monte_carlo_entry_point_takes_M_by_the_rule_of_scenario_params():
     # so a silent zero estimate; a non-positive M a zero double sum
     m = masks.singer_mask(3)
     with pytest.raises(ValueError, match=r"^M must be below 2\*\*63, got 9223372036854775808$"):
-        mc.EchoScenario(mask=m, M=2 ** 63, constellation=QPSK,
-                        true_delay=1, true_doppler=0, trial_doppler=0)
+        mc.EchoScenario(mask=m, M=2 ** 63, constellation=QPSK, true_delay=1, nu=0)
     for M in (0, -3):
         with pytest.raises(ValueError, match=f"^M must be a positive integer, got {M}$"):
             mc.expectation_by_double_sum(m, M, QPSK, 1, 1, 0)
@@ -392,19 +368,26 @@ def test_every_monte_carlo_entry_point_takes_M_by_the_rule_of_scenario_params():
         mc.expectation_by_double_sum(m, 2 ** 63, QPSK, 1, 1, 0)
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -1, 28])
+def test_expectation_by_double_sum_refuses_a_nu_outside_the_window(nu):
+    # the range and wording of build_grid and EchoScenario: 0 <= nu < MN = 28
+    m = masks.singer_mask(3)
+    with pytest.raises(ValueError, match=rf"^nu must be in 0\.\.27, got {nu}$"):
+        mc.expectation_by_double_sum(m, 4, QAM16, 1, 1, nu)
+    # a real nu inside the window stays accepted
+    assert math.isfinite(mc.expectation_by_double_sum(m, 4, QAM16, 1, 1, 0.5))
+
+
 def test_monte_carlo_integers_are_taken_as_python_ints_not_truncated():
-    # M, delays, seeds and trial and stream numbers go through operator.index; the
-    # dopplers stay real-valued
+    # M, delays, seeds and trial and stream numbers go through operator.index; nu
+    # stays real-valued
     m = masks.singer_mask(3)
     scen = mc.EchoScenario(mask=m, M=np.int64(2 ** 62), constellation=QPSK,
-                           true_delay=np.int64(1), true_doppler=0, trial_doppler=0.5)
-    assert (type(scen.M), type(scen.true_delay), scen.trial_doppler) == (int, int, 0.5)
-    scen = mc.EchoScenario(mask=m, M=2, constellation=QPSK,
-                           true_delay=1, true_doppler=0, trial_doppler=1)
-    for call in (lambda: mc.EchoScenario(mask=m, M=2.0, constellation=QPSK, true_delay=1,
-                                         true_doppler=0, trial_doppler=0),
-                 lambda: mc.EchoScenario(mask=m, M=2, constellation=QPSK, true_delay=1.0,
-                                         true_doppler=0, trial_doppler=0),
+                           true_delay=np.int64(1), nu=0.5)
+    assert (type(scen.M), type(scen.true_delay), scen.nu) == (int, int, 0.5)
+    scen = mc.EchoScenario(mask=m, M=2, constellation=QPSK, true_delay=1, nu=1)
+    for call in (lambda: mc.EchoScenario(mask=m, M=2.0, constellation=QPSK, true_delay=1, nu=0),
+                 lambda: mc.EchoScenario(mask=m, M=2, constellation=QPSK, true_delay=1.0, nu=0),
                  lambda: mc.estimate(scen, 1, 10, seed=1.5),
                  lambda: mc.estimate(scen, 1, 10.5, 1),
                  lambda: mc.check_run(1.5, 10, 1, 14),
@@ -419,8 +402,7 @@ def test_monte_carlo_integers_are_taken_as_python_ints_not_truncated():
 
 def test_qpsk_local_sidelobe_estimate_is_zero_with_zero_se():
     m = masks.singer_mask(3)
-    scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK,
-                           true_delay=2, true_doppler=0, trial_doppler=3)
+    scen = mc.EchoScenario(mask=m, M=4, constellation=QPSK, true_delay=2, nu=3)
     est = mc.estimate(scen, 2, 50, seed=13)
     assert est.mean_sq <= 1e-18
     assert est.se == 0.0
@@ -429,8 +411,7 @@ def test_qpsk_local_sidelobe_estimate_is_zero_with_zero_se():
 def test_estimate_matches_closed_form_qam16():
     m = masks.singer_mask(3)
     p = response.ScenarioParams(mask=m, M=4, mu4=QAM16.mu4)
-    scen = mc.EchoScenario(mask=m, M=4, constellation=QAM16,
-                           true_delay=2, true_doppler=0, trial_doppler=1)
+    scen = mc.EchoScenario(mask=m, M=4, constellation=QAM16, true_delay=2, nu=1)
     est = mc.estimate(scen, 2, 8000, seed=2)
     closed = response.expected_response(p, 2, 2, 1)
     assert abs(est.mean_sq - closed) <= 3 * est.se
@@ -439,10 +420,8 @@ def test_estimate_matches_closed_form_qam16():
 
 def test_offdiagonal_estimates_agree_across_doppler():
     m = masks.singer_mask(3)
-    scen_a = mc.EchoScenario(mask=m, M=4, constellation=QAM16,
-                             true_delay=1, true_doppler=0, trial_doppler=3)
-    scen_b = mc.EchoScenario(mask=m, M=4, constellation=QAM16,
-                             true_delay=1, true_doppler=0, trial_doppler=17)
+    scen_a = mc.EchoScenario(mask=m, M=4, constellation=QAM16, true_delay=1, nu=3)
+    scen_b = mc.EchoScenario(mask=m, M=4, constellation=QAM16, true_delay=1, nu=17)
     ea = mc.estimate(scen_a, 4, 6000, seed=5)
     eb = mc.estimate(scen_b, 4, 6000, seed=6)
     combined = math.hypot(ea.se, eb.se)
@@ -451,8 +430,7 @@ def test_offdiagonal_estimates_agree_across_doppler():
 
 def test_estimate_reproducibility_and_stream_separation():
     m = masks.singer_mask(3)
-    scen = mc.EchoScenario(mask=m, M=4, constellation=QAM16,
-                           true_delay=1, true_doppler=0, trial_doppler=2)
+    scen = mc.EchoScenario(mask=m, M=4, constellation=QAM16, true_delay=1, nu=2)
     a = mc.estimate(scen, 1, 300, seed=4)
     b = mc.estimate(scen, 1, 300, seed=4)
     c = mc.estimate(scen, 1, 300, seed=4, stream=1)
@@ -464,28 +442,26 @@ def test_validate_grid_points_and_determinism():
     m = masks.singer_mask(3)
     rep = mc.validate_grid(m, 4, QAM16, (1, 2), (1, 3), (0, 2),
                            trials=1500, seed=10)
-    assert len(rep.points) == 8
-    assert all(abs(p.z) <= 3.0 for p in rep.points)
+    assert len(rep) == 8
+    assert all(abs(p.z) <= 3.0 for p in rep)
     again = mc.validate_grid(m, 4, QAM16, (1, 2), (1, 3), (0, 2),
                              trials=1500, seed=10)
-    assert rep.points == again.points
+    assert rep == again
     # each point reproducible standalone with its stream id (order irrelevance)
     triples = [(k, l, nu) for k in (1, 2) for l in (1, 3) for nu in (0, 2)]
     for i in np.random.Generator(np.random.Philox(key=1)).permutation(8):
         k, l, nu = triples[i]
-        scen = mc.EchoScenario(mask=m, M=4, constellation=QAM16,
-                               true_delay=k, true_doppler=0, trial_doppler=nu)
+        scen = mc.EchoScenario(mask=m, M=4, constellation=QAM16, true_delay=k, nu=nu)
         est = mc.estimate(scen, l, 1500, seed=10, stream=int(i))
-        assert est.mean_sq == rep.points[i].mc_mean
-        assert est.se == rep.points[i].mc_se
+        assert est.mean_sq == rep[i].mc_mean
+        assert est.se == rep[i].mc_se
 
 
 def test_validate_grid_budget(monkeypatch):
     # the library reads the budget from its variable, as the CLI does
     monkeypatch.setenv(mc.BUDGET_ENV, "10")
     m = masks.singer_mask(3)
-    scen = mc.EchoScenario(mask=m, M=4, constellation=QAM16,
-                           true_delay=1, true_doppler=0, trial_doppler=0)
+    scen = mc.EchoScenario(mask=m, M=4, constellation=QAM16, true_delay=1, nu=0)
     for call in (lambda: mc.validate_grid(m, 4, QAM16, (1,), (1,), (0,), trials=100, seed=0),
                  lambda: mc.mc_points(m, 4, QAM16, [(1, 1, 0)], trials=100, seed=0),
                  lambda: mc.estimate(scen, 1, 100, 0)):
@@ -516,7 +492,7 @@ def test_a_numpy_M_is_checked_before_the_run_is_sized(monkeypatch, run):
     # read before trials and seed are checked
     lambda: mc.check_run(1, 1, -1, 14),
     lambda: mc.estimate(mc.EchoScenario(mask=masks.singer_mask(3), M=2, constellation=QPSK,
-                                        true_delay=1, true_doppler=0, trial_doppler=0), 1, 10, 1),
+                                        true_delay=1, nu=0), 1, 10, 1),
 ], ids=["check_run", "check_run_first", "estimate"])
 def test_a_non_integer_budget_is_refused_by_the_library(monkeypatch, call):
     monkeypatch.setenv(mc.BUDGET_ENV, "abc")

@@ -139,6 +139,9 @@ def test_build_grid_errors():
         response.build_grid(p, (1,), (0,), (0,))
     with pytest.raises(ValueError):
         response.build_grid(p, (1,), (1,), (28,))
+    with pytest.raises(ValueError, match=r"^grid shape \(1, 1, 1\) does not match "
+                                         r"index sets \(1, 2, 1\)$"):
+        response.ResponseGrid((1,), (1, 2), (0,), np.zeros((1, 1, 1)))
 
 
 def test_peak_sidelobe_collapse_to_zero_doppler():
