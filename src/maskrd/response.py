@@ -8,9 +8,9 @@ correlator output splits into two branches:
   k == l:  |s_kmn(k, nu)|^2 + (mu4 - 1) * M * (w - a[k])
 
 Both use one period's counting quantities only. build_grid is the one
-evaluator and the only code that picks a branch; expected_response,
-moderate_slice and grating_lobes read a grid with one k and l = k. Delay 0
-is the blind range and is rejected rather than reported as zero.
+evaluator and the only code that picks a branch; expected_response reads a
+grid of one (k, l, nu), and moderate_slice and grating_lobes one with l = k.
+Delay 0 is the blind range and is rejected rather than reported as zero.
 _check_M, _check_delay and _check_nu are the one range check of M and of
 (k, l, nu), here and in the Monte Carlo oracle. The first two return the
 value through operator.index: a numpy integer as a Python int, a float refused.

@@ -1,6 +1,6 @@
 """The per-cell CSV writer that cli.write_csv replaced, kept as its byte oracle.
 
-Every cell goes through format_cell (integers and bools in decimal, floats
+Every cell goes through _format_cell (integers and bools in decimal, floats
 as %.11e, None as an empty cell, anything else str()) and every row through
 one csv.writer call, so the bytes follow the csv module's own quoting.
 """
@@ -12,7 +12,7 @@ import numpy as np
 from maskrd import __version__
 
 
-def format_cell(value) -> str:
+def _format_cell(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -32,4 +32,4 @@ def write_csv(path, columns, rows, config_str: str, seed) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([format_cell(c) for c in row])
+            writer.writerow([_format_cell(c) for c in row])

@@ -1,5 +1,7 @@
-"""The public API: each name has one import path, the module that defines it."""
+"""The public API: each name has one import path, the module that defines it.
+The test suite's shared references each have a user."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -14,6 +16,7 @@ import maskrd
 
 MODULES = ("gf2", "masks", "spectra", "response", "montecarlo", "metrics")
 ROOT = Path(__file__).resolve().parent.parent
+TESTS = ROOT / "tests"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -47,3 +50,30 @@ def test_the_readme_python_examples_run():
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+def _taken_from(module):
+    """Names that the other test modules import from module or read off its alias."""
+    taken = set()
+    for path in TESTS.glob("*.py"):
+        if path.stem == module:
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names if a.name == module}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == module:
+                taken.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                taken.add(node.attr)
+    return taken
+
+
+@pytest.mark.parametrize("module", ["conftest", "gf2_oracle", "csv_oracle"])
+def test_every_shared_reference_is_used_by_another_test_module(module):
+    # a private helper (leading underscore) serves its own module only
+    tree = ast.parse((TESTS / f"{module}.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert sorted(defined - _taken_from(module)) == []

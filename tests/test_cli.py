@@ -537,13 +537,12 @@ def test_a_bad_nu_stops_response_both_before_any_trial(tmp_path, monkeypatch, ca
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("mode", ["both"])
 @pytest.mark.parametrize("trials", ["0", "1"])
 def test_too_few_trials_are_refused_before_any_closed_form(tmp_path, monkeypatch, capsys,
-                                                           mode, trials):
+                                                           trials):
     calls = []
     monkeypatch.setattr(response, "build_grid", lambda *args: calls.append(args))
-    assert run_cli(["response", mode, "--mask", "singer:m=6", "--M", "50",
+    assert run_cli(["response", "both", "--mask", "singer:m=6", "--M", "50",
                     "--constellation", "qam16", "--k", "1..62", "--nu", "0..199",
                     "--trials", trials, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: need at least 2 trials, got {trials}\n"
@@ -551,16 +550,15 @@ def test_too_few_trials_are_refused_before_any_closed_form(tmp_path, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("mode", ["both"])
 @pytest.mark.parametrize("seed, error", [
     ("-1", "seed must be non-negative"),
     (str(2 ** 128), "seed must be below 2**128"),
 ], ids=["negative", "beyond_philox_key"])
 def test_a_bad_seed_is_refused_before_any_closed_form(tmp_path, monkeypatch, capsys,
-                                                      mode, seed, error):
+                                                      seed, error):
     calls = []
     monkeypatch.setattr(response, "build_grid", lambda *args: calls.append(args))
-    assert run_cli(["response", mode, "--mask", "singer:m=6", "--M", "50",
+    assert run_cli(["response", "both", "--mask", "singer:m=6", "--M", "50",
                     "--constellation", "qam16", "--k", "1..62", "--nu", "0..19",
                     "--trials", "2", "--seed", seed, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {error}\n"

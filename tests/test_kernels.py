@@ -1,9 +1,10 @@
 """The counting kernels against their definitions, and their guards.
 
 autocorr, cross_term_row and cross_term_matrix compute exact integers with FFT
-and BLAS kernels; here they are compared with the shift-and-multiply
-definitions over random masks, and singer_mask's recurrence with the trace
-map of every field element (the GF(2^m) oracle in gf2_oracle.py). The guard
+and BLAS kernels; here they are compared with the definitions in conftest.py
+(brute_autocorr, brute_cross_terms) over shifted combs and any support, and
+singer_mask's recurrence with the trace-zero powers of x
+(gf2_oracle.singer_bits). The guard
 tests check that a kernel that breaks a counting identity, an oversized
 period and an exhausted allocator each end a CLI run with its documented exit
 code and a one-line message, and that selftest reports such a kernel, a
@@ -15,52 +16,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given
 
 import gf2_oracle as oracle
+from conftest import any_mask, brute_autocorr, brute_cross_terms
 from maskrd import cli, masks, montecarlo, spectra
+from maskrd.gf2 import PRIMITIVE_POLYS
 
 
-def roll_autocorr(bits):
-    return np.array([np.dot(np.roll(bits, k), bits) for k in range(len(bits))])
-
-
-def triple_product_r(bits):
-    shifted = np.array([np.roll(bits, k) for k in range(len(bits))])  # m_t[n - k]
-    return np.einsum("n,kn,ln->kl", 1 - bits, shifted, shifted)
-
-
-def trace_map_bits(m):
-    f = oracle.default_field(m)
-    bits, x = [], 1
-    for _ in range(f.order - 1):
-        bits.append(1 - oracle.trace(x, f))
-        x = oracle.field_mul(x, 0b10, f)
-    return tuple(bits)
-
-
-@st.composite
-def any_mask(draw):
-    """Shifted combs, or any weight 1..N-1 placed anywhere, for N in 3..200."""
-    n = draw(st.integers(3, 200))
-    if draw(st.booleans()):
-        d = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
-        return masks.cyclic_shift(masks.comb_mask(n, d), draw(st.integers(0, n - 1)))
-    w = draw(st.integers(1, n - 1))
-    support = draw(st.permutations(range(n)))[:w]
-    return masks.custom_mask([int(i in support) for i in range(n)])
-
-
-@given(any_mask())
+@given(any_mask(3, 200))
 def test_autocorr_equals_roll_definition(mask):
     a = spectra.autocorr(mask)
     assert a.dtype == np.int64
-    assert np.array_equal(a, roll_autocorr(mask.as_array()))
+    assert np.array_equal(a, brute_autocorr(mask.bits))
 
 
-@given(any_mask())
+@given(any_mask(3, 200))
 def test_cross_term_matrix_equals_triple_product(mask):
-    want = triple_product_r(mask.as_array())
+    want = brute_cross_terms(mask.bits)
     r = spectra.cross_term_matrix(mask)
     rows = np.array([spectra.cross_term_row(mask, k) for k in range(1, mask.n)])
     assert r.dtype == rows.dtype == np.int64
@@ -68,15 +41,7 @@ def test_cross_term_matrix_equals_triple_product(mask):
     assert np.array_equal(rows, want[1:])
 
 
-@st.composite
-def small_mask(draw):
-    """Any weight 1..N-1 placed anywhere, for N in 3..40."""
-    n = draw(st.integers(3, 40))
-    support = draw(st.permutations(range(n)))[:draw(st.integers(1, n - 1))]
-    return masks.custom_mask([int(i in support) for i in range(n)])
-
-
-@given(small_mask())
+@given(any_mask(3, 40))
 @example(masks.random_mask(97, 40, 5))
 def test_cross_terms_are_autocorr_minus_triple_correlation(mask):
     # R[k,l] counts the listen slots both replicas hit: of the a[l-k] slots
@@ -93,7 +58,7 @@ def test_cross_terms_are_autocorr_minus_triple_correlation(mask):
 
 @pytest.mark.parametrize("m", range(3, 15))
 def test_singer_recurrence_matches_trace_map(m):
-    assert masks.singer_mask(m).bits == trace_map_bits(m)
+    assert masks.singer_mask(m).bits == oracle.singer_bits(m, PRIMITIVE_POLYS[m])
 
 
 def _one_error_line(capsys):

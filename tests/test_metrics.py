@@ -6,14 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from maskrd import cli, masks, metrics, response, spectra
-from conftest import brute_autocorr, qr_mask, random_mask_suite
-
-
-def scenario(mask, m_pri, mu4):
-    return response.ScenarioParams(mask=mask, M=m_pri, mu4=mu4)
+from conftest import any_mask, brute_autocorr, qr_mask, random_mask_suite, scenario
 
 
 def brute_doppler_sum(mask, mu4):
@@ -136,17 +132,7 @@ def test_doppler_sum_matches_per_k_brute_force():
             assert b.value <= b.upper + 1e-9 * scale
 
 
-@st.composite
-def random_or_comb(draw):
-    """A seeded random mask of any weight, or a shifted comb, for N in 3..120."""
-    n = draw(st.integers(3, 120))
-    if draw(st.booleans()):
-        d = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
-        return masks.cyclic_shift(masks.comb_mask(n, d), draw(st.integers(0, n - 1)))
-    return masks.random_mask(n, draw(st.integers(1, n - 1)), draw(st.integers(0, 2 ** 31)))
-
-
-@given(random_or_comb())
+@given(any_mask(3, 120))
 def test_doppler_sum_tradeoff_identities(mask):
     # at mu4 = 1 the bounds' gaps are their f-parts; a from the definition
     n, w = mask.n, mask.weight

@@ -82,13 +82,18 @@ def _scenario(mask, m_pri, const, k, nu=0):
     return mc.EchoScenario(mask=mask, M=m_pri, constellation=const, true_delay=k, nu=nu)
 
 
+def _active_slots(mask, m_pri, k, l):
+    # the listen slots of the window whose replicas at delays k and l both
+    # transmit, found slot by slot, in ascending order
+    n, bits = mask.n, mask.bits
+    return [s for s in range(m_pri * n)
+            if not bits[s % n] and bits[(s - k) % n] and bits[(s - l) % n]]
+
+
 def _read_positions(mask, m_pri, k, l):
-    # the stream positions of x_(n-k) and x_(n-l) over the active slots n,
-    # found slot by slot, in ascending order
-    n, bits = mask.n, mask.as_array()
-    active = [s for s in range(m_pri * n)
-              if not bits[s % n] and bits[(s - k) % n] and bits[(s - l) % n]]
-    return sorted({s - d + n - 1 for s in active for d in (k, l)})
+    # the stream positions of x_(n-k) and x_(n-l) over the active slots n
+    return sorted({s - d + mask.n - 1 for s in _active_slots(mask, m_pri, k, l)
+                   for d in (k, l)})
 
 
 def test_draw_stream_layout_and_determinism():
@@ -291,13 +296,9 @@ def test_seed_is_a_128_bit_philox_key():
                          ids=lambda m: m.label)
 @pytest.mark.parametrize("m_pri", [1, 4, 50])
 def test_kernel_is_one_period_tiled(mask, m_pri):
-    # the active slots of the whole window, found slot by slot
     n, total = mask.n, m_pri * mask.n
-    bits = mask.as_array()
     for k, l, nu in ((1, 1, 0), (2, 5, 3), (n - 1, 1, total - 1), (3, 3, total // 2)):
-        ns = np.array([s for s in range(total)
-                       if not bits[s % n] and bits[(s - k) % n] and bits[(s - l) % n]],
-                      dtype=np.int64)
+        ns = np.array(_active_slots(mask, m_pri, k, l), dtype=np.int64)
         idx_k, idx_l, phase = mc._kernel(mask, m_pri, k, l, nu)
         assert np.array_equal(idx_k, ns - k + n - 1)
         assert np.array_equal(idx_l, ns - l + n - 1)

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maskrd import masks, montecarlo, response, spectra
-from conftest import brute_cross_term, random_mask_suite
-
-
-def scenario(mask, m_pri, mu4):
-    return response.ScenarioParams(mask=mask, M=m_pri, mu4=mu4)
+from conftest import brute_cross_terms, random_mask_suite, scenario
 
 
 def test_params_validation():
@@ -52,9 +48,9 @@ def test_blind_range_rejected():
 
 def test_offdiagonal_is_scaled_cross_term_and_doppler_invariant():
     for m in random_mask_suite(6, seed=3, lo=6, hi=20):
-        p = scenario(m, 3, 1.32)
+        p, r = scenario(m, 3, 1.32), brute_cross_terms(m.bits)
         for k, l in ((1, 2), (2, 1), (1, m.n - 1)):
-            want = 3 * brute_cross_term(m.bits, k, l)
+            want = 3 * r[k, l]
             vals = {response.expected_response(p, k, l, nu)
                     for nu in (0, 1, 5, p.total_bins - 1)}
             assert vals == {float(want)}

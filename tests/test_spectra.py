@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maskrd import masks, spectra
-from conftest import brute_autocorr, brute_cross_term, random_mask_suite
+from conftest import any_mask, brute_autocorr, brute_cross_terms, random_mask_suite
 
 
 def test_autocorr_singer6():
@@ -55,9 +55,7 @@ def test_cross_term_matrix_matches_brute_force():
         r = spectra.cross_term_matrix(m)
         assert r.shape == (m.n, m.n)
         assert np.array_equal(r, r.T)
-        for k in range(m.n):
-            for l in range(m.n):
-                assert r[k, l] == brute_cross_term(m.bits, k, l)
+        assert np.array_equal(r, brute_cross_terms(m.bits))
         assert np.all(r[0] == 0) and np.all(r[:, 0] == 0)
         assert r.min() >= 0 and r.max() <= m.n
 
@@ -115,15 +113,10 @@ def scalar_s_kn(mask, k, nu):
 
 @st.composite
 def table_case(draw):
-    """A shifted comb or any mask with N in 2..200, some k, and bins that are
-    unsorted and hold 0, a bin at or beyond N, and a repeat."""
-    n = draw(st.integers(2, 200))
-    if draw(st.booleans()):
-        d = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
-        mask = masks.cyclic_shift(masks.comb_mask(n, d), draw(st.integers(0, n - 1)))
-    else:
-        support = draw(st.permutations(range(n)))[:draw(st.integers(1, n - 1))]
-        mask = masks.custom_mask([int(i in support) for i in range(n)])
+    """A mask with N in 2..200, some k, and bins that are unsorted and hold 0,
+    a bin at or beyond N, and a repeat."""
+    mask = draw(any_mask(2, 200))
+    n = mask.n
     ks = draw(st.lists(st.integers(1, 2 * n), min_size=1, max_size=4))
     bins = draw(st.lists(st.integers(0, 3 * n), min_size=1, max_size=10))
     bins += [0, draw(st.integers(n, 3 * n)), bins[0]]
