@@ -114,6 +114,7 @@ def singer_mask(m: int) -> Mask:
     period is N = 2^m - 1, the weight 2^(m-1) - 1, and every nonzero cyclic
     difference is hit exactly 2^(m-2) - 1 times.
     """
+    m = operator.index(m)
     if not 3 <= m <= 20:
         raise ValueError(f"singer mask degree must be in 3..20, got {m}")
     poly = gf2.PRIMITIVE_POLYS[m]

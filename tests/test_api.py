@@ -77,3 +77,11 @@ def test_every_shared_reference_is_used_by_another_test_module(module):
     defined = {node.name for node in tree.body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert sorted(defined - _taken_from(module)) == []
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips asserts: a check the package relies on is an explicit raise
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted((ROOT / "src/maskrd").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

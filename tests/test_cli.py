@@ -64,11 +64,6 @@ def test_mask_gen_writes_loadable_file(tmp_path):
     assert head.startswith("# tool: maskrd")
 
 
-def test_mask_gen_config_error():
-    assert run_cli(["mask", "gen", "comb:N=63,d=4"]) == cli.EXIT_CONFIG
-    assert run_cli(["mask", "gen", "nonsense"]) == cli.EXIT_CONFIG
-
-
 def test_mask_verify_output(capsys):
     assert run_cli(["mask", "verify", "comb:N=63,d=3"]) == 0
     out = capsys.readouterr().out
@@ -111,49 +106,219 @@ def test_mask_show_output(capsys):
 
 
 RESPONSE = ["--mask", "singer:m=3", "--M", "2", "--k", "1", "--nu", "0"]
+DESIGN_POINT = ["response", "both", "--mask", "singer:m=6", "--M", "50", "--constellation", "qam16"]
+PERIOD_BOUND = "period must be at most 2^20 - 1 = 1048575, that of singer:m=20, got N="
 
 
-@pytest.mark.parametrize("argv, error", [
-    (["response", "both", *RESPONSE, "--constellation", "qam16", "--seed", "-3"],
-     "seed must be non-negative"),
-    (["mask", "verify", "nope.mask"],
-     "mask argument 'nope.mask' is neither a family spec nor an existing file"),
+def refusal(row_id, argv, error, budget=None, inputs=None):
+    """A row of the exit-2 table: $MASKRD_MC_BUDGET is budget (None: unset), and
+    each input file {name: text} is written to ../in/name, outside the working
+    directory."""
+    return pytest.param(argv, error, budget, inputs or {}, id=row_id)
+
+
+def line_break_in(word):
+    return f"a line break in {shlex.quote(word)!r} cannot go on the one-line '# config:' header"
+
+
+def over_budget(cost, budget=montecarlo.DEFAULT_BUDGET):
+    return f"points x trials x MN = {cost} exceeds the budget {budget}"
+
+
+def line_break_rows():
+    # shlex cannot keep a line break on the one '# config:' line: an action
+    # that writes a file refuses one in a mask path or in the --out directory
+    for brk_id, brk in (("lf", "\n"), ("cr", "\r")):
+        mask, out = f"../in/nl{brk}x.mask", f"o{brk}ut"
+        for action, argv in (
+                ("bounds", ["bounds", "--mask", mask, "--mu4", "1.0"]),
+                ("metrics", ["metrics", "--mask", mask, "--M", "2", "--mu4", "1.0"]),
+                ("closed", ["response", "closed", "--mask", mask, "--M", "2", "--mu4", "1.0",
+                            "--k", "1", "--nu", "0"]),
+                ("verify", ["mask", "verify", mask])):
+            yield refusal(f"{brk_id}_in_{action}_mask_path", [*argv, "--out", "out"],
+                          line_break_in(mask), inputs={f"nl{brk}x.mask": "1101000\n"})
+        for action, argv in (
+                ("bounds", ["bounds", "--mask", "singer:m=3", "--mu4", "1.0"]),
+                ("compare", ["compare", "--mask", "singer:m=3", "--mask", "comb:N=6,d=3",
+                             "--M", "2", "--mu4", "1.0"]),
+                ("both", ["response", "both", *RESPONSE, "--constellation", "qpsk",
+                          "--trials", "10"]),
+                ("gen", ["mask", "gen", "singer:m=3"])):
+            yield refusal(f"{brk_id}_in_{action}_out", [*argv, "--out", out], line_break_in(out))
+
+
+# (id, --k, --l, --nu, error) on singer:m=3 at M = 4: delays 1..6, Doppler bins 0..27
+OFF_AXIS = [
+    ("k0", "0", "2", "0", "k=0 is the blind range"),
+    ("lN", "1", "7", "0", "l must be in 1..6, got 7"),
+    ("nuMN", "1", "2", "0..3,28", "nu must be in 0..27, got 28"),
+    ("k_and_nu", "1,9", "2", "0,99", "k must be in 1..6, got 9"),
+]
+
+# Every input the CLI refuses with exit 2 and an error line, before any work.
+REFUSALS = [
+    # mask arguments and family specs
+    refusal("neither_spec_nor_file", ["mask", "verify", "nope.mask"],
+            "mask argument 'nope.mask' is neither a family spec nor an existing file"),
     # a directory is no mask file: exit 2, not an I/O error on reading it
-    (["mask", "show", "."], "mask argument '.' is neither a family spec nor an existing file"),
-    (["bounds", "--mask", ".", "--mu4", "1"],
-     "mask argument '.' is neither a family spec nor an existing file"),
-    (["mask", "verify", "singer:m"], "malformed mask spec 'singer:m'"),
-    (["mask", "show", "comb:N=6,d=x"], "non-integer value 'x' in mask spec 'comb:N=6,d=x'"),
-    (["mask", "gen", "singer:m=3,m=4"], "mask spec 'singer:m=3,m=4' repeats key 'm'"),
-    (["response", "closed", *RESPONSE, "--mu4", "1.0", "--k", "1:3"],
-     "index-set entry '1:3' of '1:3' is not 'a', 'a..b' or 'a..b:s'"),
-    (["response", "closed", *RESPONSE, "--mu4", "1.0", "--nu", "1..3,,4"],
-     "index-set entry '' of '1..3,,4' is not 'a', 'a..b' or 'a..b:s'"),
+    refusal("show_directory", ["mask", "show", "."],
+            "mask argument '.' is neither a family spec nor an existing file"),
+    refusal("bounds_directory", ["bounds", "--mask", ".", "--mu4", "1"],
+            "mask argument '.' is neither a family spec nor an existing file"),
+    refusal("verify_corrupted_file", ["mask", "verify", "../in/bad.mask"],
+            "illegal character 'a' in mask text", inputs={"bad.mask": "10a100\n"}),
+    refusal("spec_without_value", ["mask", "verify", "singer:m"], "malformed mask spec 'singer:m'"),
+    refusal("spec_non_integer", ["mask", "show", "comb:N=6,d=x"],
+            "non-integer value 'x' in mask spec 'comb:N=6,d=x'"),
+    refusal("spec_repeated_key", ["mask", "gen", "singer:m=3,m=4"],
+            "mask spec 'singer:m=3,m=4' repeats key 'm'"),
+    refusal("gen_unknown_family", ["mask", "gen", "nonsense"],
+            "unknown mask family in spec 'nonsense'"),
+    refusal("gen_comb_spacing_not_a_divisor", ["mask", "gen", "comb:N=63,d=4"],
+            "comb spacing 4 does not divide the period 63"),
+    # past the longest Singer period (singer:m=20) or the 128-bit Philox key
+    refusal("gen_comb_2^20", ["mask", "gen", "comb:N=1048576,d=2"], PERIOD_BOUND + "1048576"),
+    refusal("gen_comb_1e10", ["mask", "gen", "comb:N=10000000000,d=2"],
+            PERIOD_BOUND + "10000000000"),
+    refusal("gen_random_1e10", ["mask", "gen", "random:N=10000000000,w=5,seed=1"],
+            PERIOD_BOUND + "10000000000"),
+    refusal("gen_seed_-1", ["mask", "gen", "random:N=63,w=31,seed=-1"],
+            "random mask seed must be in 0..2^128 - 1, got seed=-1"),
+    refusal("gen_seed_2^128", ["mask", "gen", f"random:N=63,w=31,seed={2 ** 128}"],
+            f"random mask seed must be in 0..2^128 - 1, got seed={2 ** 128}"),
+    # index sets, checked on their ends: no entry is expanded
+    refusal("stride_without_range", ["response", "closed", *RESPONSE, "--mu4", "1.0",
+                                     "--k", "1:3", "--out", "out"],
+            "index-set entry '1:3' of '1:3' is not 'a', 'a..b' or 'a..b:s'"),
+    refusal("empty_entry", ["response", "closed", *RESPONSE, "--mu4", "1.0",
+                            "--nu", "1..3,,4", "--out", "out"],
+            "index-set entry '' of '1..3,,4' is not 'a', 'a..b' or 'a..b:s'"),
     # an empty --l is an empty index set, not "same as --k"
-    (["response", "closed", *RESPONSE, "--mu4", "1.0", "--k", "1,2", "--l", ""],
-     "empty index set"),
+    refusal("empty_l", ["response", "closed", *RESPONSE, "--mu4", "1.0",
+                        "--k", "1,2", "--l", "", "--out", "out"], "empty index set"),
+    refusal("closed_blind_range", ["response", "closed", "--mask", "singer:m=3", "--M", "2",
+                                   "--mu4", "1.0", "--k", "0..2", "--nu", "0", "--out", "out"],
+            "k=0 is the blind range"),
+    *(refusal(f"{mode}_index_{row_id}",
+              ["response", mode, "--mask", "singer:m=3", "--M", "4", "--constellation", "qam16",
+               "--k", k, "--l", l, "--nu", nu, *trials, "--out", "out"], error)
+      for mode, trials in (("closed", []), ("both", ["--trials", "20"]))
+      for row_id, k, l, nu, error in OFF_AXIS),
+    # 3e6 + 1 Doppler bins, of which 14 are on the axis
+    *(refusal(f"{mode}_nu_range_off_axis", ["response", mode, *RESPONSE[:-2], *mu4,
+                                            "--nu", "0..3000000", "--out", "out"],
+              "nu must be in 0..13, got 3000000")
+      for mode, *mu4 in (("closed", "--mu4", "1"), ("both", "--constellation", "qam16"))),
     # M past int64, where numpy cannot take it
-    (["response", "closed", "--mask", "singer:m=3", "--M", str(2 ** 63), "--mu4", "1.0",
-      "--k", "1", "--nu", "0"],
-     f"M must be below 2**63, got {2 ** 63}"),
-    (["metrics", "--mask", "singer:m=3", "--mu4", "1.0", "--M", str(2 ** 63), "--out", "out"],
-     f"M must be below 2**63, got {2 ** 63}"),
-    (["compare", "--mask", "singer:m=3", "--mask", "singer:m=4", "--mu4", "1.0",
-      "--M", str(2 ** 64)], f"M must be below 2**63, got {2 ** 64}"),
-], ids=["mc_negative_seed", "neither_spec_nor_file", "show_directory",
-        "bounds_directory", "spec_without_value",
-        "spec_non_integer", "spec_repeated_key", "stride_without_range",
-        "empty_entry", "empty_l", "closed_M_past_int64", "metrics_M_past_int64",
-        "compare_M_past_int64"])
-def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys, argv, error):
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "out"
-    if argv[0] == "response":
-        trials = ["--trials", "10"] if argv[1] == "both" else []
-        argv = [*argv, *trials, "--out", str(out)]
-    assert run_cli(argv) == cli.EXIT_CONFIG
+    refusal("closed_M_past_int64", ["response", "closed", "--mask", "singer:m=3", "--M",
+                                    str(2 ** 63), "--mu4", "1.0", "--k", "1", "--nu", "0",
+                                    "--out", "out"],
+            f"M must be below 2**63, got {2 ** 63}"),
+    refusal("metrics_M_past_int64", ["metrics", "--mask", "singer:m=3", "--mu4", "1.0",
+                                     "--M", str(2 ** 63), "--out", "out"],
+            f"M must be below 2**63, got {2 ** 63}"),
+    refusal("compare_M_past_int64", ["compare", "--mask", "singer:m=3", "--mask", "singer:m=4",
+                                     "--mu4", "1.0", "--M", str(2 ** 64), "--out", "out"],
+            f"M must be below 2**63, got {2 ** 64}"),
+    *(refusal(f"mu4_{row_id}", [*argv, "--out", "out"],
+              f"mu4 must be a finite number >= 1 for unit-energy symbols, got {value}")
+      for row_id, value, argv in (
+          ("closed_nan", "nan", ["response", "closed", *RESPONSE, "--mu4", "nan"]),
+          ("closed_inf", "inf", ["response", "closed", *RESPONSE, "--mu4", "inf"]),
+          ("bounds_nan", "nan", ["bounds", "--mask", "singer:m=3", "--mu4", "nan"]),
+          ("metrics_inf", "inf", ["metrics", "--mask", "singer:m=3", "--M", "2",
+                                  "--mu4", "inf"]))),
+    refusal("compare_one_mask", ["compare", "--mask", "singer:m=3", "--M", "1", "--mu4", "1.0",
+                                 "--out", "out"], "compare needs at least two --mask arguments"),
+    *line_break_rows(),
+    # Monte Carlo runs: trials, seed and budget, before any closed form
+    *(refusal(f"both_trials_{trials}", [*DESIGN_POINT, "--k", "1..62", "--nu", "0..199",
+                                        "--trials", trials, "--out", "out"],
+              f"need at least 2 trials, got {trials}") for trials in ("0", "1")),
+    refusal("mc_negative_seed", ["response", "both", *RESPONSE, "--constellation", "qam16",
+                                 "--seed", "-3"], "seed must be non-negative"),
+    refusal("both_seed_negative", [*DESIGN_POINT, "--k", "1..62", "--nu", "0..19",
+                                   "--trials", "2", "--seed", "-1", "--out", "out"],
+            "seed must be non-negative"),
+    refusal("both_seed_beyond_philox_key", [*DESIGN_POINT, "--k", "1..62", "--nu", "0..19",
+                                            "--trials", "2", "--seed", str(2 ** 128),
+                                            "--out", "out"], "seed must be below 2**128"),
+    # 62 x 62 x 200 = 768800 points at the design point
+    refusal("both_over_budget_design_grid", [*DESIGN_POINT, "--k", "1..62", "--l", "1..62",
+                                             "--nu", "0..199", "--out", "out"],
+            over_budget(24217200000000)),
+    # 5e6 Doppler bins, all on the axis of MN = 7e6: counted, never listed
+    refusal("both_over_budget_nu_axis", ["response", "both", "--mask", "singer:m=3",
+                                         "--M", "1000000", "--constellation", "qpsk",
+                                         "--k", "1", "--nu", "0..4999999", "--trials", "100",
+                                         "--out", "out"], over_budget(3500000000000000)),
+    # one point at MN = 14: one trial more than the default budget allows
+    *(refusal(f"both_over_default_budget_{state}",
+              ["response", "both", *RESPONSE, "--constellation", "qpsk", "--trials",
+               str(montecarlo.DEFAULT_BUDGET // 14 + 1), "--out", "out"],
+              over_budget((montecarlo.DEFAULT_BUDGET // 14 + 1) * 14), budget=budget)
+      for state, budget in (("unset", None), ("empty", ""))),
+    refusal("budget_10_both", ["response", "both", *RESPONSE, "--constellation", "qam16",
+                               "--trials", "500", "--out", "out"], over_budget(7000, 10),
+            budget="10"),
+    refusal("budget_abc_both", ["response", "both", *RESPONSE, "--constellation", "qam16",
+                                "--trials", "10", "--out", "out"],
+            "MASKRD_MC_BUDGET must be an integer, got 'abc'", budget="abc"),
+    # selftest refuses its oracle item's run before any item
+    *(refusal(f"selftest_trials_{trials}", ["selftest", "--trials", trials],
+              f"need at least 2 trials, got {trials}") for trials in ("0", "1")),
+    # the same message as response both, not numpy's Philox key error
+    refusal("selftest_seed_negative", ["selftest", "--seed", "-1"], "seed must be non-negative"),
+    refusal("selftest_seed_beyond_key", ["selftest", "--seed", str(2 ** 128)],
+            "seed must be below 2**128"),
+    # 6 points x 1e8 trials x MN = 28
+    refusal("selftest_over_budget", ["selftest", "--trials", "100000000"],
+            over_budget(16800000000)),
+    refusal("budget_10_selftest", ["selftest", "--trials", "200"], over_budget(33600, 10),
+            budget="10"),
+    refusal("budget_abc_selftest", ["selftest", "--trials", "200"],
+            "MASKRD_MC_BUDGET must be an integer, got 'abc'", budget="abc"),
+]
+
+# What no refused run may start: the a[k] and R kernels, a closed-form grid,
+# a Monte Carlo estimate and a selftest item.
+WORK = ((spectra, "autocorr"), (spectra, "cross_term_row"), (response, "build_grid"),
+        (montecarlo, "estimate"))
+
+
+@pytest.mark.parametrize("argv, error, budget, inputs", REFUSALS)
+def test_refused_input_exits_2_with_its_error_line(tmp_path, monkeypatch, capsys,
+                                                   argv, error, budget, inputs):
+    # each row is refused with its one error line, before any work or file
+    # and in bounded memory
+    (tmp_path / "in").mkdir()
+    for name, text in inputs.items():
+        (tmp_path / "in" / name).write_text(text)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if budget is None:
+        monkeypatch.delenv(montecarlo.BUDGET_ENV, raising=False)
+    else:
+        monkeypatch.setenv(montecarlo.BUDGET_ENV, budget)
+    called = []
+    for module, name in WORK:
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: called.append(name))
+    real_items = cli._selftest_items
+    monkeypatch.setattr(cli, "_selftest_items", lambda *args: [
+        (name, lambda name=name: called.append(name)) for name, _ in real_items(*args)])
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CONFIG
     assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(cwd) == []
+    assert called == []
+    assert peak < 2 ** 20
 
 
 # Each action's sub-parser declares only the options the action reads, that
@@ -274,13 +439,6 @@ def test_mask_verify_out_past_the_matrix_limit(tmp_path, capsys):
     assert len(read(out / "singer_m_14_autocorr.csv").splitlines()) == 4 + 16383
 
 
-def test_mask_verify_corrupted_file(tmp_path, capsys):
-    bad = tmp_path / "bad.mask"
-    bad.write_text("10a100\n")
-    assert run_cli(["mask", "verify", str(bad)]) == cli.EXIT_CONFIG
-    assert "error" in capsys.readouterr().err
-
-
 def test_response_closed_csv_and_rerun_bytes(tmp_path, capsys):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     argv = ["response", "closed", "--mask", "singer:m=6", "--M", "50",
@@ -300,14 +458,6 @@ def test_response_closed_csv_and_rerun_bytes(tmp_path, capsys):
     assert lines[3] == "k,l,nu,value"
     assert len(lines) == 4 + 5 * 4
     assert "6.40256000000e+05" in text
-
-
-def test_response_closed_blind_range(tmp_path):
-    out = tmp_path / "out"
-    assert run_cli(["response", "closed", "--mask", "singer:m=3", "--M", "2",
-                    "--mu4", "1.0", "--k", "0..2", "--nu", "0",
-                    "--out", str(out)]) == cli.EXIT_CONFIG
-    assert not out.exists()
 
 
 def test_response_both_deterministic_and_schema(tmp_path):
@@ -338,19 +488,6 @@ def test_response_both_z_column(tmp_path):
         assert row.endswith("0.00000000000e+00")
 
 
-def test_response_budget_exceeded(tmp_path, monkeypatch, capsys):
-    argv = ["response", "both", "--mask", "singer:m=3", "--M", "2",
-            "--constellation", "qam16", "--k", "1", "--nu", "0",
-            "--trials", "500", "--out", str(tmp_path)]
-    monkeypatch.setenv(montecarlo.BUDGET_ENV, "10")
-    assert run_cli(argv) == cli.EXIT_CONFIG
-    # selftest's mc_oracle item reads the same budget, before any item runs
-    assert run_cli(["selftest", "--trials", "200"]) == cli.EXIT_CONFIG
-    assert "PASS" not in capsys.readouterr().out
-    monkeypatch.setenv(montecarlo.BUDGET_ENV, "1000000")
-    assert run_cli(argv) == 0
-
-
 def test_metrics_and_compare_csv(tmp_path):
     out = str(tmp_path)
     assert run_cli(["metrics", "--mask", "singer:m=5", "--M", "4",
@@ -371,26 +508,6 @@ def test_metrics_and_compare_csv(tmp_path):
         "singer:m=6", "random:N=63,w=31,seed=7", "comb:N=63,d=3"]
     assert [r[4] for r in rows] == ["1", "0", "0"]  # CDS flag column
     assert [r[5] for r in rows] == ["15", "", ""]  # no lambda but for the CDS
-
-
-def test_compare_needs_two_masks(tmp_path):
-    assert run_cli(["compare", "--mask", "singer:m=3", "--M", "1",
-                    "--mu4", "1.0", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
-
-
-@pytest.mark.parametrize("argv", [
-    ["response", "closed", "--mask", "singer:m=3", "--M", "2", "--mu4", "nan",
-     "--k", "1", "--nu", "0"],
-    ["response", "closed", "--mask", "singer:m=3", "--M", "2", "--mu4", "inf",
-     "--k", "1", "--nu", "0"],
-    ["bounds", "--mask", "singer:m=3", "--mu4", "nan"],
-    ["metrics", "--mask", "singer:m=3", "--M", "2", "--mu4", "inf"],
-], ids=["closed_nan", "closed_inf", "bounds_nan", "metrics_inf"])
-def test_non_finite_mu4_refused(tmp_path, capsys, argv):
-    out = tmp_path / "out"
-    assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
-    assert "mu4 must be a finite number" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_non_ascii_paths(tmp_path, capsys):
@@ -429,23 +546,6 @@ def test_mask_verify_long_input_path(tmp_path):
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
-def test_line_break_in_a_mask_path_is_refused(tmp_path, capsys, brk):
-    # shlex cannot keep a line break on the one "# config:" line
-    mask = tmp_path / f"nl{brk}x.mask"
-    mask.write_text("1101000\n")
-    out = tmp_path / "out"
-    for argv in (["bounds", "--mask", str(mask), "--mu4", "1.0"],
-                 ["metrics", "--mask", str(mask), "--M", "2", "--mu4", "1.0"],
-                 ["response", "closed", "--mask", str(mask), "--M", "2",
-                  "--mu4", "1.0", "--k", "1", "--nu", "0"],
-                 ["mask", "verify", str(mask)]):
-        assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG, argv
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: a line break in ")
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
 def test_line_break_in_a_mask_path_is_kept_where_no_file_is_written(tmp_path, capsys, brk):
     # no '# config:' line is built, so nothing needs to fit on one
     mask = tmp_path / f"nl{brk}x.mask"
@@ -457,21 +557,6 @@ def test_line_break_in_a_mask_path_is_kept_where_no_file_is_written(tmp_path, ca
         assert run_cli(argv) == 0, argv
         assert capsys.readouterr().err == ""
     assert os.listdir(tmp_path) == [mask.name]
-
-
-@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
-def test_line_break_in_an_out_directory_is_refused(tmp_path, capsys, brk):
-    out = tmp_path / f"o{brk}ut"
-    for argv in (["bounds", "--mask", "singer:m=3", "--mu4", "1.0"],
-                 ["compare", "--mask", "singer:m=3", "--mask", "comb:N=6,d=3",
-                  "--M", "2", "--mu4", "1.0"],
-                 ["response", "both", "--mask", "singer:m=3", "--M", "2",
-                  "--constellation", "qpsk", "--k", "1", "--nu", "0", "--trials", "10"],
-                 ["mask", "gen", "singer:m=3"]):
-        assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG, argv
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: a line break in ")
-    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("name", ["a  b.mask", "a\tb.mask"], ids=["two_spaces", "tab"])
@@ -520,177 +605,10 @@ def test_out_path_past_path_max_leaves_no_directory(tmp_path, capsys, argv, name
     assert os.listdir(existing) == []
 
 
-def test_a_bad_nu_stops_response_both_before_any_trial(tmp_path, monkeypatch, capsys):
-    calls = []
-    original = montecarlo.estimate
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(montecarlo, "estimate", counted)
-    assert run_cli(["response", "both", "--mask", "singer:m=3", "--M", "4",
-                    "--constellation", "qam16", "--k", "2", "--nu", "0..3,28",
-                    "--trials", "50", "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "error: nu must be in 0..27, got 28\n"
-    assert calls == []
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("trials", ["0", "1"])
-def test_too_few_trials_are_refused_before_any_closed_form(tmp_path, monkeypatch, capsys,
-                                                           trials):
-    calls = []
-    monkeypatch.setattr(response, "build_grid", lambda *args: calls.append(args))
-    assert run_cli(["response", "both", "--mask", "singer:m=6", "--M", "50",
-                    "--constellation", "qam16", "--k", "1..62", "--nu", "0..199",
-                    "--trials", trials, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: need at least 2 trials, got {trials}\n"
-    assert calls == []
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("seed, error", [
-    ("-1", "seed must be non-negative"),
-    (str(2 ** 128), "seed must be below 2**128"),
-], ids=["negative", "beyond_philox_key"])
-def test_a_bad_seed_is_refused_before_any_closed_form(tmp_path, monkeypatch, capsys,
-                                                      seed, error):
-    calls = []
-    monkeypatch.setattr(response, "build_grid", lambda *args: calls.append(args))
-    assert run_cli(["response", "both", "--mask", "singer:m=6", "--M", "50",
-                    "--constellation", "qam16", "--k", "1..62", "--nu", "0..19",
-                    "--trials", "2", "--seed", seed, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {error}\n"
-    assert calls == []
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("k, l, nu", [("0", "2", "0"), ("1", "7", "0"), ("1", "2", "28"),
-                                      ("1,9", "2", "0,99")],
-                         ids=["k0", "lN", "nuMN", "k_and_nu"])
-def test_closed_and_both_refuse_an_index_alike(tmp_path, capsys, k, l, nu):
-    args = ["--mask", "singer:m=3", "--M", "4", "--constellation", "qam16",
-            "--k", k, "--l", l, "--nu", nu, "--out", str(tmp_path / "o")]
-    errors = []
-    for mode in (["closed"], ["both", "--trials", "20"]):
-        assert run_cli(["response", *mode, *args]) == cli.EXIT_CONFIG
-        errors.append(capsys.readouterr().err)
-    assert len(errors[0].splitlines()) == 1 and errors[0].startswith("error: ")
-    assert errors[0] == errors[1]
-    assert not (tmp_path / "o").exists()
-
-
-def _traced_run(argv):
-    """Exit code and tracemalloc peak of one CLI run."""
-    tracemalloc.start()
-    try:
-        code = run_cli(argv)
-        return code, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-@pytest.mark.parametrize("mode", [["closed", "--mu4", "1"], ["both", "--constellation", "qam16"]],
-                         ids=["closed", "mc"])
-def test_an_index_range_off_its_axis_is_refused_before_it_is_expanded(tmp_path, capsys, mode):
-    # 3e6 + 1 Doppler bins, of which 14 are on the axis
-    code, peak = _traced_run(["response", mode[0], "--mask", "singer:m=3", "--M", "2",
-                              *mode[1:], "--k", "1", "--nu", "0..3000000",
-                              "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "error: nu must be in 0..13, got 3000000\n"
-    assert peak < 2 ** 20
-    assert os.listdir(tmp_path) == []
-
-
-# Family specs past the longest Singer period (singer:m=20) or the 128-bit Philox key.
-OVERSIZED_SPECS = [
-    ("comb:N=1048576,d=2", "period must be at most 2^20 - 1 = 1048575, that of "
-                           "singer:m=20, got N=1048576"),
-    ("comb:N=10000000000,d=2", "period must be at most 2^20 - 1 = 1048575, that of "
-                               "singer:m=20, got N=10000000000"),
-    ("random:N=10000000000,w=5,seed=1", "period must be at most 2^20 - 1 = 1048575, that of "
-                                        "singer:m=20, got N=10000000000"),
-    ("random:N=63,w=31,seed=-1", "random mask seed must be in 0..2^128 - 1, got seed=-1"),
-    (f"random:N=63,w=31,seed={2 ** 128}",
-     f"random mask seed must be in 0..2^128 - 1, got seed={2 ** 128}"),
-]
-
-
-@pytest.mark.parametrize("spec, error", OVERSIZED_SPECS,
-                         ids=["comb_2^20", "comb_1e10", "random_1e10", "seed_-1", "seed_2^128"])
-def test_a_family_spec_past_its_bound_is_refused_before_any_bit(capsys, spec, error):
-    code, peak = _traced_run(["mask", "gen", spec])
-    assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert peak < 2 ** 20
-
-
 def test_the_longest_comb_and_the_extreme_seeds_are_built():
     assert masks.comb_mask(2 ** 20 - 1, 3).n == 2 ** 20 - 1
     for seed in (0, 2 ** 128 - 1):
         assert masks.random_mask(63, 31, seed).weight == 31
-
-
-def test_monte_carlo_work_over_budget_is_refused_before_its_triples_are_built(
-        tmp_path, monkeypatch, capsys):
-    # 62 x 62 x 200 = 768800 points at the design point
-    monkeypatch.delenv(montecarlo.BUDGET_ENV, raising=False)
-    code, peak = _traced_run(["response", "both", "--mask", "singer:m=6", "--M", "50",
-                              "--constellation", "qam16", "--k", "1..62", "--l", "1..62",
-                              "--nu", "0..199", "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "error: points x trials x MN = 24217200000000 exceeds the budget 2000000000\n")
-    assert peak < 2 ** 20
-    assert os.listdir(tmp_path) == []
-
-
-def test_monte_carlo_work_over_budget_is_refused_before_its_index_sets_are_expanded(
-        tmp_path, monkeypatch, capsys):
-    # 5e6 Doppler bins, all on the axis of MN = 7e6: counted, never listed
-    monkeypatch.delenv(montecarlo.BUDGET_ENV, raising=False)
-    code, peak = _traced_run(["response", "both", "--mask", "singer:m=3", "--M", "1000000",
-                              "--constellation", "qpsk", "--k", "1", "--nu", "0..4999999",
-                              "--trials", "100", "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "error: points x trials x MN = 3500000000000000 exceeds the budget 2000000000\n")
-    assert peak < 2 ** 20
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("argv", [
-    ["response", "both", *RESPONSE, "--constellation", "qam16", "--trials", "10", "--out", "out"],
-    ["selftest", "--trials", "200"],
-], ids=["response_both", "selftest"])
-def test_a_non_integer_budget_is_refused_by_its_name_before_any_work(
-        tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv(montecarlo.BUDGET_ENV, "abc")
-    calls = []
-    monkeypatch.setattr(response, "build_grid", lambda *args: calls.append(args))
-    called = _record_selftest_items(monkeypatch)
-    assert run_cli(argv) == cli.EXIT_CONFIG
-    assert capsys.readouterr() == ("", "error: MASKRD_MC_BUDGET must be an integer, got 'abc'\n")
-    assert calls == called == []
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
-def test_an_unset_or_empty_budget_is_the_default(tmp_path, monkeypatch, capsys, value):
-    if value is None:
-        monkeypatch.delenv(montecarlo.BUDGET_ENV, raising=False)
-    else:
-        monkeypatch.setenv(montecarlo.BUDGET_ENV, value)
-    # one point at MN = 14: one trial more than the default budget allows
-    trials = montecarlo.DEFAULT_BUDGET // 14 + 1
-    assert run_cli(["response", "both", *RESPONSE, "--constellation", "qpsk",
-                    "--trials", str(trials), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (f"error: points x trials x MN = {trials * 14} exceeds "
-                                       f"the budget {montecarlo.DEFAULT_BUDGET}\n")
-    assert os.listdir(tmp_path) == []
 
 
 def test_bounds_output(tmp_path, capsys):
@@ -728,47 +646,6 @@ def test_bounds_prints_the_row_it_writes(tmp_path, capsys, spec, mu):
     assert row[0] == spec and printed[-1] == f"wrote {tmp_path / 'bounds.csv'}"
 
 
-def _record_selftest_items(monkeypatch):
-    """Replace each selftest item by one that records its name; return the record."""
-    called = []
-    real = cli._selftest_items
-
-    def recorded(*args):
-        return [(name, lambda name=name: called.append(name)) for name, _ in real(*args)]
-
-    monkeypatch.setattr(cli, "_selftest_items", recorded)
-    return called
-
-
-@pytest.mark.parametrize("trials", ["0", "1"])
-def test_selftest_refuses_too_few_trials_before_any_item(monkeypatch, capsys, trials):
-    called = _record_selftest_items(monkeypatch)
-    assert run_cli(["selftest", "--trials", trials]) == cli.EXIT_CONFIG
-    assert capsys.readouterr() == ("", f"error: need at least 2 trials, got {trials}\n")
-    assert called == []
-
-
-@pytest.mark.parametrize("seed, error", [
-    (-1, "seed must be non-negative"),
-    (2 ** 128, "seed must be below 2**128"),
-], ids=["negative", "beyond_key"])
-def test_selftest_refuses_bad_seed_before_any_item(monkeypatch, capsys, seed, error):
-    # the same message as response both, not numpy's Philox key error
-    called = _record_selftest_items(monkeypatch)
-    assert run_cli(["selftest", "--seed", str(seed)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert called == []
-
-
-def test_selftest_refuses_work_over_budget_before_any_item(monkeypatch, capsys):
-    # 6 points x 1e8 trials x MN = 28 is above montecarlo.DEFAULT_BUDGET
-    called = _record_selftest_items(monkeypatch)
-    assert run_cli(["selftest", "--trials", "100000000"]) == cli.EXIT_CONFIG
-    assert capsys.readouterr() == ("", "error: points x trials x MN = 16800000000 exceeds "
-                                       f"the budget {montecarlo.DEFAULT_BUDGET}\n")
-    assert called == []
-
-
 def test_selftest_within_the_budget_of_its_oracle_item_runs_every_item(monkeypatch, capsys):
     # 6 points x 2 trials x MN = 28: the determinism item's estimates fit too
     monkeypatch.setenv(montecarlo.BUDGET_ENV, "336")
@@ -787,6 +664,19 @@ def test_selftest_over_its_time_budget_fails(monkeypatch, capsys):
     assert err == "" and len(lines) == 3 and lines[0].startswith("PASS noop (")
     assert re.fullmatch(r"FAIL time_budget: \d+\.\ds > -1\.0s", lines[1])
     assert lines[2] == "selftest: 1 failure(s)"
+
+
+def test_selftest_fails_a_broken_item_under_python_O():
+    # python -O strips asserts: each item's check is an explicit raise
+    code = ("import sys, numpy as np\n"
+            "from maskrd import cli, montecarlo\n"
+            "montecarlo.draw_stream = lambda *args, **kwargs: np.zeros(8, complex)\n"
+            "sys.exit(cli.main(['selftest', '--trials', '200']))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_NUMERIC
+    assert "FAIL rng_known_answer: drew []\n" in proc.stdout
 
 
 def test_selftest_quick(capsys):

@@ -36,6 +36,12 @@ def test_singer_degree_range():
         masks.singer_mask(2)
     with pytest.raises(ValueError):
         masks.singer_mask(21)
+    # 3.5 is no key of PRIMITIVE_POLYS, and 6.0 would reach gf2.trace_seeds
+    for m in (3.5, 6.0):
+        with pytest.raises(TypeError):
+            masks.singer_mask(m)
+    m = masks.singer_mask(np.int64(6))
+    assert (m, m.label) == (masks.singer_mask(6), "singer:m=6")
 
 
 def test_comb_basic():
