@@ -140,6 +140,11 @@ def _column_cells(column, end: str):
     return text[inverse].tolist()
 
 
+def _fields(record) -> tuple:
+    """A dataclass's field values in declaration order, not deep-copied as by astuple()."""
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
 def _table(columns) -> str:
     """The rows of a table given as equal-length columns, as csv.writer writes them."""
     text = io.StringIO()
@@ -300,7 +305,7 @@ def cmd_response(args) -> int:
             itertools.product(*map(itertools.chain.from_iterable, entries)),
             args.trials, args.seed)
         header, seed = montecarlo.VALIDATION_HEADER, args.seed
-        chunks = [_table(zip(*map(dataclasses.astuple, scored)))]
+        chunks = [_table(zip(*map(_fields, scored)))]
     _write_out(args.out, f"response_{args.mode}.csv",
                lambda path: write_csv(path, header, chunks, config, seed))
     return EXIT_OK
@@ -314,7 +319,7 @@ def cmd_metrics(args) -> int:
     mask_list = [mask_from_arg(text) for text in args.mask]
     reports = [metrics.metrics_report(mask, args.M, mu4, args.normalize) for mask in mask_list]
     _write_out(args.out, f"{args.command}.csv", lambda path: write_csv(
-        path, metrics.REPORT_HEADER, [_table(zip(*map(dataclasses.astuple, reports)))], config, 0))
+        path, metrics.REPORT_HEADER, [_table(zip(*map(_fields, reports)))], config, 0))
     return EXIT_OK
 
 
@@ -368,8 +373,9 @@ def _selftest_items(trials: int, seed: int):
             lags = range(1, mask.n)
             direct = (np.abs(spectra.s_kn_table(mask, lags, lags)) ** 2).sum(axis=1)
             closed = spectra.doppler_energy(spectra.autocorr(mask)[1:], mask.n, mask.weight)
-            if not np.all(np.abs(direct - closed) <= 1e-6):
-                raise ArithmeticError()
+            error = np.abs(direct - closed)
+            if not np.all(error <= 1e-6):
+                raise ArithmeticError(f"{mask.label}: |direct - closed| up to {np.max(error)}")
 
     def rng_known_answer():
         # the indices of the 8 symbols r(1, 2, 0) reads in trial 3 (W = 1) of stream
@@ -391,7 +397,8 @@ def _selftest_items(trials: int, seed: int):
                     got = montecarlo.expectation_by_double_sum(
                         mask, 4, qam16, k, l, nu)
                     if not abs(got - want) <= 1e-9 * max(1.0, abs(want)):
-                        raise ArithmeticError()
+                        raise ArithmeticError(f"(k, l, nu) = {(k, l, nu)}: "
+                                              f"got {got!r}, want {want!r}")
 
     def mc_oracle():
         pts = montecarlo.mc_points(oracle_mask, m_pri, qam16, triples, trials, seed)
@@ -406,7 +413,7 @@ def _selftest_items(trials: int, seed: int):
         first = montecarlo.estimate(scen, 2, min(trials, 200), seed)
         second = montecarlo.estimate(scen, 2, min(trials, 200), seed)
         if first != second:
-            raise ArithmeticError()
+            raise ArithmeticError(f"{first} then {second}")
 
     return [
         ("range_sidelobe_sum_identity", range_sidelobe_sum),

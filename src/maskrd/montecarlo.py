@@ -25,8 +25,10 @@ below 2**64, so a stream's trials never reach the next stream. Any
 (trial, stream) is reached directly (_stream), results do not depend on
 evaluation order, and they are reproducible across platforms. draw_stream()
 draws with that Generator.integers call itself; estimate() positions its
-stream once per point and draws its blocks of trials in order, and on the
-diagonal k = l uses the bytes as drawn.
+stream once per point and draws its blocks of trials in order. On the
+diagonal k = l it looks the bytes up as drawn; off it, one gather pairs
+each term's bytes (x_(n-l), x_(n-k)) into one index of a K * 256-entry
+product table. A trial's |r|^2 is r.real ** 2 + r.imag ** 2, in numpy.
 
 Scoring. mc_points estimates each (k, l, nu) point on its own stream and
 scores it against its closed form as an McPoint; the closed forms come
@@ -293,28 +295,39 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
 
     Trial t reads its own outputs of the stream (see the module docstring),
     so any execution order or partition over workers yields the same
-    per-trial values. Each |r|^2 equals correlate() on draw_stream() bit for
-    bit. The stream is positioned once; each block of consecutive trials is
-    its next draw of raw outputs, viewed as one row of bytes per trial. On
-    the diagonal k = l the reads are idx_k in order and x_(n-k) = x_(n-l),
-    so a row's first U bytes are the terms' symbols as drawn; off it, one
-    take() gathers, in C order, the bytes of idx_k and idx_l. The products
-    are the same complex products, looked up in a table by symbol index (a
-    byte's top bits), and a block's sums are one np.matmul, which takes each
-    trial's 1 x 1 output with the BLAS dot of np.dot over a contiguous row.
+    per-trial values. Each |r|^2 is r.real ** 2 + r.imag ** 2 of correlate()
+    on draw_stream(), bit for bit. The stream is positioned once; each block
+    of consecutive trials is its next draw of raw outputs, viewed as one row
+    of bytes per trial. On the diagonal k = l the reads are idx_k in order
+    and x_(n-k) = x_(n-l), so a row's first U bytes index a 256-entry table
+    of |x|^2 as drawn. Off it, one take() gathers, in C order, the bytes of
+    each term interleaved as (x_(n-l), x_(n-k)); read as little-endian
+    uint16 and shifted right by 8 - b, each pair is its index into a
+    K * 256-entry table of x_(n-k) conj(x_(n-l)) by the raw byte of x_(n-k)
+    and the symbol of x_(n-l). Both tables hold the same complex products
+    as correlate(), built once per call. A block's sums are one np.matmul,
+    which takes each trial's 1 x 1 output with the BLAS dot of np.dot over
+    a contiguous row.
     """
     check_run(1, trials, seed, scenario.M * scenario.mask.n)
     stream = _check_stream_index("stream", stream)
     _, gather, phase, words = _reads(scenario, l)
     points = scenario.constellation.points
     bits = scenario.constellation.bits
-    # pair[(i << bits) | j] = points[i] conj(points[j]): 64 KiB for qam64.
-    pair = np.repeat(points, len(points)) * np.conj(np.tile(points, len(points)))
+    # pair[x, j] = points[i] conj(points[j]) for the byte x of symbol i = x >> (8 - bits)
+    by_byte = _symbol_index(np.arange(256, dtype=np.uint8), bits)
+    pair = points[by_byte, None] * np.conj(points)
     width = len(phase)
     diagonal = scenario.true_delay == l
     if diagonal:
-        # read pair[i (K + 1)] straight from the byte x of symbol i = x >> (8 - bits)
-        pair = pair[::len(points) + 1][_symbol_index(np.arange(256, dtype=np.uint8), bits)]
+        # |x|^2 straight from the byte x as drawn
+        table = pair[np.arange(256), by_byte]
+    else:
+        # table[(x << bits) | j] = pair[x, j], K * 256 entries (256 KiB for qam64),
+        # indexed by the bytes of (x_(n-l), x_(n-k)) read as one little-endian
+        # uint16 (x_(n-k) << 8) | x_(n-l), shifted right by 8 - bits
+        table = pair.ravel()
+        inter = np.stack([gather[width:], gather[:width]], axis=1).ravel()
     block = min(trials, max(1, _BLOCK_BYTES // (16 * max(width, 1))))
     bg = _stream(seed, stream)
     vals = np.empty(trials, dtype=np.float64)
@@ -325,14 +338,21 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
         data = raw.view(np.uint8).reshape(rows, 8 * words)
         index = data[:, :width]  # on the diagonal, the symbols as drawn
         if not diagonal:
-            # take() fills a C-ordered result; data[:, gather] would be F-ordered,
+            # take() fills a C-ordered result; data[:, inter] would be F-ordered,
             # and BLAS sums a strided row in another order.
-            index = _symbol_index(data.take(gather, axis=1), bits)
-            index = (index[:, :width].astype(np.uint16) << bits) | index[:, width:]
-        # take(), not pair[index]: fancy indexing by a uint8 or uint16 array
+            index = data.take(inter, axis=1).view("<u2")
+            index >>= 8 - bits
+        # take(), not table[index]: fancy indexing by a uint8 or uint16 array
         # measured 1.5-2.5x slower; take() fills a C-ordered result from any index
-        dots = np.matmul(pair.take(index)[:, None, :], phase[:, None])
-        vals[start:start + rows] = [abs(z) ** 2 for z in dots.ravel().tolist()]
+        dots = np.matmul(table.take(index)[:, None, :], phase[:, None])
+        vals[start:start + rows] = (dots.real ** 2 + dots.imag ** 2).ravel()
+        # Each block leaves the heap as it found it: it shifts its index in
+        # place, keeps the products an unnamed temporary and frees its arrays
+        # before the next block allocates. Where blocks' arrays overlapped,
+        # free memory gathered at the top of the heap, and glibc returned it to
+        # the system and faulted it back in block after block: ~12 000-25 000
+        # minor page faults in one `response both` run.
+        del raw, data, index, dots
     mean = float(np.mean(vals))
     se = float(math.sqrt(np.var(vals, ddof=1) / trials))
     return McEstimate(mean_sq=mean, se=se)

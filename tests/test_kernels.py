@@ -8,7 +8,8 @@ singer_mask's recurrence with the trace-zero powers of x
 tests check that a kernel that breaks a counting identity, an oversized
 period and an exhausted allocator each end a CLI run with its documented exit
 code and a one-line message, and that selftest reports such a kernel, a
-shifted random stream and a sum that differs from call to call.
+shifted random stream, a sum that differs from call to call, a wrong closed
+form and a wrong moment table, each with what differed.
 """
 
 import itertools
@@ -180,6 +181,18 @@ def _break_dot(monkeypatch):
     monkeypatch.setattr(np, "matmul", drifting)
 
 
+def _break_doppler_energy(monkeypatch):
+    real = spectra.doppler_energy
+    monkeypatch.setattr(spectra, "doppler_energy", lambda *args: real(*args) + 1)
+
+
+def _break_fourth_moment(monkeypatch):
+    # expectation_by_double_sum reads E|x|^4 from montecarlo._moment
+    real = montecarlo._moment
+    monkeypatch.setattr(montecarlo, "_moment", lambda points, p, q: real(points, p, q) * (
+        1 + 1e-6 * (p == q == 2)))
+
+
 # every selftest item is failed by at least one breaker
 @pytest.mark.parametrize("breaker, failing", [
     (_break_irfft, {"range_sidelobe_sum_identity", "parseval_identity",
@@ -187,10 +200,15 @@ def _break_dot(monkeypatch):
     (_break_window, {"range_sidelobe_sum_identity"}),
     (_break_rng, {"rng_known_answer"}),
     (_break_dot, {"determinism"}),
-], ids=["fft", "matrix", "rng", "nondeterministic_sum"])
+    (_break_doppler_energy, {"parseval_identity"}),
+    (_break_fourth_moment, {"double_sum_oracle"}),
+], ids=["fft", "matrix", "rng", "nondeterministic_sum", "closed_form", "moment_table"])
 def test_selftest_reports_broken_kernel(monkeypatch, capsys, breaker, failing):
     breaker(monkeypatch)
     assert cli.main(["selftest", "--trials", "300"]) == cli.EXIT_NUMERIC
     out = capsys.readouterr().out.splitlines()
-    assert {line.split()[1].rstrip(":") for line in out if line.startswith("FAIL")} == failing
+    fails = [line for line in out if line.startswith("FAIL")]
+    assert {line.split()[1].rstrip(":") for line in fails} == failing
+    # each FAIL line says what differed
+    assert all(line.split(": ", 1)[1].strip() for line in fails), fails
     assert out[-1] == f"selftest: {len(failing)} failure(s)"

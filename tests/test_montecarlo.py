@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from fractions import Fraction
@@ -191,8 +194,9 @@ def test_shift_map_matches_lemire_for_every_power_of_two():
 
 
 def _definition_estimate(scen, l, trials, seed, stream):
-    vals = np.array([abs(mc.correlate(scen, mc.draw_stream(
-        scen, l, seed, trial=t, stream=stream), l)) ** 2 for t in range(trials)])
+    r = np.array([mc.correlate(scen, mc.draw_stream(scen, l, seed, trial=t, stream=stream), l)
+                  for t in range(trials)])
+    vals = r.real ** 2 + r.imag ** 2
     return float(np.mean(vals)), float(math.sqrt(np.var(vals, ddof=1) / trials))
 
 
@@ -217,11 +221,13 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
         (masks.singer_mask(4), 2, 3, 7, 5, 1, 31),
         (masks.comb_mask(12, 4), 3, 1, 5, 0, 2, 19),
         (masks.comb_mask(6, 3), 4, 3, 3, 2, 0, 9),           # empty kernel
+        (masks.comb_mask(6, 3), 4, 1, 2, 0, 1, 9),           # empty kernel, k != l
         (masks.random_mask(20, 8, seed=3), 5, 5, 5, 7, 3, 41),
         (masks.random_mask(20, 8, seed=3), 1, 6, 11, 13, 4, 17),
         # the design point: wide rows, two full shipped blocks and a partial one
         (design, 50, 20, 20, 50, 0, two_and_a_half_shipped_blocks(20)),
         (design, 50, 20, 41, 7, 1, two_and_a_half_shipped_blocks(41)),
+        (design, 50, 41, 20, 3, 2, two_and_a_half_shipped_blocks(41)),  # l < k
     ]
     monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
     for mask, m_pri, k, l, nu, stream, trials in cases:
@@ -243,6 +249,54 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
     assert len(drawn) == 2
     for bg in drawn:  # the next output is still the stream's first
         assert bg.random_raw() == np.random.Philox(key=29, counter=0).random_raw()
+
+
+@pytest.mark.parametrize("l, nu, trials", [(20, 7, 2000), (41, 7, 2000), (33, 50, 150)],
+                         ids=["diagonal", "off_diagonal", "mc_sweep_point"])
+def test_estimate_calls_make_few_page_faults(l, nu, trials):
+    # a block's buffers are freed before the next block allocates, so repeated
+    # calls reuse the allocator's memory instead of faulting in fresh pages
+    resource = pytest.importorskip("resource")
+    scen = _scenario(masks.singer_mask(6), 50, QAM16, 20, nu=nu)
+    mc.estimate(scen, l, trials, seed=3)  # warm-up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for stream in range(5):
+        mc.estimate(scen, l, trials, seed=3, stream=stream)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
+
+
+_REPEATED_RUN = """\
+import contextlib, io, resource, sys
+from maskrd import cli
+
+def faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults()  # warm-up: imports and first touches
+print(faults() + faults())
+"""
+
+
+@pytest.mark.parametrize("k, l, nu, trials", [
+    ("20", "20,41", "0,7,23,50,100", "2000"),  # the design point
+    ("29", "1..62", "0,50", "150"),            # many cheap points
+], ids=["design_point", "sweep"])
+def test_repeated_response_both_runs_make_few_page_faults(k, l, nu, trials, tmp_path):
+    # A fresh process, so that the heap is the one a CLI run builds, not what
+    # earlier tests left: the heap layout decides whether the allocator
+    # returns freed blocks to the system and faults them back in.
+    pytest.importorskip("resource")
+    argv = ["response", "both", "--mask", "singer:m=6", "--M", "50", "--constellation", "qam16",
+            "--k", k, "--l", l, "--nu", nu, "--trials", trials, "--seed", "3",
+            "--out", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mc.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _REPEATED_RUN, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 256
 
 
 def _wide_and_narrow_points(const):
