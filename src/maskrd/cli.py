@@ -153,32 +153,66 @@ def _table(columns) -> str:
 
 
 def _array_blocks(axes, values):
-    """The text of an array's rows, row-major, BLOCK_ROWS rows per string.
+    """The text of an array's rows, row-major, at most BLOCK_ROWS rows per string.
 
     A row is each axis's label, then the value. axes holds the integer
     labels of each dimension of values, each formatted "%d" once per table
     (no numpy dtype: any size keeps its digits). A long last axis (mask
-    verify's N delays) costs memory in its length. A block reads its
-    last-axis labels by position and its row prefixes (such as "k,l,") in
-    row order from one lazy iterator, joined once per outer row.
+    verify's N delays) costs memory in its length. An outer row is the
+    cells that share every label but the last; its prefix (such as "k,l,")
+    comes in row order from one lazy iterator, joined once per outer row.
+    A block holds whole outer rows, or one piece of an outer row longer
+    than BLOCK_ROWS; _rows_text says how each is written.
     """
+    if not values.size:
+        return
     *outer, last = [["%d," % v for v in ax] for ax in axes]
     size = len(last)
-    flat = values.reshape(-1)
-    prefixes = itertools.chain.from_iterable(
-        itertools.repeat("".join(p), size) for p in itertools.product(*outer))
-    for start in range(0, flat.size, BLOCK_ROWS):
-        value_text = _column_cells(flat[start:start + BLOCK_ROWS], "\n")
-        head = last[start % size:start % size + len(value_text)]
-        rest = len(value_text) - len(head)
-        columns = [head + last * (rest // size) + last[:rest % size], value_text]
-        if outer:
-            columns.insert(0, list(itertools.islice(prefixes, len(value_text))))
-        # a row is its pieces read across the columns
-        pieces = [None] * (len(columns) * len(value_text))
+    cells = values.reshape(-1, size)
+    prefixes = map("".join, itertools.product(*outer))
+    rows = max(1, BLOCK_ROWS // size)  # outer rows per block
+    for r in range(0, len(cells), rows):
+        heads = list(itertools.islice(prefixes, rows))
+        for c in range(0, size, BLOCK_ROWS):
+            yield _rows_text(heads, last[c:c + BLOCK_ROWS], cells[r:r + rows, c:c + BLOCK_ROWS])
+
+
+def _rows_text(heads, labels, cells) -> str:
+    """The text of rows of cells, each row one outer row (or a piece of one)
+    under its prefix in heads, its cells under the last-axis labels.
+
+    A row whose cells share one bit pattern, as a closed-form grid's range
+    sidelobes share one value along nu, is one str.join of its labels with
+    the value's text formatted once. Bits, not ==, decide it, as
+    _column_cells keys cells: -0.0 == 0.0 yet they write apart, and a NaN
+    row is one text though NaN != NaN. The other rows are written in runs
+    of consecutive rows, each row's pieces read across the columns.
+    """
+    width = len(labels)
+    bits = cells.view(f"u{cells.itemsize}")
+    uniform = (bits == bits[:, :1]).all(axis=1)
+    text = _column_cells(np.concatenate((cells[uniform, 0], cells[~uniform].ravel())), "\n")
+    joined = [p + (v + p).join(labels) + v
+              for p, v in zip(itertools.compress(heads, uniform.tolist()), text)]
+    at = len(joined)  # text[at:] is the cells of the rows that vary, in order
+    joined = iter(joined)
+    pieces = []
+    edges = [0, *(np.flatnonzero(np.diff(uniform)) + 1).tolist(), len(uniform)]
+    for start, stop in zip(edges, edges[1:]):  # runs of uniform and of varying rows in turn
+        if uniform[start]:
+            pieces += itertools.islice(joined, stop - start)
+            continue
+        n = (stop - start) * width
+        columns = [labels * (stop - start), text[at:at + n]]
+        at += n
+        if heads[start]:  # a 1-D table's rows have no prefix
+            columns.insert(0, list(itertools.chain.from_iterable(
+                map(itertools.repeat, heads[start:stop], itertools.repeat(width)))))
+        run = [None] * (len(columns) * n)
         for j, column in enumerate(columns):
-            pieces[j::len(columns)] = column
-        yield "".join(pieces)
+            run[j::len(columns)] = column
+        pieces.append("".join(run))
+    return "".join(pieces)
 
 
 def write_csv(path, header, chunks, config_str: str, seed) -> None:
@@ -188,8 +222,11 @@ def write_csv(path, header, chunks, config_str: str, seed) -> None:
     them. Each distinct value of a number column is formatted once per
     chunk (a closed-form grid repeats a few values many times: its range
     sidelobes do not depend on nu) and each axis label, an integer, once
-    per table; the bytes are those of a csv.writer with lineterminator
-    "\n" over the same cells, formatted as _column_cells says.
+    per table. An array's outer row whose cells all have one bit pattern
+    (a range sidelobe row along nu) is one join of its labels around that
+    value; bits, not ==, as _column_cells keys values, so 0.0 beside -0.0
+    is not one value. The bytes are those of a csv.writer with
+    lineterminator "\n" over the same cells, formatted as _column_cells says.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"# {line}\n" for line in _header_lines(config_str, seed)))

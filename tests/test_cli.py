@@ -420,7 +420,8 @@ def test_mask_verify_table_export(tmp_path):
 
 
 def test_mask_verify_prints_the_table_it_writes(tmp_path, capsys):
-    # N = 8191 rows: two blocks of cli.BLOCK_ROWS and part of a third
+    # N = 8191 rows in two blocks: a[0] = w then lambda, which varies, and
+    # lambda alone, one value
     out = tmp_path / "out"
     assert run_cli(["mask", "verify", "singer:m=13", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out

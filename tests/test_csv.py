@@ -2,9 +2,11 @@
 
 The table writer formats each distinct value of a column once per table or
 block, from its dtype, and each axis label of an array table once per
-table; these tests hold it to the old writer's bytes cell by cell, across
-block boundaries and through the CLI caller that streams a grid in blocks,
-and hold a streamed block to its own rows in memory.
+table, and writes an array's row of one value with one join; these tests
+hold it to the old writer's bytes cell by cell, across block boundaries, in
+rows of one value and in rows that are one value to == only, and through
+the CLI caller that streams a grid in blocks, and hold a streamed block to
+its own rows in memory and in count.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import csv_oracle as oracle
-from maskrd import cli, masks, response
+from maskrd import cli, masks, response, spectra
 
 CONFIG = "response closed --out 'a b'"
 
@@ -62,10 +64,13 @@ def test_grid_blocks_order_and_schema(monkeypatch):
     p = response.ScenarioParams(mask=masks.singer_mask(3), M=2, mu4=1.0)
     grid = response.build_grid(p, (1,), (1, 2), (0, 1))
     blocks = list(cli._array_blocks((grid.k_set, grid.l_set, grid.nu_set), grid.values))
-    # a block is the text of its rows: k, l, nu, then the value
+    # a block is the text of whole outer rows, here one, as two outer rows
+    # of 2 cells pass 3 rows: k, l, nu, then the value. The diagonal k = l
+    # varies in nu; k != l is one value, written with one join
     cells = ["%.11e" % v for v in grid.values.ravel()]
-    assert blocks == [f"1,1,0,{cells[0]}\n1,1,1,{cells[1]}\n1,2,0,{cells[2]}\n",
-                      f"1,2,1,{cells[3]}\n"]
+    assert cells[0] != cells[1] and cells[2] == cells[3]
+    assert blocks == [f"1,1,0,{cells[0]}\n1,1,1,{cells[1]}\n",
+                      f"1,2,0,{cells[2]}\n1,2,1,{cells[3]}\n"]
 
 
 def _grid_rows(argv):
@@ -218,9 +223,11 @@ def _array(kinds, shape, view="offset", values="f64", block_rows=5):
 @example(_array(("i8", "bool", "u64"), (2, 0, 3)))  # an empty axis: no rows
 @example(_array(("bool", "u64"), (6, 5), view="transposed", values="i64", block_rows=64))
 def test_array_tables_match_the_old_writer(tmp_path_factory, table):
-    axes, values, block_rows = table
+    assert_array_table_matches_the_old_writer(tmp_path_factory.mktemp("t"), *table)
+
+
+def assert_array_table_matches_the_old_writer(tmp, axes, values, block_rows):
     header = (*(f"axis{d}" for d in range(values.ndim)), "value")
-    tmp = tmp_path_factory.mktemp("t")
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
         cli.write_csv(tmp / "new.csv", header, cli._array_blocks(axes, values), CONFIG, 7)
     labels = [ax.tolist() for ax in axes]
@@ -228,6 +235,53 @@ def test_array_tables_match_the_old_writer(tmp_path_factory, table):
             for index in np.ndindex(values.shape)]
     oracle.write_csv(tmp / "old.csv", header, rows, CONFIG, 7)
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+# Values alike under == but not in bits: a row of one group's values is one
+# value to ==, and one text only if its cells share one bit pattern.
+LOOKALIKES = {"f64": [[0.0, -0.0], POOLS["f64"][-3:], *([v] for v in POOLS["f64"][2:7])],
+              "i64": [[v] for v in VALUES["i64"].tolist()]}
+
+
+@st.composite
+def constant_rows(draw, view):
+    """Labelled arrays of 1 to 4 axes whose outer rows each repeat one pool
+    value along the last axis, in one bit pattern or in several that ==
+    cannot tell apart, cut from a base as VIEWS[view] says.
+    """
+    shape = [*draw(st.lists(st.integers(0, 4), max_size=3)), draw(st.integers(1, 9))]
+    kinds = draw(st.lists(st.sampled_from(LABELS), min_size=len(shape), max_size=len(shape)))
+    axes = [np.array(draw(st.lists(st.sampled_from(POOLS[k]), min_size=s, max_size=s)),
+                     dtype=DTYPES[k]) for k, s in zip(kinds, shape)]
+    kind = draw(st.sampled_from(sorted(LOOKALIKES)))
+    groups = LOOKALIKES[kind]
+    rows = []
+    for _ in range(math.prod(shape[:-1])):
+        group = draw(st.sampled_from(groups))
+        if draw(st.booleans()):
+            rows.append([draw(st.sampled_from(group))] * shape[-1])
+        else:
+            rows.append(draw(st.lists(st.sampled_from(group),
+                                      min_size=shape[-1], max_size=shape[-1])))
+    values = np.array(rows, dtype=VALUES[kind].dtype).reshape(shape)
+    base_shape, cut = VIEWS[view]
+    base = np.resize(values, base_shape(shape))
+    cut(base)[...] = values
+    return axes, cut(base)
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 64])
+@pytest.mark.parametrize("view", sorted(VIEWS))
+def test_constant_rows_match_the_old_writer(tmp_path_factory, view, block_rows):
+    @given(constant_rows(view))
+    @example(([np.arange(2), np.arange(2 * block_rows + 3)],
+              np.array([[0.0, -0.0] * (block_rows + 1) + [0.0], [-0.0] * (2 * block_rows + 3)])))
+    def check(table):
+        axes, values = table
+        assert_array_table_matches_the_old_writer(
+            tmp_path_factory.mktemp("t"), axes, values, block_rows)
+
+    check()
 
 
 def test_a_block_holds_its_own_rows_only(tmp_path):
@@ -244,3 +298,19 @@ def test_a_block_holds_its_own_rows_only(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "t.csv").stat().st_size > 7e6
     assert peak < 2e6
+
+
+@pytest.mark.parametrize("axes, values", [
+    # one outer row of one value, longer than three blocks
+    ((range(1), range(3 * cli.BLOCK_ROWS + 5)), np.full((1, 3 * cli.BLOCK_ROWS + 5), -0.0)),
+    # 62 x 62 outer rows of 15 cells: the diagonal varies in nu, the rest is one value
+    ((range(1, 63), range(1, 63), range(0, 105, 7)), response.build_grid(
+        response.ScenarioParams(mask=masks.singer_mask(6), M=50, mu4=1.32),
+        range(1, 63), range(1, 63), range(0, 105, 7)).values),
+    # a 1-D table: a[0] = w, then lambda for every k > 0
+    ((range(8191),), spectra.autocorr(masks.singer_mask(13))),
+], ids=["constant_row", "grid", "1d"])
+def test_no_block_holds_more_than_block_rows(axes, values):
+    rows = [block.count("\n") for block in cli._array_blocks(axes, values)]
+    assert max(rows) <= cli.BLOCK_ROWS
+    assert sum(rows) == values.size
