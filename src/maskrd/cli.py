@@ -185,33 +185,27 @@ def _rows_text(heads, labels, cells) -> str:
     sidelobes share one value along nu, is one str.join of its labels with
     the value's text formatted once. Bits, not ==, decide it, as
     _column_cells keys cells: -0.0 == 0.0 yet they write apart, and a NaN
-    row is one text though NaN != NaN. The other rows are written in runs
-    of consecutive rows, each row's pieces read across the columns.
+    row is one text though NaN != NaN. Any other row is its pieces read
+    across the columns.
     """
-    width = len(labels)
     bits = cells.view(f"u{cells.itemsize}")
     uniform = (bits == bits[:, :1]).all(axis=1)
-    text = _column_cells(np.concatenate((cells[uniform, 0], cells[~uniform].ravel())), "\n")
-    joined = [p + (v + p).join(labels) + v
-              for p, v in zip(itertools.compress(heads, uniform.tolist()), text)]
-    at = len(joined)  # text[at:] is the cells of the rows that vary, in order
-    joined = iter(joined)
+    keep = np.ones(cells.shape, dtype=bool)
+    keep[uniform, 1:] = False  # a uniform row is formatted from its first cell
+    text = iter(_column_cells(cells[keep], "\n"))
     pieces = []
-    edges = [0, *(np.flatnonzero(np.diff(uniform)) + 1).tolist(), len(uniform)]
-    for start, stop in zip(edges, edges[1:]):  # runs of uniform and of varying rows in turn
-        if uniform[start]:
-            pieces += itertools.islice(joined, stop - start)
+    for p, same in zip(heads, uniform.tolist()):
+        if same:
+            v = next(text)
+            pieces.append(p + (v + p).join(labels) + v)
             continue
-        n = (stop - start) * width
-        columns = [labels * (stop - start), text[at:at + n]]
-        at += n
-        if heads[start]:  # a 1-D table's rows have no prefix
-            columns.insert(0, list(itertools.chain.from_iterable(
-                map(itertools.repeat, heads[start:stop], itertools.repeat(width)))))
-        run = [None] * (len(columns) * n)
+        columns = [labels, list(itertools.islice(text, len(labels)))]
+        if p:  # a 1-D table's rows have no prefix
+            columns.insert(0, [p] * len(labels))
+        row = [None] * (len(columns) * len(labels))
         for j, column in enumerate(columns):
-            run[j::len(columns)] = column
-        pieces.append("".join(run))
+            row[j::len(columns)] = column
+        pieces.append("".join(row))
     return "".join(pieces)
 
 

@@ -817,8 +817,8 @@ GOLDEN = [
     (["response", "closed", "--mask", "random:N=40,w=13,seed=9", "--M", "7", "--mu4", "1.32",
       "--k", "1..39:2", "--l", "1..39:3", "--nu", "0..6"], {
         "response_closed.csv": "571c3b54f698312d74f01aec667ace7a5c7c7f1561b2ba0990651b7f1e7be15a"}),
-    # 3 k x 126 l x 61 nu = 23058 rows in 6 blocks of cli.BLOCK_ROWS; with M = 61
-    # the only grating lobe in the nu set is nu = 0
+    # 3 k x 126 l x 61 nu = 23058 rows in 6 blocks of at most 67 outer (k, l)
+    # rows (4087 rows); with M = 61 the only grating lobe in the nu set is nu = 0
     (["response", "closed", "--mask", "singer:m=7", "--M", "61", "--mu4", "1.32",
       "--k", "3,40,90", "--l", "1..126", "--nu", "0..60"], {
         "response_closed.csv": "400654b104bf6bd8566c7ec870ad2eff4b476da62931ec94b11d795a2bb7f21f"}),

@@ -196,9 +196,21 @@ VIEWS = {
 }
 
 
+def _alike(pool):
+    """alike[i, j]: a pool index whose value == pool[i] (a NaN == any NaN), picked by j."""
+    keys = [v if v == v else "nan" for v in pool.tolist()]
+    group = [[i for i, k in enumerate(keys) if k == key] for key in keys]
+    return np.array([[g[j % len(g)] for j in range(len(keys))] for g in group], dtype=np.intp)
+
+
 @st.composite
 def arrays(draw):
-    """Labelled arrays of 1 to 4 axes of pool values, and a BLOCK_ROWS."""
+    """Labelled arrays of 1 to 4 axes of pool values, and a BLOCK_ROWS.
+
+    Each outer row (the cells along the last axis) holds any pool values,
+    or one value, or values that are one value to == but not in bits
+    (0.0 beside -0.0, NaNs of several payloads).
+    """
     shape = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
     kinds = draw(st.lists(st.sampled_from(LABELS), min_size=len(shape), max_size=len(shape)))
     axes = [np.array(draw(st.lists(st.sampled_from(POOLS[k]), min_size=s, max_size=s)),
@@ -206,6 +218,13 @@ def arrays(draw):
     pool = VALUES[draw(st.sampled_from(sorted(VALUES)))]
     base_shape, cut = VIEWS[draw(st.sampled_from(sorted(VIEWS)))]
     index = draw(hnp.arrays(np.intp, base_shape(shape), elements=st.integers(0, len(pool) - 1)))
+    rows = cut(index)
+    match draw(st.sampled_from(["any", "one value", "one value to =="])):
+        case "one value":
+            rows[...] = rows[..., :1]
+        case "one value to ==":  # each cell picks from its row's group by its value and place
+            pick = (rows + np.arange(rows.shape[-1])) % len(pool)
+            rows[...] = _alike(pool)[rows[..., :1], pick]
     return axes, cut(pool[index]), draw(st.sampled_from([1, 5, 64]))
 
 
@@ -222,12 +241,13 @@ def _array(kinds, shape, view="offset", values="f64", block_rows=5):
 @example(_array(("u64", "i8", "bool"), (3, 4, 1), block_rows=1))  # a last axis of length 1
 @example(_array(("i8", "bool", "u64"), (2, 0, 3)))  # an empty axis: no rows
 @example(_array(("bool", "u64"), (6, 5), view="transposed", values="i64", block_rows=64))
+# rows longer than a block: 0.0 beside -0.0, one value to == only, then -0.0 alone
+@example(([np.arange(2), np.arange(13)],
+          np.array([[0.0, -0.0] * 6 + [0.0], [-0.0] * 13]), 5))
 def test_array_tables_match_the_old_writer(tmp_path_factory, table):
-    assert_array_table_matches_the_old_writer(tmp_path_factory.mktemp("t"), *table)
-
-
-def assert_array_table_matches_the_old_writer(tmp, axes, values, block_rows):
+    axes, values, block_rows = table
     header = (*(f"axis{d}" for d in range(values.ndim)), "value")
+    tmp = tmp_path_factory.mktemp("t")
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
         cli.write_csv(tmp / "new.csv", header, cli._array_blocks(axes, values), CONFIG, 7)
     labels = [ax.tolist() for ax in axes]
@@ -235,53 +255,6 @@ def assert_array_table_matches_the_old_writer(tmp, axes, values, block_rows):
             for index in np.ndindex(values.shape)]
     oracle.write_csv(tmp / "old.csv", header, rows, CONFIG, 7)
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
-
-
-# Values alike under == but not in bits: a row of one group's values is one
-# value to ==, and one text only if its cells share one bit pattern.
-LOOKALIKES = {"f64": [[0.0, -0.0], POOLS["f64"][-3:], *([v] for v in POOLS["f64"][2:7])],
-              "i64": [[v] for v in VALUES["i64"].tolist()]}
-
-
-@st.composite
-def constant_rows(draw, view):
-    """Labelled arrays of 1 to 4 axes whose outer rows each repeat one pool
-    value along the last axis, in one bit pattern or in several that ==
-    cannot tell apart, cut from a base as VIEWS[view] says.
-    """
-    shape = [*draw(st.lists(st.integers(0, 4), max_size=3)), draw(st.integers(1, 9))]
-    kinds = draw(st.lists(st.sampled_from(LABELS), min_size=len(shape), max_size=len(shape)))
-    axes = [np.array(draw(st.lists(st.sampled_from(POOLS[k]), min_size=s, max_size=s)),
-                     dtype=DTYPES[k]) for k, s in zip(kinds, shape)]
-    kind = draw(st.sampled_from(sorted(LOOKALIKES)))
-    groups = LOOKALIKES[kind]
-    rows = []
-    for _ in range(math.prod(shape[:-1])):
-        group = draw(st.sampled_from(groups))
-        if draw(st.booleans()):
-            rows.append([draw(st.sampled_from(group))] * shape[-1])
-        else:
-            rows.append(draw(st.lists(st.sampled_from(group),
-                                      min_size=shape[-1], max_size=shape[-1])))
-    values = np.array(rows, dtype=VALUES[kind].dtype).reshape(shape)
-    base_shape, cut = VIEWS[view]
-    base = np.resize(values, base_shape(shape))
-    cut(base)[...] = values
-    return axes, cut(base)
-
-
-@pytest.mark.parametrize("block_rows", [1, 5, 64])
-@pytest.mark.parametrize("view", sorted(VIEWS))
-def test_constant_rows_match_the_old_writer(tmp_path_factory, view, block_rows):
-    @given(constant_rows(view))
-    @example(([np.arange(2), np.arange(2 * block_rows + 3)],
-              np.array([[0.0, -0.0] * (block_rows + 1) + [0.0], [-0.0] * (2 * block_rows + 3)])))
-    def check(table):
-        axes, values = table
-        assert_array_table_matches_the_old_writer(
-            tmp_path_factory.mktemp("t"), axes, values, block_rows)
-
-    check()
 
 
 def test_a_block_holds_its_own_rows_only(tmp_path):
