@@ -23,17 +23,21 @@ tW..tW+W-1 of its stream, and byte j of them is the symbol index of the
 j-th read position in ascending order. Trial and stream numbers are
 below 2**64, so a stream's trials never reach the next stream. Any
 (trial, stream) is reached directly (_stream), results do not depend on
-evaluation order, and they are reproducible across platforms. draw_stream()
-draws with that Generator.integers call itself; estimate() positions its
-stream once per point and draws its blocks of trials in order. On the
-diagonal k = l it looks the bytes up as drawn; off it, one gather pairs
-each term's bytes (x_(n-l), x_(n-k)) into one index of a K * 256-entry
-product table. A trial's |r|^2 is r.real ** 2 + r.imag ** 2, in numpy.
+evaluation order, and they are reproducible across platforms. The read
+positions of a (k, l), and the gather below, are its read plan (_plan),
+the same for every nu. draw_stream() draws with that Generator.integers
+call itself; estimate() positions its stream once per point and draws its
+blocks of trials in order. On the diagonal k = l it looks the bytes up as
+drawn; off it, one gather pairs each term's bytes (x_(n-l), x_(n-k)) into
+one index of a K * 256-entry product table. A trial's |r|^2 is
+r.real ** 2 + r.imag ** 2, in numpy.
 
 Scoring. mc_points estimates each (k, l, nu) point on its own stream and
 scores it against its closed form as an McPoint; the closed forms come
-from one response.build_grid per distinct k. validate_grid does so over
-an index box and returns the McPoints. Those rows, all eight fields under
+from one response.build_grid per distinct k. It builds the product tables
+once, and a read plan once for each run of consecutive points that share
+(k, l), holding one plan at a time. validate_grid does so over an index
+box and returns the McPoints. Those rows, all eight fields under
 VALIDATION_HEADER, are the one Monte Carlo output (`response both`).
 """
 
@@ -45,6 +49,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,34 +229,76 @@ def _symbol_index(data: np.ndarray, bits: int) -> np.ndarray:
     return data >> (8 - bits)
 
 
-def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):
-    """Gather indices of x_(n-k) and x_(n-l), and the phases, of one correlation.
-
-    The active slots n (listening, with both delayed replicas transmitting)
-    repeat with period N: they are found in one period and tiled over M.
+def _slots(mask: Mask, m_pri: int, k: int, l: int) -> np.ndarray:
+    """Active slots n of r(k, l, nu): listening, with both delayed replicas
+    transmitting. They repeat with period N: they are found in one period and
+    tiled over M.
     """
     n = mask.n
-    total = m_pri * n
     bits = mask.as_array()
     r = np.arange(n)
     residues = r[((1 - bits) * bits[(r - k) % n] * bits[(r - l) % n]).astype(bool)]
-    ns = (np.arange(0, total, n)[:, None] + residues).ravel()
-    phase = np.exp(-2j * np.pi * nu * ns / total)
-    return ns - k + n - 1, ns - l + n - 1, phase
+    return (np.arange(0, m_pri * n, n)[:, None] + residues).ravel()
 
 
-def _reads(scenario: EchoScenario, l: int):
-    """Where r(k0, l, nu) reads the stream, and one trial's outputs.
+def _phase(ns: np.ndarray, total: int, nu: int) -> np.ndarray:
+    """The phases exp(-2 pi i nu n / MN) of the slots ns, MN = total."""
+    return np.exp(-2j * np.pi * nu * ns / total)
 
-    Returns the U read positions (idx_k and idx_l of _kernel merged in
-    ascending order), gather (idx_k, then idx_l, as numbers of reads), the
-    phases, and W = ceil(U / 8).
+
+def _kernel(mask: Mask, m_pri: int, k: int, l: int, nu: int):
+    """Gather indices of x_(n-k) and x_(n-l), and the phases, of one correlation."""
+    n = mask.n
+    ns = _slots(mask, m_pri, k, l)
+    return ns - k + n - 1, ns - l + n - 1, _phase(ns, m_pri * n, nu)
+
+
+class _Plan(NamedTuple):
+    """How r(k, l, nu) reads its stream, for every nu (see _plan)."""
+
+    ns: np.ndarray
+    reads: np.ndarray
+    inter: np.ndarray
+    words: int
+    table: np.ndarray | None
+
+
+def _tables(constellation: Constellation):
+    """The two tables of symbol products, both indexed by raw bytes.
+
+    With pair[x, j] = points[i] conj(points[j]) for the byte x of symbol
+    i = x >> (8 - bits): the diagonal table holds |x|^2 by the byte x as
+    drawn (256 entries), the off-diagonal one pair[x, j] at (x << bits) | j
+    (K * 256 entries, 256 KiB for qam64).
     """
-    l = response._check_delay("l", l, scenario.mask.n)
-    idx_k, idx_l, phase = _kernel(scenario.mask, scenario.M, scenario.true_delay,
-                                  l, scenario.nu)
-    reads, gather = np.unique(np.concatenate([idx_k, idx_l]), return_inverse=True)
-    return reads, gather, phase, -(-len(reads) // 8)
+    points = constellation.points
+    by_byte = _symbol_index(np.arange(256, dtype=np.uint8), constellation.bits)
+    pair = points[by_byte, None] * np.conj(points)
+    return pair[np.arange(256), by_byte], pair.ravel()
+
+
+def _plan(mask: Mask, m_pri: int, k: int, l: int, tables=None) -> _Plan:
+    """Where r(k, l, nu) reads the stream, the same for every nu.
+
+    Holds the active slots ns; the U read positions, idx_k and idx_l of
+    _kernel merged in ascending order; inter, the numbers of the reads of
+    each term interleaved as (x_(n-l), x_(n-k)); and W = ceil(U / 8). The
+    positions are marked in a boolean array over the stream, and each index
+    is numbered by its place among the marks (a binary search of the
+    ascending idx_k and idx_l). Given the constellation's _tables(), the
+    plan also keeps the one table its (k, l) reads.
+    """
+    l = response._check_delay("l", l, mask.n)
+    n = mask.n
+    ns = _slots(mask, m_pri, k, l)
+    idx_k, idx_l = ns + (n - 1 - k), ns + (n - 1 - l)
+    marked = np.zeros((m_pri + 1) * n - 1, dtype=bool)
+    marked[idx_k] = True
+    marked[idx_l] = True
+    reads = np.flatnonzero(marked)
+    inter = np.stack([reads.searchsorted(idx_l), reads.searchsorted(idx_k)], axis=1).ravel()
+    table = None if tables is None else tables[k != l]
+    return _Plan(ns, reads, inter, -(-len(reads) // 8), table)
 
 
 def draw_stream(scenario: EchoScenario, l: int, seed: int,
@@ -265,11 +312,12 @@ def draw_stream(scenario: EchoScenario, l: int, seed: int,
     """
     trial = _check_stream_index("trial", trial)
     stream = _check_stream_index("stream", stream)
-    reads, _, _, words = _reads(scenario, l)
+    plan = _plan(scenario.mask, scenario.M, scenario.true_delay, l)
     points = scenario.constellation.points
-    rng = np.random.Generator(_stream(seed, stream, trial * words))
+    rng = np.random.Generator(_stream(seed, stream, trial * plan.words))
     out = np.zeros((scenario.M + 1) * scenario.mask.n - 1, dtype=np.complex128)
-    out[reads] = points[rng.integers(0, len(points), size=len(reads), dtype=np.uint8)]
+    out[plan.reads] = points[rng.integers(0, len(points), size=len(plan.reads),
+                                          dtype=np.uint8)]
     return out
 
 
@@ -290,7 +338,7 @@ class McEstimate:
 
 
 def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
-             stream: int = 0) -> McEstimate:
+             stream: int = 0, *, plan: _Plan | None = None) -> McEstimate:
     """Estimate E{|r|^2} over independent trials.
 
     Trial t reads its own outputs of the stream (see the module docstring),
@@ -305,29 +353,21 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
     uint16 and shifted right by 8 - b, each pair is its index into a
     K * 256-entry table of x_(n-k) conj(x_(n-l)) by the raw byte of x_(n-k)
     and the symbol of x_(n-l). Both tables hold the same complex products
-    as correlate(), built once per call. A block's sums are one np.matmul,
-    which takes each trial's 1 x 1 output with the BLAS dot of np.dot over
-    a contiguous row.
+    as correlate(). A block's sums are one np.matmul, which takes each
+    trial's 1 x 1 output with the BLAS dot of np.dot over a contiguous row.
+
+    plan is the _plan() of (k0, l) with the constellation's _tables(), as
+    mc_points shares it between the points of one (k0, l); by default the
+    call builds its own.
     """
     check_run(1, trials, seed, scenario.M * scenario.mask.n)
     stream = _check_stream_index("stream", stream)
-    _, gather, phase, words = _reads(scenario, l)
-    points = scenario.constellation.points
-    bits = scenario.constellation.bits
-    # pair[x, j] = points[i] conj(points[j]) for the byte x of symbol i = x >> (8 - bits)
-    by_byte = _symbol_index(np.arange(256, dtype=np.uint8), bits)
-    pair = points[by_byte, None] * np.conj(points)
-    width = len(phase)
-    diagonal = scenario.true_delay == l
-    if diagonal:
-        # |x|^2 straight from the byte x as drawn
-        table = pair[np.arange(256), by_byte]
-    else:
-        # table[(x << bits) | j] = pair[x, j], K * 256 entries (256 KiB for qam64),
-        # indexed by the bytes of (x_(n-l), x_(n-k)) read as one little-endian
-        # uint16 (x_(n-k) << 8) | x_(n-l), shifted right by 8 - bits
-        table = pair.ravel()
-        inter = np.stack([gather[width:], gather[:width]], axis=1).ravel()
+    k = scenario.true_delay
+    if plan is None:
+        plan = _plan(scenario.mask, scenario.M, k, l, _tables(scenario.constellation))
+    phase = _phase(plan.ns, scenario.M * scenario.mask.n, scenario.nu)
+    shift = 8 - scenario.constellation.bits
+    table, width, words = plan.table, len(phase), plan.words
     block = min(trials, max(1, _BLOCK_BYTES // (16 * max(width, 1))))
     bg = _stream(seed, stream)
     vals = np.empty(trials, dtype=np.float64)
@@ -337,11 +377,13 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
         raw = bg.random_raw(rows * words).astype("<u8", copy=False)
         data = raw.view(np.uint8).reshape(rows, 8 * words)
         index = data[:, :width]  # on the diagonal, the symbols as drawn
-        if not diagonal:
+        if k != l:
             # take() fills a C-ordered result; data[:, inter] would be F-ordered,
-            # and BLAS sums a strided row in another order.
-            index = data.take(inter, axis=1).view("<u2")
-            index >>= 8 - bits
+            # and BLAS sums a strided row in another order. Each byte pair,
+            # read as one little-endian uint16 (x_(n-k) << 8) | x_(n-l) and
+            # shifted, is (x << bits) | j in the off-diagonal table.
+            index = data.take(plan.inter, axis=1).view("<u2")
+            index >>= shift
         # take(), not table[index]: fancy indexing by a uint8 or uint16 array
         # measured 1.5-2.5x slower; take() fills a C-ordered result from any index
         dots = np.matmul(table.take(index)[:, None, :], phase[:, None])
@@ -353,9 +395,21 @@ def estimate(scenario: EchoScenario, l: int, trials: int, seed: int,
         # the system and faulted it back in block after block: ~12 000-25 000
         # minor page faults in one `response both` run.
         del raw, data, index, dots
-    mean = float(np.mean(vals))
-    se = float(math.sqrt(np.var(vals, ddof=1) / trials))
+    mean, se = _mean_se(vals)
     return McEstimate(mean_sq=mean, se=se)
+
+
+def _mean_se(vals: np.ndarray) -> tuple[float, float]:
+    """np.mean(vals) and sqrt(np.var(vals, ddof=1) / len(vals)), bit for bit.
+
+    The same two pairwise sums as numpy's, the second over vals itself,
+    which it overwrites with the squared deviations.
+    """
+    count = len(vals)
+    mean = np.add.reduce(vals) / count
+    vals -= mean
+    vals *= vals
+    return float(mean), math.sqrt(np.add.reduce(vals) / (count - 1) / count)
 
 
 @dataclass(frozen=True)
@@ -416,6 +470,8 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
     independent of the order in which points are processed. The closed
     forms come first, one response.build_grid per distinct k over the l and
     nu values of its triples: they check every triple before the first trial.
+    The constellation's product tables are built once per call, and one
+    read plan for each run of consecutive triples that share (k, l).
     """
     triples = [tuple(map(operator.index, (k, l, nu))) for k, l, nu in triples]
     # M as a Python int first, so that MN cannot wrap
@@ -430,11 +486,19 @@ def mc_points(mask: Mask, m_pri: int, constellation: Constellation,
     grids = {k: response.build_grid(params, (k,), ls, nus).values[0]
              for k, (ls, nus) in axes.items()}
     closed = [float(grids[k][axes[k][0][l], axes[k][1][nu]]) for k, l, nu in triples]
+    tables = _tables(constellation)
+    plan = plan_kl = None
     out = []
     for i, ((k, l, nu), cf) in enumerate(zip(triples, closed)):
         scen = EchoScenario(mask=mask, M=m_pri, constellation=constellation,
                             true_delay=k, nu=nu)
-        est = estimate(scen, l, trials, seed, stream=i)
+        if (k, l) != plan_kl:
+            # Drop the old plan before building the next, which then reuses
+            # its memory: built while the old one was held, plans made two
+            # qam64 `mc_sweep`-shaped runs fault in ~360 pages, not ~70.
+            plan, plan_kl = None, (k, l)
+            plan = _plan(mask, m_pri, k, l, tables)
+        est = estimate(scen, l, trials, seed, stream=i, plan=plan)
         out.append(McPoint(k=k, l=l, nu=nu, mc_mean=est.mean_sq, mc_se=est.se, trials=trials,
                            closed_form=cf, z=_z_score(est.mean_sq, est.se, cf)))
     return out

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from maskrd import masks, montecarlo as mc, response
 
@@ -251,6 +251,97 @@ def test_estimate_equals_definition_bitwise(const, block_bytes, monkeypatch):
         assert bg.random_raw() == np.random.Philox(key=29, counter=0).random_raw()
 
 
+@pytest.mark.parametrize("const", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+def test_mc_points_equal_standalone_estimates(const, monkeypatch):
+    # mc_points shares one plan between the points of a (k, l) and one pair of
+    # tables between all points; no estimate may change by a bit
+    mask = masks.singer_mask(6)
+    zero = next(l for l in range(1, mask.n) if not _active_slots(mask, 1, 29, l))
+    triples = [(29, 29, 0), (29, 29, 5),      # diagonal
+               (29, 3, 7), (29, 3, 0),        # l < k
+               (29, zero, 1), (29, zero, 0),  # no active slot: a Singer row's zero
+               (29, 40, 2), (5, 40, 3),
+               (29, 3, 11)]                   # (29, 3) comes back
+    built, real = [], mc._plan
+
+    def spy(mask, m_pri, k, l, *args):
+        built.append((k, l))
+        return real(mask, m_pri, k, l, *args)
+
+    monkeypatch.setattr(mc, "_plan", spy)
+    points = mc.mc_points(mask, 3, const, triples, trials=40, seed=17)
+    assert built == [(29, 29), (29, 3), (29, zero), (29, 40), (5, 40), (29, 3)]
+    monkeypatch.undo()
+    alone = []
+    for i, (p, (k, l, nu)) in enumerate(zip(points, triples)):
+        est = mc.estimate(_scenario(mask, 3, const, k, nu), l, 40, seed=17, stream=i)
+        alone.append(mc.McPoint(k=k, l=l, nu=nu, mc_mean=est.mean_sq, mc_se=est.se, trials=40,
+                                closed_form=p.closed_form,
+                                z=mc._z_score(est.mean_sq, est.se, p.closed_form)))
+    # repr() writes every float exactly and tells -0.0 from 0.0
+    assert list(map(repr, points)) == list(map(repr, alone))
+    assert points[4].mc_mean == points[4].mc_se == 0.0
+
+
+@pytest.mark.parametrize("k_set, l_set, nu_set, plans", [
+    ((29,), range(1, 63), (0, 50), 62),
+    ((20,), (20, 41), (0, 7, 23, 50, 100), 2),
+], ids=["mc_sweep", "design_point"])
+def test_mc_points_builds_one_plan_per_run_of_k_l(k_set, l_set, nu_set, plans, monkeypatch):
+    # the benchmark's two Monte Carlo shapes: one plan per (k, l), whatever
+    # the number of nu, and the product tables once per run
+    calls = {"_plan": 0, "_tables": 0}
+    for name in calls:
+        def spy(*args, real=getattr(mc, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(mc, name, spy)
+    mc.validate_grid(masks.singer_mask(6), 50, QAM16, k_set, l_set, nu_set, trials=2, seed=3)
+    assert calls == {"_plan": plans, "_tables": 1}
+
+
+@pytest.mark.parametrize("mask", [masks.singer_mask(m) for m in (3, 4, 5, 6)]
+                         + [masks.random_mask(20, 8, seed=3)], ids=lambda m: m.label)
+@pytest.mark.parametrize("m_pri", [1, 3, 50])
+def test_plan_merges_the_reads_as_np_unique_does(mask, m_pri):
+    # the marked positions and their numbers against the sort-based merge,
+    # for every (k, l)
+    widths = set()
+    for k in range(1, mask.n):
+        for l in range(1, mask.n):
+            idx_k, idx_l, _ = mc._kernel(mask, m_pri, k, l, 0)
+            reads, gather = np.unique(np.concatenate([idx_k, idx_l]), return_inverse=True)
+            width = len(idx_k)
+            plan = mc._plan(mask, m_pri, k, l)
+            assert np.array_equal(plan.ns, idx_k + k - mask.n + 1)
+            assert np.array_equal(plan.reads, reads)
+            assert np.array_equal(plan.inter,
+                                  np.stack([gather[width:], gather[:width]], axis=1).ravel())
+            assert plan.words == -(-len(reads) // 8)
+            widths.add(width)
+    if mask.label.startswith("singer"):
+        assert 0 in widths  # each row of a Singer mask has one zero
+
+
+_DEVIATES = st.floats(-1e100, 1e100)
+
+
+@given(st.lists(_DEVIATES, min_size=2, max_size=300)
+       | st.builds(lambda v, count: [v] * count, _DEVIATES, st.integers(2, 300)))
+@example([0.0, 0.0])
+@example([3.0, 3.0])
+@example([1.0, 2.0])
+@example([0.1] * 151)
+def test_mean_se_equal_numpy_bitwise(vals):
+    # constant values are the deterministic points that _z_score tests
+    # against roundoff; a mean that is not exactly the value leaves them a
+    # few ulps of se
+    vals = np.array(vals)
+    want = (float(np.mean(vals)), math.sqrt(np.var(vals, ddof=1) / len(vals)))
+    got = mc._mean_se(vals.copy())
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 @pytest.mark.parametrize("l, nu, trials", [(20, 7, 2000), (41, 7, 2000), (33, 50, 150)],
                          ids=["diagonal", "off_diagonal", "mc_sweep_point"])
 def test_estimate_calls_make_few_page_faults(l, nu, trials):
@@ -280,23 +371,27 @@ print(faults() + faults())
 """
 
 
-@pytest.mark.parametrize("k, l, nu, trials", [
-    ("20", "20,41", "0,7,23,50,100", "2000"),  # the design point
-    ("29", "1..62", "0,50", "150"),            # many cheap points
-], ids=["design_point", "sweep"])
-def test_repeated_response_both_runs_make_few_page_faults(k, l, nu, trials, tmp_path):
+@pytest.mark.parametrize("const, k, l, nu, trials, bound", [
+    ("qam16", "20", "20,41", "0,7,23,50,100", "2000", 256),  # the design point
+    ("qam16", "29", "1..62", "0,50", "150", 256),            # many cheap points
+    # qam64's off-diagonal table is 256 KiB: one built per point made ~30 000
+    # faults a run; one built per run makes ~35
+    ("qam64", "29", "1..62", "0,50", "150", 1024),
+], ids=["design_point", "sweep", "sweep_qam64"])
+def test_repeated_response_both_runs_make_few_page_faults(const, k, l, nu, trials, bound,
+                                                          tmp_path):
     # A fresh process, so that the heap is the one a CLI run builds, not what
     # earlier tests left: the heap layout decides whether the allocator
     # returns freed blocks to the system and faults them back in.
     pytest.importorskip("resource")
-    argv = ["response", "both", "--mask", "singer:m=6", "--M", "50", "--constellation", "qam16",
+    argv = ["response", "both", "--mask", "singer:m=6", "--M", "50", "--constellation", const,
             "--k", k, "--l", l, "--nu", nu, "--trials", trials, "--seed", "3",
             "--out", str(tmp_path)]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mc.__file__)))
     proc = subprocess.run([sys.executable, "-c", _REPEATED_RUN, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 256
+    assert int(proc.stdout) < bound
 
 
 def _wide_and_narrow_points(const):
